@@ -38,8 +38,9 @@ class _UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *a, **kw):
         super().__init__(*a, **kw)
-        # values like '-1,1' or '-1/2' are data, not option strings
-        self._negative_number_matcher = re.compile(r"^-\d[\d.,/]*$")
+        # values like '-1,1', '-2,-1' or '-1/2' are data, not option strings;
+        # no option name starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):  # argparse would exit(2); we map usage to 1
         raise _UsageError(message)

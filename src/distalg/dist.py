@@ -9,9 +9,10 @@ breakpoint, at most one atom exists per (location, order), and normalization
 removes breakpoints that carry no atom and join provably equal pieces.
 
 Coefficients stay exact.  When an operation needs a pointwise value that has
-no exact form (say exp(1)), the resulting atom is carried separately as an
-``InexactAtom`` with a floating coefficient; exact-equality verdicts refuse
-to say Equal in its presence.
+no exact form (say exp(1)), the resulting atom is an ``InexactAtom`` with a
+floating coefficient; exact-equality verdicts refuse to say Equal in its
+presence.  Both kinds live in one sorted atom tuple, exact atoms first; an
+exact and an inexact atom at the same (location, order) stay separate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
                    SmoothExpr, Verdict, ZERO, const, diff_expr, eval_exact,
                    eval_expr, expr_equal, expr_from_poly, poly_normal_form,
                    product_of, shift_expr, sum_of, worst_verdict)
-from .scalars import ComplexRational, ScalarLike, as_fraction
+from .scalars import CR_ZERO, ComplexRational, ScalarLike, as_fraction
 
 _NODE_TYPES = (Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos)
 
@@ -61,11 +62,21 @@ class PiecewiseSmooth:
     pieces: Tuple[SmoothExpr, ...]
 
 
+Atom = Union[DeltaAtom, InexactAtom]
+
+
 @dataclass(frozen=True)
 class GenDist:
     regular: PiecewiseSmooth
-    atoms: Tuple[DeltaAtom, ...]
-    inexact_atoms: Tuple[InexactAtom, ...] = ()
+    all_atoms: Tuple[Atom, ...]
+
+    @property
+    def atoms(self) -> Tuple[DeltaAtom, ...]:
+        return tuple(a for a in self.all_atoms if isinstance(a, DeltaAtom))
+
+    @property
+    def inexact_atoms(self) -> Tuple[InexactAtom, ...]:
+        return tuple(a for a in self.all_atoms if isinstance(a, InexactAtom))
 
     @property
     def breakpoints(self) -> Tuple[Fraction, ...]:
@@ -80,22 +91,20 @@ class GenDist:
 # assembly and normalization
 
 
-def _merge_exact(atoms: Iterable[DeltaAtom]) -> List[DeltaAtom]:
-    acc: dict[Tuple[Fraction, int], ComplexRational] = {}
+def _merge_atoms(atoms: Iterable[Atom]) -> List[Atom]:
+    """Sum coefficients per (kind, w, k) and sort by that key, so exact
+    atoms come first; zero sums drop."""
+    acc: dict[Tuple[bool, Fraction, int], Union[ComplexRational, complex]] = {}
     for a in atoms:
-        key = (a.w, a.k)
-        acc[key] = acc.get(key, ComplexRational.of(0)) + a.coeff
-    return [DeltaAtom(w, k, c) for (w, k), c in sorted(acc.items())
-            if not c.is_zero]
-
-
-def _merge_inexact(atoms: Iterable[InexactAtom]) -> List[InexactAtom]:
-    acc: dict[Tuple[Fraction, int], complex] = {}
-    for a in atoms:
-        key = (a.w, a.k)
-        acc[key] = acc.get(key, 0j) + complex(a.coeff)
-    return [InexactAtom(w, k, c) for (w, k), c in sorted(acc.items())
-            if c != 0]
+        inexact = isinstance(a, InexactAtom)
+        key = (inexact, a.w, a.k)
+        if inexact:
+            acc[key] = acc.get(key, 0j) + complex(a.coeff)
+        else:
+            acc[key] = acc.get(key, CR_ZERO) + a.coeff
+    return [InexactAtom(w, k, c) if inexact else DeltaAtom(w, k, c)
+            for (inexact, w, k), c in sorted(acc.items())
+            if (c != 0 if inexact else not c.is_zero)]
 
 
 def _piece_interval(breaks: Sequence[Fraction], i: int
@@ -106,8 +115,7 @@ def _piece_interval(breaks: Sequence[Fraction], i: int
 
 
 def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
-              atoms: Iterable[DeltaAtom] = (), inexact: Iterable[InexactAtom] = (),
-              normalize: bool = True) -> GenDist:
+              atoms: Iterable[Atom] = (), normalize: bool = True) -> GenDist:
     breaks = [as_fraction(b) for b in breakpoints]
     ps = [as_expr(p) for p in pieces]
     if len(ps) != len(breaks) + 1:
@@ -115,19 +123,17 @@ def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
                          f"pieces, got {len(ps)}")
     if any(breaks[i] >= breaks[i + 1] for i in range(len(breaks) - 1)):
         raise ShapeError("breakpoints must be strictly ascending")
-    ea = _merge_exact(atoms)
-    ia = _merge_inexact(inexact)
-    for a in ea + ia:
-        if a.k < 0:
-            raise ShapeError("atom order must be >= 0")
+    atoms = _merge_atoms(atoms)
+    if any(a.k < 0 for a in atoms):
+        raise ShapeError("atom order must be >= 0")
+    atom_locs = {a.w for a in atoms}
     # every atom location must be a breakpoint; pad by duplicating the piece
-    for w in sorted({a.w for a in ea} | {a.w for a in ia}):
+    for w in sorted(atom_locs):
         pos = bisect.bisect_left(breaks, w)
         if pos == len(breaks) or breaks[pos] != w:
             breaks.insert(pos, w)
             ps.insert(pos, ps[pos])
     if normalize:
-        atom_locs = {a.w for a in ea} | {a.w for a in ia}
         i = 0
         while i < len(breaks):
             if breaks[i] in atom_locs:
@@ -144,12 +150,11 @@ def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
                 del ps[i + 1]
             else:
                 i += 1
-    return GenDist(PiecewiseSmooth(tuple(breaks), tuple(ps)), tuple(ea), tuple(ia))
+    return GenDist(PiecewiseSmooth(tuple(breaks), tuple(ps)), tuple(atoms))
 
 
 def normalize_dist(F: GenDist) -> GenDist:
-    return _assemble(F.breakpoints, F.pieces, F.atoms, F.inexact_atoms,
-                     normalize=True)
+    return _assemble(F.breakpoints, F.pieces, F.all_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +188,7 @@ def delta_dist(w=0, k: int = 0, c: ScalarLike = 1) -> GenDist:
 
 
 def is_zero_dist(F: GenDist) -> bool:
-    return (not F.atoms and not F.inexact_atoms
-            and all(p == ZERO for p in F.pieces))
+    return not F.all_atoms and all(p == ZERO for p in F.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +210,25 @@ def align(F: GenDist, G: GenDist) -> Tuple[GenDist, GenDist]:
     atoms untouched).  Results are valid but deliberately not normalized."""
     union = sorted(set(F.breakpoints) | set(G.breakpoints))
     Fa = GenDist(PiecewiseSmooth(tuple(union), _repiece(F.regular, union)),
-                 F.atoms, F.inexact_atoms)
+                 F.all_atoms)
     Ga = GenDist(PiecewiseSmooth(tuple(union), _repiece(G.regular, union)),
-                 G.atoms, G.inexact_atoms)
+                 G.all_atoms)
     return Fa, Ga
 
 
 def add(F: GenDist, G: GenDist) -> GenDist:
     Fa, Ga = align(F, G)
     pieces = tuple(sum_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
-    return _assemble(Fa.breakpoints, pieces, Fa.atoms + Ga.atoms,
-                     Fa.inexact_atoms + Ga.inexact_atoms)
+    return _assemble(Fa.breakpoints, pieces, Fa.all_atoms + Ga.all_atoms)
 
 
 def scale(c: ScalarLike, F: GenDist) -> GenDist:
     cv = ComplexRational.of(c)
     pieces = tuple(product_of(Const(cv), p) for p in F.pieces)
-    atoms = tuple(DeltaAtom(a.w, a.k, cv * a.coeff) for a in F.atoms)
-    inex = tuple(InexactAtom(a.w, a.k, complex(cv) * a.coeff)
-                 for a in F.inexact_atoms)
-    return _assemble(F.breakpoints, pieces, atoms, inex)
+    atoms = [DeltaAtom(a.w, a.k, cv * a.coeff) if isinstance(a, DeltaAtom)
+             else InexactAtom(a.w, a.k, complex(cv) * a.coeff)
+             for a in F.all_atoms]
+    return _assemble(F.breakpoints, pieces, atoms)
 
 
 def sub(F: GenDist, G: GenDist) -> GenDist:
@@ -236,8 +239,7 @@ def sub(F: GenDist, G: GenDist) -> GenDist:
 # atom expansion
 
 
-def smooth_times_atom(g: SmoothExpr, a: Union[DeltaAtom, InexactAtom]
-                      ) -> List[Union[DeltaAtom, InexactAtom]]:
+def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     """Expand g·delta^(k)(x-w) into plain atoms.
 
     The expansion is sum over j of (k choose j)(-1)^j g^(j)(w)
@@ -246,7 +248,7 @@ def smooth_times_atom(g: SmoothExpr, a: Union[DeltaAtom, InexactAtom]
     exact evaluation produce InexactAtom entries.
     """
     g = as_expr(g)
-    out: List[Union[DeltaAtom, InexactAtom]] = []
+    out: List[Atom] = []
     d = g
     for j in range(a.k + 1):
         if j > 0:
@@ -269,12 +271,8 @@ def smooth_mul(g, F: GenDist) -> GenDist:
     """Multiply by a globally smooth expression."""
     g = as_expr(g)
     pieces = tuple(product_of(g, p) for p in F.pieces)
-    ea: List[DeltaAtom] = []
-    ia: List[InexactAtom] = []
-    for a in F.atoms + F.inexact_atoms:
-        for b in smooth_times_atom(g, a):
-            (ea if isinstance(b, DeltaAtom) else ia).append(b)
-    return _assemble(F.breakpoints, pieces, ea, ia)
+    atoms = [b for a in F.all_atoms for b in smooth_times_atom(g, a)]
+    return _assemble(F.breakpoints, pieces, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +299,16 @@ def differentiate(F: GenDist) -> GenDist:
     """Distributional derivative: pieces differentiate, each breakpoint with
     a jump gains a delta, existing atoms move up one order."""
     pieces = tuple(diff_expr(p) for p in F.pieces)
-    ea = [DeltaAtom(a.w, a.k + 1, a.coeff) for a in F.atoms]
-    ia = [InexactAtom(a.w, a.k + 1, a.coeff) for a in F.inexact_atoms]
+    atoms = [type(a)(a.w, a.k + 1, a.coeff) for a in F.all_atoms]
     for i, w in enumerate(F.breakpoints):
         d = _jump_value(F.pieces[i], F.pieces[i + 1], w)
         if d is None:
             continue
         if isinstance(d, ComplexRational):
-            ea.append(DeltaAtom(w, 0, d))
+            atoms.append(DeltaAtom(w, 0, d))
         else:
-            ia.append(InexactAtom(w, 0, d))
-    return _assemble(F.breakpoints, pieces, ea, ia)
+            atoms.append(InexactAtom(w, 0, d))
+    return _assemble(F.breakpoints, pieces, atoms)
 
 
 def _poly_eval(coeffs: Sequence[ComplexRational], x: Fraction) -> ComplexRational:
@@ -334,13 +331,12 @@ def antiderivative(F: GenDist) -> GenDist:
         if nf is None:
             raise UnsupportedPiece("antiderivative requires polynomial pieces")
         polys.append(nf)
-    for a in F.inexact_atoms:
-        if a.k == 0:
-            raise DomainError("order-0 atom with inexact coefficient has no "
-                              "exact antiderivative")
+    if any(isinstance(a, InexactAtom) and a.k == 0 for a in F.all_atoms):
+        raise DomainError("order-0 atom with inexact coefficient has no "
+                          "exact antiderivative")
     prims = [tuple([ComplexRational.of(0)] +
                    [c / (i + 1) for i, c in enumerate(nf)]) for nf in polys]
-    jumps = {a.w: a.coeff for a in F.atoms if a.k == 0}
+    jumps = {a.w: a.coeff for a in F.all_atoms if a.k == 0}
     consts = [ComplexRational.of(0)]
     for i, b in enumerate(F.breakpoints):
         c = consts[i] + _poly_eval(prims[i], b) - _poly_eval(prims[i + 1], b)
@@ -351,9 +347,8 @@ def antiderivative(F: GenDist) -> GenDist:
         cs = list(prim)
         cs[0] = cs[0] + c
         pieces.append(expr_from_poly(cs))
-    ea = [DeltaAtom(a.w, a.k - 1, a.coeff) for a in F.atoms if a.k >= 1]
-    ia = [InexactAtom(a.w, a.k - 1, a.coeff) for a in F.inexact_atoms]
-    return _assemble(F.breakpoints, pieces, ea, ia)
+    atoms = [type(a)(a.w, a.k - 1, a.coeff) for a in F.all_atoms if a.k >= 1]
+    return _assemble(F.breakpoints, pieces, atoms)
 
 
 def translate(F: GenDist, h) -> GenDist:
@@ -362,9 +357,8 @@ def translate(F: GenDist, h) -> GenDist:
     hf = as_fraction(h)
     breaks = tuple(b - hf for b in F.breakpoints)
     pieces = tuple(shift_expr(p, hf) for p in F.pieces)
-    atoms = tuple(DeltaAtom(a.w - hf, a.k, a.coeff) for a in F.atoms)
-    inex = tuple(InexactAtom(a.w - hf, a.k, a.coeff) for a in F.inexact_atoms)
-    return _assemble(breaks, pieces, atoms, inex, normalize=False)
+    atoms = [type(a)(a.w - hf, a.k, a.coeff) for a in F.all_atoms]
+    return _assemble(breaks, pieces, atoms, normalize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +366,7 @@ def translate(F: GenDist, h) -> GenDist:
 
 
 def _has_atom_at(F: GenDist, w: Fraction) -> bool:
-    return any(a.w == w for a in F.atoms) or any(a.w == w for a in F.inexact_atoms)
+    return any(a.w == w for a in F.all_atoms)
 
 
 def singular_support(F: GenDist) -> List[Fraction]:
@@ -392,25 +386,32 @@ def singular_support(F: GenDist) -> List[Fraction]:
 _INEXACT_RTOL = 1e-9
 
 
+def _atom_sums(F: GenDist) -> dict:
+    """(w, k) -> total coefficient; a float wherever an inexact atom sits."""
+    out: dict = {}
+    for a in F.all_atoms:  # exact atoms come first
+        key = (a.w, a.k)
+        if isinstance(a, InexactAtom):
+            out[key] = complex(out.get(key, 0j)) + a.coeff
+        else:
+            out[key] = a.coeff
+    return out
+
+
 def equal_dist(F: GenDist, G: GenDist) -> Verdict:
     """Compare after normalization and alignment: atoms exactly, pieces by
     expr_equal on their interval; the worst verdict wins.  Inexact atoms can
     at best leave the verdict Unknown."""
     Fa, Ga = align(normalize_dist(F), normalize_dist(G))
     verdict = Verdict.EQUAL
-    fe = {(a.w, a.k): a.coeff for a in Fa.atoms}
-    ge = {(a.w, a.k): a.coeff for a in Ga.atoms}
-    fi = {(a.w, a.k): a.coeff for a in Fa.inexact_atoms}
-    gi = {(a.w, a.k): a.coeff for a in Ga.inexact_atoms}
-    for key in set(fe) | set(ge):
-        if key in fi or key in gi:
-            continue  # handled below with float tolerance
-        if fe.get(key, ComplexRational.of(0)) != ge.get(key, ComplexRational.of(0)):
-            return Verdict.UNEQUAL
-    for key in set(fi) | set(gi):
-        zero = ComplexRational.of(0)
-        a = complex(fe.get(key, zero)) + fi.get(key, 0j)
-        b = complex(ge.get(key, zero)) + gi.get(key, 0j)
+    fs, gs = _atom_sums(Fa), _atom_sums(Ga)
+    for key in fs.keys() | gs.keys():
+        a, b = fs.get(key, CR_ZERO), gs.get(key, CR_ZERO)
+        if not (isinstance(a, complex) or isinstance(b, complex)):
+            if a != b:
+                return Verdict.UNEQUAL
+            continue
+        a, b = complex(a), complex(b)
         if abs(a - b) > _INEXACT_RTOL * (1 + max(abs(a), abs(b))):
             return Verdict.UNEQUAL
         verdict = worst_verdict(verdict, Verdict.UNKNOWN)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import List, Optional
 
-from .dist import DeltaAtom, GenDist, InexactAtom
+from .dist import DeltaAtom, GenDist
 from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
                    SmoothExpr, ONE, ZERO)
 from .ode import (Bounded, ConfinedEquation, ConfinementReport, HalfLine,
@@ -218,6 +218,19 @@ def _float_rational(x: float) -> str:
     return frac_str(Fraction(x))
 
 
+def _join_signed(terms: List[tuple]) -> str:
+    """Join (sign, text) terms with ' + ' and ' - '; '0' when empty."""
+    if not terms:
+        return "0"
+    out = []
+    for idx, (sign, text) in enumerate(terms):
+        if idx == 0:
+            out.append(("-" if sign < 0 else "") + text)
+        else:
+            out.append((" - " if sign < 0 else " + ") + text)
+    return "".join(out)
+
+
 def format_dist_text(F: GenDist) -> str:
     terms: List[tuple] = []  # (sign, text)
     breaks = F.breakpoints
@@ -232,10 +245,11 @@ def format_dist_text(F: GenDist) -> str:
             terms.append((1, "*".join(hs)))
             continue
         terms.append((1, "*".join([_fmt(piece, 2)] + hs)))
-    for a in F.atoms:
-        pre, sign = _coeff_prefix(a.coeff)
-        terms.append((sign, _atom_text(a.w, a.k, pre)))
-    for a in F.inexact_atoms:
+    for a in F.all_atoms:
+        if isinstance(a, DeltaAtom):
+            pre, sign = _coeff_prefix(a.coeff)
+            terms.append((sign, _atom_text(a.w, a.k, pre)))
+            continue
         c = complex(a.coeff)
         if c.imag == 0:
             pre = f"({_float_rational(c.real)})"
@@ -244,15 +258,7 @@ def format_dist_text(F: GenDist) -> str:
             pre = (f"({_float_rational(c.real)}{op}"
                    f"{_float_rational(abs(c.imag))}*i)")
         terms.append((1, _atom_text(a.w, a.k, pre)))
-    if not terms:
-        return "0"
-    out = []
-    for idx, (sign, text) in enumerate(terms):
-        if idx == 0:
-            out.append(("-" if sign < 0 else "") + text)
-        else:
-            out.append((" - " if sign < 0 else " + ") + text)
-    return "".join(out)
+    return _join_signed(terms)
 
 
 def _latex_shift(w: Fraction, reflect: bool) -> str:
@@ -264,6 +270,23 @@ def _latex_shift(w: Fraction, reflect: bool) -> str:
     if w == 0:
         return "-x"
     return f"{_frac_latex(w)} - x"
+
+
+def _decimal_latex(x: float) -> str:
+    mantissa, _, exponent = repr(x).partition("e")
+    if not exponent:
+        return mantissa
+    return mantissa + r"\times 10^{%d}" % int(exponent)
+
+
+def _float_latex(c: complex) -> tuple:
+    """Like _const_latex for a float coefficient: decimals, the real part
+    alone when the imaginary part is zero."""
+    if c.imag == 0:
+        return _decimal_latex(c.real), 1 if c.real < 0 else 4
+    op = "+" if c.imag >= 0 else "-"
+    return (f"{_decimal_latex(c.real)} {op} "
+            f"{_decimal_latex(abs(c.imag))}" + r"\,i"), 1
 
 
 def format_dist_latex(F: GenDist) -> str:
@@ -284,13 +307,13 @@ def format_dist_latex(F: GenDist) -> str:
             terms.append(_ltx(piece, 2) + r"\," + body)
         else:
             terms.append(format_expr_latex(piece))
-    for a in list(F.atoms) + list(F.inexact_atoms):
+    for a in F.all_atoms:
         if isinstance(a, DeltaAtom):
             cs, lvl = _const_latex(a.coeff)
-            pre = "" if a.coeff == ComplexRational.of(1) else \
-                (r"\left(" + cs + r"\right)" if lvl < 2 else cs) + r"\,"
         else:
-            pre = f"({a.coeff})" + r"\,"
+            cs, lvl = _float_latex(complex(a.coeff))
+        pre = "" if a.coeff == ComplexRational.of(1) else \
+            (r"\left(" + cs + r"\right)" if lvl < 2 else cs) + r"\,"
         sup = "" if a.k == 0 else f"^{{({a.k})}}"
         terms.append(pre + r"\delta%s(%s)" % (sup, _latex_shift(a.w, False)))
     if not terms:
@@ -337,28 +360,24 @@ def _psi_name(i: int) -> str:
     return f"psi^({i})"
 
 
-def format_ode_text(ode: LinearODE) -> str:
+def _ode_lhs_text(ode: LinearODE) -> str:
+    """sum a_i·psi^(i), highest order first."""
     terms = []
     for i, c in enumerate(ode.coeffs):
         if c == ZERO:
             continue
-        if c == ONE:
-            terms.append(_psi_name(i))
-        else:
-            terms.append(f"({format_expr(c)})*{_psi_name(i)}")
-    lhs = " + ".join(reversed(terms)) if terms else "0"
-    return f"{lhs} = {format_expr(ode.rhs)}"
+        terms.append(_psi_name(i) if c == ONE
+                     else f"({format_expr(c)})*{_psi_name(i)}")
+    return " + ".join(reversed(terms)) if terms else "0"
+
+
+def format_ode_text(ode: LinearODE) -> str:
+    return f"{_ode_lhs_text(ode)} = {format_expr(ode.rhs)}"
 
 
 def format_confined_text(ceq: ConfinedEquation) -> str:
     ode = ceq.base
-    lhs_terms = []
-    for i, c in enumerate(ode.coeffs):
-        if c == ZERO:
-            continue
-        lhs_terms.append(_psi_name(i) if c == ONE
-                         else f"({format_expr(c)})*{_psi_name(i)}")
-    lhs = " + ".join(reversed(lhs_terms)) if lhs_terms else "0"
+    lhs = _ode_lhs_text(ode)
     if isinstance(ceq.interval, HalfLine):
         chi = f"H({_shift_text(ceq.interval.a, False)})"
     else:
@@ -378,17 +397,7 @@ def format_confined_text(ceq: ConfinedEquation) -> str:
         pre = "*".join(coeff_bits) + "*" if coeff_bits else ""
         rhs_terms.append((rec.sign,
                           f"{pre}({datom} (*) {_psi_name(rec.i - rec.j)})"))
-    if not rhs_terms:
-        rhs = "0"
-    else:
-        bits = []
-        for idx, (sign, text) in enumerate(rhs_terms):
-            if idx == 0:
-                bits.append(("-" if sign < 0 else "") + text)
-            else:
-                bits.append((" - " if sign < 0 else " + ") + text)
-        rhs = "".join(bits)
-    return f"{lhs} = {rhs}"
+    return f"{lhs} = {_join_signed(rhs_terms)}"
 
 
 def _psi_latex(i: int) -> str:
@@ -432,17 +441,7 @@ def format_confined_latex(ceq: ConfinedEquation) -> str:
             pre += "\\,"
         rhs_terms.append((rec.sign,
                           f"{pre}{datom} \\star {_psi_latex(rec.i - rec.j)}"))
-    if not rhs_terms:
-        rhs = "0"
-    else:
-        bits = []
-        for idx, (sign, text) in enumerate(rhs_terms):
-            if idx == 0:
-                bits.append(("-" if sign < 0 else "") + text)
-            else:
-                bits.append((" - " if sign < 0 else " + ") + text)
-        rhs = "".join(bits)
-    return f"{lhs} = {rhs}"
+    return f"{lhs} = {_join_signed(rhs_terms)}"
 
 
 def confined_to_jsonable(ceq: ConfinedEquation) -> dict:

@@ -4,12 +4,12 @@ Given sum_i a_i psi^(i) = f with smooth coefficients, the confined equation
 adds, for each endpoint, the correction terms
 (i choose j)·a_i·(delta^(j-1)(x-endpoint) ⋆ psi^(i-j)) with 1 <= j <= i, so
 that its solutions are exactly the indicator-cutoff versions of the original
-solutions.  At a lower endpoint ⋆ is the base product (it reads values from
-the right, where the cutoff solution is alive); at an upper endpoint the
-mirrored product is used, with a minus sign because the indicator ends
-there.  ``residual`` measures how far a candidate is from solving the
-confined equation; it is the zero distribution exactly when the candidate
-solves it.
+solutions.  At a lower endpoint the term is delta^(j-1)(x-a) ⋆ psi^(i-j)
+(the delta reads psi from the right, where the cutoff solution is alive); at
+an upper endpoint the factors swap to psi^(i-j) ⋆ delta^(j-1)(x-b), so psi
+is read from the left, with a minus sign because the indicator ends there.
+``residual`` measures how far a candidate is from solving the confined
+equation; it is the zero distribution exactly when the candidate solves it.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dist import (GenDist, DeltaAtom, InexactAtom, _assemble, add, delta_dist,
-                   equal_dist, differentiate, heaviside, indicator, scale,
-                   smooth_mul, smooth_times_atom, sub, zero_dist)
+from .dist import (GenDist, DeltaAtom, _assemble, add, delta_dist, equal_dist,
+                   differentiate, heaviside, indicator, scale, smooth_mul,
+                   smooth_times_atom, sub, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
 from .expr import (SmoothExpr, Verdict, ZERO, diff_expr, eval_num,
                    poly_normal_form, product_of, sub_expr, sum_of)
 from .dist import as_expr
 from .scalars import ComplexRational, ScalarLike, as_fraction
-from .star import VariantTag, star, star_variant
+from .star import star
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def confine_halfline(ode: LinearODE, a) -> ConfinedEquation:
 
 def confine_interval(ode: LinearODE, a, b) -> ConfinedEquation:
     """Equation whose solutions vanish outside ]a, b[; lower-endpoint terms
-    use the base product, upper-endpoint terms the mirrored product with
-    opposite sign."""
+    put the delta on the left of the product, upper-endpoint terms put it on
+    the right, with opposite sign."""
     af, bf = as_fraction(a), as_fraction(b)
     if af >= bf:
         raise ShapeError("interval needs a < b")
@@ -167,7 +167,7 @@ def correction_values(ceq: ConfinedEquation, psi: GenDist) -> List[GenDist]:
         if rec.endpoint == "lower":
             term = star(D, derivs[rec.i - rec.j])
         else:
-            term = star_variant(D, derivs[rec.i - rec.j], VariantTag.STAR2)
+            term = star(derivs[rec.i - rec.j], D)
         term = smooth_mul(ceq.base.coeffs[rec.i], term)
         out.append(scale(rec.sign * rec.binomial, term))
     return out
@@ -197,7 +197,7 @@ def particular_rhs(ode: LinearODE, values: Sequence[ScalarLike], a) -> GenDist:
     if len(values) != ode.n:
         raise ShapeError(f"need {ode.n} endpoint values, got {len(values)}")
     vals = [ComplexRational.of(v) for v in values]
-    atoms: List[Union[DeltaAtom, InexactAtom]] = []
+    atoms = []
     for i in range(1, ode.n + 1):
         if ode.coeffs[i] == ZERO:
             continue
@@ -206,9 +206,7 @@ def particular_rhs(ode: LinearODE, values: Sequence[ScalarLike], a) -> GenDist:
                 continue
             base = DeltaAtom(af, i - 1 - k, vals[k])
             atoms.extend(smooth_times_atom(ode.coeffs[i], base))
-    ea = [x for x in atoms if isinstance(x, DeltaAtom)]
-    ia = [x for x in atoms if isinstance(x, InexactAtom)]
-    return _assemble((), (ZERO,), ea, ia)
+    return _assemble((), (ZERO,), atoms)
 
 
 def _classical_residual_samples(ceq: ConfinedEquation, psi_u: SmoothExpr,

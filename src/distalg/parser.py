@@ -69,10 +69,15 @@ def _tokenize(text: str) -> List[_Tok]:
 
 _Value = Tuple[str, Union[SmoothExpr, GenDist]]  # ("smooth", e) | ("dist", F)
 
+# Parentheses, function arguments and unary signs each open one level; the
+# limit keeps the descent and the later tree walks inside Python's
+# recursion limit.
+_MAX_DEPTH = 100
+
 
 def _pointwise_mul(A: GenDist, B: GenDist, pos: int) -> GenDist:
     from .dist import align
-    if A.atoms or A.inexact_atoms or B.atoms or B.inexact_atoms:
+    if A.all_atoms or B.all_atoms:
         raise SemanticsError(
             "a delta factor can only be multiplied by smooth factors in "
             "construction syntax; use the mul command for the algebra "
@@ -87,6 +92,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -105,6 +111,15 @@ class _Parser:
     def at_op(self, *chs: str) -> bool:
         t = self.peek()
         return t.kind == "op" and t.text in chs
+
+    def nested(self, parse, pos: int):
+        """Run one nested parse one level deeper; errors past _MAX_DEPTH."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     # -- numbers ----------------------------------------------------------
 
@@ -155,11 +170,9 @@ class _Parser:
 
     def smooth_unary(self) -> SmoothExpr:
         if self.at_op("-"):
-            self.next()
-            return neg(self.smooth_unary())
+            return neg(self.nested(self.smooth_unary, self.next().pos))
         if self.at_op("+"):
-            self.next()
-            return self.smooth_unary()
+            return self.nested(self.smooth_unary, self.next().pos)
         return self.smooth_postfix()
 
     def smooth_postfix(self) -> SmoothExpr:
@@ -183,14 +196,12 @@ class _Parser:
                 return const(ComplexRational(Fraction(0), Fraction(1)))
             if t.text in ("exp", "sin", "cos"):
                 self.next()
-                self.expect_op("(")
-                arg = self.smooth_expr()
+                arg = self.nested(self.smooth_expr, self.expect_op("(").pos)
                 self.expect_op(")")
                 return {"exp": exp_of, "sin": sin_of, "cos": cos_of}[t.text](arg)
             raise ParseError(f"{t.text!r} is not a smooth function here", t.pos)
         if self.at_op("("):
-            self.next()
-            e = self.smooth_expr()
+            e = self.nested(self.smooth_expr, self.next().pos)
             self.expect_op(")")
             return e
         raise ParseError("expected a smooth operand", t.pos)
@@ -246,10 +257,9 @@ class _Parser:
             c = (-1) ** k if reflected else 1
             return "dist", delta_dist(w, k, c)
         if self.at_op("("):
-            self.next()
-            D = self.dist_body()
+            D = self.nested(self.dist_body, self.next().pos)
             self.expect_op(")")
-            if not D.breakpoints and not D.atoms and not D.inexact_atoms:
+            if not D.breakpoints and not D.all_atoms:
                 e: SmoothExpr = D.pieces[0]
                 while self.at_op("^"):
                     self.next()
@@ -350,4 +360,4 @@ def parse_dist_json(src: Union[str, dict]) -> GenDist:
     inexact = [InexactAtom(as_fraction(a["w"]), int(a["k"]),
                            complex(float(a["re"]), float(a["im"])))
                for a in obj.get("inexact_atoms", [])]
-    return _assemble(breaks, pieces, atoms, inexact)
+    return _assemble(breaks, pieces, atoms + inexact)

@@ -5,8 +5,8 @@ limit of F(x)·G(x+eps) for eps -> 0+.  Its closed form multiplies aligned
 regular parts pointwise and pairs each atom with a one-sided piece of the
 other factor: F's atoms see G's piece just RIGHT of the atom location, G's
 atoms see F's piece just LEFT of it.  That one-sided selection is the entire
-asymmetry and lives in a single helper with a ``mirror`` switch so the
-product variants share one audited site.
+asymmetry and lives in a single helper; the product variants are that
+product with its arguments swapped, so they share one audited site.
 
 ``hormander`` is the classical product for disjoint singular supports; it is
 implemented independently (covering pieces instead of one-sided pieces) so
@@ -18,11 +18,9 @@ from __future__ import annotations
 import bisect
 import enum
 from fractions import Fraction
-from typing import List, Tuple, Union
 
-from .dist import (DeltaAtom, GenDist, InexactAtom, PiecewiseSmooth, _assemble,
-                   align, normalize_dist, add, scale, sub, singular_support,
-                   smooth_times_atom)
+from .dist import (GenDist, _assemble, align, normalize_dist, add, scale, sub,
+                   singular_support, smooth_times_atom)
 from .errors import OverlapError
 from .expr import SmoothExpr, product_of
 
@@ -35,61 +33,40 @@ class VariantTag(enum.Enum):
     STAR5 = "star5"
 
 
-def _atoms_at(F: GenDist, w) -> List[Union[DeltaAtom, InexactAtom]]:
-    return [a for a in F.atoms + F.inexact_atoms if a.w == w]
-
-
-def _split(expanded) -> Tuple[List[DeltaAtom], List[InexactAtom]]:
-    ea = [a for a in expanded if isinstance(a, DeltaAtom)]
-    ia = [a for a in expanded if isinstance(a, InexactAtom)]
-    return ea, ia
-
-
-def _translation_limit_product(F: GenDist, G: GenDist, mirror: bool) -> GenDist:
-    """Closed form of the one-sided-limit product on aligned breakpoints.
-
-    mirror=False: F-atoms pair with G's right piece, G-atoms with F's left
-    piece (the eps -> 0+ right-translation limit).  mirror=True swaps both
-    piece selections, which realizes the opposite-side limit and coincides
-    with the arguments-swapped product.
-    """
+def _translation_limit_product(F: GenDist, G: GenDist) -> GenDist:
+    """Closed form of the eps -> 0+ right-translation limit on aligned
+    breakpoints: F-atoms pair with G's right piece, G-atoms with F's left
+    piece."""
     Fa, Ga = align(F, G)
     breaks = Fa.breakpoints
     pieces = tuple(product_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
-    ea: List[DeltaAtom] = []
-    ia: List[InexactAtom] = []
-    for j, w in enumerate(breaks):
-        g_partner = Ga.pieces[j] if mirror else Ga.pieces[j + 1]
-        f_partner = Fa.pieces[j + 1] if mirror else Fa.pieces[j]
-        for a in _atoms_at(Fa, w):
-            e, i = _split(smooth_times_atom(g_partner, a))
-            ea += e
-            ia += i
-        for a in _atoms_at(Ga, w):
-            e, i = _split(smooth_times_atom(f_partner, a))
-            ea += e
-            ia += i
-    return _assemble(breaks, pieces, ea, ia)
+    atoms = []
+    # every atom location is a breakpoint; per (location, order) the
+    # F-atom terms are summed before the G-atom terms
+    for a in Fa.all_atoms:
+        j = bisect.bisect_left(breaks, a.w)
+        atoms += smooth_times_atom(Ga.pieces[j + 1], a)
+    for a in Ga.all_atoms:
+        j = bisect.bisect_left(breaks, a.w)
+        atoms += smooth_times_atom(Fa.pieces[j], a)
+    return _assemble(breaks, pieces, atoms)
 
 
 def star(F: GenDist, G: GenDist) -> GenDist:
     """The noncommutative product; associative, distributive, and equal to
     the pointwise product whenever either factor is smooth."""
-    return _translation_limit_product(F, G, mirror=False)
+    return _translation_limit_product(F, G)
 
 
 def star_variant(F: GenDist, G: GenDist, tag: VariantTag) -> GenDist:
-    """The related products: star2/star3/star4 all reduce to the base
-    product with swapped or mirrored sides, star5 is the symmetrization
-    (commutative but not associative)."""
-    if tag is VariantTag.STAR:
+    """The related products: star2 (the opposite-side translation limit)
+    and star3 are star(G, F); star4, which is star2 with its arguments
+    swapped, is star(F, G); star5 is the symmetrization (commutative but not
+    associative)."""
+    if tag in (VariantTag.STAR, VariantTag.STAR4):
         return star(F, G)
-    if tag is VariantTag.STAR2:
-        return _translation_limit_product(F, G, mirror=True)
-    if tag is VariantTag.STAR3:
+    if tag in (VariantTag.STAR2, VariantTag.STAR3):
         return star(G, F)
-    if tag is VariantTag.STAR4:
-        return _translation_limit_product(G, F, mirror=True)
     if tag is VariantTag.STAR5:
         return scale(Fraction(1, 2), add(star(F, G), star(G, F)))
     raise ValueError(f"unknown variant {tag!r}")
@@ -115,16 +92,11 @@ def hormander(F: GenDist, G: GenDist) -> GenDist:
                            f"use star instead")
     Fa, Ga = align(Fn, Gn)
     pieces = tuple(product_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
-    ea: List[DeltaAtom] = []
-    ia: List[InexactAtom] = []
-    for a in Fn.atoms + Fn.inexact_atoms:
+    atoms = []
+    for a in Fn.all_atoms:
         cover = Gn.pieces[bisect.bisect_right(Gn.breakpoints, a.w)]
-        e, i = _split(smooth_times_atom(cover, a))
-        ea += e
-        ia += i
-    for a in Gn.atoms + Gn.inexact_atoms:
+        atoms += smooth_times_atom(cover, a)
+    for a in Gn.all_atoms:
         cover = Fn.pieces[bisect.bisect_right(Fn.breakpoints, a.w)]
-        e, i = _split(smooth_times_atom(cover, a))
-        ea += e
-        ia += i
-    return _assemble(Fa.breakpoints, pieces, ea, ia)
+        atoms += smooth_times_atom(cover, a)
+    return _assemble(Fa.breakpoints, pieces, atoms)

@@ -177,7 +177,7 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
         total += _panel_integral(
             lambda xs: eval_num(piece, xs) * bump_values(t, xs, cfg.guard),
             s, e, cfg.nodes)
-    for a in F.atoms + F.inexact_atoms:
+    for a in F.all_atoms:
         w = float(a.w)
         if not (lo < w < hi):
             continue
@@ -243,7 +243,7 @@ def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
             lambda xs: (eval_num(fp, xs) * eval_num(gp, xs + eps_float)
                         * bump_values(t, xs, cfg.guard)),
             s, e, cfg.nodes)
-    for a in Fn.atoms + Fn.inexact_atoms:
+    for a in Fn.all_atoms:
         w = float(a.w)
         if not (lo < w < hi):
             continue
@@ -251,7 +251,7 @@ def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
         fn = lambda z: eval_num(gp, z + eps_float) * bump_analytic(t, z)
         d = _cauchy_deriv(fn, w, a.k, _atom_radius(w, float(t.a), float(t.b)))
         total += complex(a.coeff) * (-1) ** a.k * d
-    for a in Gn.atoms + Gn.inexact_atoms:
+    for a in Gn.all_atoms:
         wv = a.w - epsf
         w = float(wv)
         if not (lo < w < hi):
@@ -268,7 +268,7 @@ def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
                 direction: int = 1) -> complex:
     """Extrapolated eps -> 0 limit of <F·G^eps, t> along cfg.eps_schedule.
 
-    direction=-1 translates the other way (the mirrored product's limit).
+    direction=-1 translates the other way; its limit is star(G, F).
     The default Richardson step assumes the leading error is linear in eps
     and combines the last two schedule values.
     """

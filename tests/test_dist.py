@@ -203,7 +203,7 @@ class TestAntiderivative:
             d.antiderivative(F)
 
     def test_inexact_step_rejected(self):
-        F = _assemble((), (d.ZERO,), (),
+        F = _assemble((), (d.ZERO,),
                       [d.InexactAtom(Fraction(0), 0, 1.5)])
         with pytest.raises(DomainError):
             d.antiderivative(F)
@@ -257,9 +257,9 @@ class TestEqualDist:
         assert d.equal_dist(trig, d.smooth_dist(d.ONE)) is Verdict.UNKNOWN
 
     def test_inexact_atoms_compare_within_tolerance(self):
-        F = _assemble((), (d.ZERO,), (), [d.InexactAtom(Fraction(0), 0, 1.0)])
-        G = _assemble((), (d.ZERO,), (),
+        F = _assemble((), (d.ZERO,), [d.InexactAtom(Fraction(0), 0, 1.0)])
+        G = _assemble((), (d.ZERO,),
                       [d.InexactAtom(Fraction(0), 0, 1.0 + 1e-12)])
         assert d.equal_dist(F, G) is Verdict.UNKNOWN
-        H = _assemble((), (d.ZERO,), (), [d.InexactAtom(Fraction(0), 0, 2.0)])
+        H = _assemble((), (d.ZERO,), [d.InexactAtom(Fraction(0), 0, 2.0)])
         assert d.equal_dist(F, H) is Verdict.UNEQUAL

@@ -81,6 +81,32 @@ class TestSmoothGrammar:
             d.parse_smooth_expr("x^(1/2)")
 
 
+class TestNestingDepth:
+    @pytest.mark.parametrize("parse, text, position", [
+        (d.parse_smooth_expr, "(" * 199 + "x" + ")" * 199, 100),
+        (d.parse_dist, "(" * 331 + "H(x)" + ")" * 331, 100),
+        (d.parse_smooth_expr, "-" * 2000 + "x", 100),
+        (d.parse_smooth_expr, "exp(" * 300 + "x" + ")" * 300, 403),
+        (d.parse_dist, "cos(" * 300 + "x" + ")" * 300 + "*H(x)", 403),
+    ], ids=["parens", "dist-parens", "signs", "exp", "cos"])
+    def test_deep_nesting_is_a_parse_error(self, parse, text, position):
+        with pytest.raises(ParseError, match="nesting") as exc:
+            parse(text)
+        assert exc.value.position == position
+
+    def test_nesting_at_the_limit_parses(self):
+        assert d.parse_smooth_expr("(" * 100 + "x" + ")" * 100) == d.X
+        assert d.parse_smooth_expr("-" * 100 + "x") == d.X
+        F = d.parse_dist("(" * 100 + "H(x)" + ")" * 100)
+        assert d.equal_dist(F, d.heaviside(0)) is Verdict.EQUAL
+
+    def test_cli_reports_deep_nesting_as_syntax_error(self):
+        code, out, err = run("fmt", "(" * 400 + "x" + ")" * 400)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nesting" in err
+        assert "Traceback" not in err
+
+
 class TestRational:
     def test_forms(self):
         assert d.parse_rational("3/2") == Fraction(3, 2)
@@ -218,6 +244,31 @@ class TestRoundTrips:
         G = d.parse_dist_json(json.dumps(d.dist_to_jsonable(F)))
         assert G.inexact_atoms == F.inexact_atoms
 
+    def test_exact_and_inexact_atom_at_one_location(self):
+        G = d.add(d.differentiate(d.smooth_mul(d.exp_of(d.X), d.heaviside(1))),
+                  d.delta_dist(1))
+        assert d.format_dist(G) == (
+            "exp(x)*H(x-1) + delta(x-1) + "
+            "(6121026514868073/2251799813685248)*delta(x-1)")
+        assert d.format_dist(G, "json") == (
+            '{"atoms": [{"im": "0", "k": 0, "re": "1", "w": "1"}], '
+            '"breakpoints": ["1"], "inexact_atoms": [{"im": 0.0, "k": 0, '
+            '"re": 2.718281828459045, "w": "1"}], "pieces": ["0", "exp(x)"]}')
+        assert d.parse_dist_json(d.format_dist(G, "json")) == G
+
+    def test_latex_of_float_coefficients(self):
+        G = d.add(d.differentiate(d.smooth_mul(d.exp_of(d.X), d.heaviside(1))),
+                  d.delta_dist(1))
+        assert d.format_dist(G, "latex") == (
+            r"\exp\left(x\right)\,H(x - 1) + \delta(x - 1) + "
+            r"2.718281828459045\,\delta(x - 1)")
+        F = d.parse_dist_json({"atoms": [], "inexact_atoms": [
+            {"w": "0", "k": 1, "re": -1.5, "im": 2e-20},
+            {"w": "2", "k": 0, "re": -0.25, "im": 0.0}]})
+        assert d.format_dist(F, "latex") == (
+            r"\left(-1.5 + 2\times 10^{-20}\,i\right)\,\delta^{(1)}(x) + "
+            r"\left(-0.25\right)\,\delta(x - 2)")
+
     def test_json_accepts_dict_and_defaults(self):
         assert d.is_zero_dist(d.parse_dist_json({}))
         F = d.parse_dist_json({"breakpoints": ["1/2"], "pieces": ["0", "x"]})
@@ -344,6 +395,13 @@ class TestCliConfinement:
         assert obj["ode"]["coeffs"] == ["0", "0", "1"]
         assert len(obj["corrections"]) == 4
         assert {c["endpoint"] for c in obj["corrections"]} == {"lower", "upper"}
+
+    def test_interval_with_negative_ends_after_a_space(self):
+        code, out, err = run("residual", "--ode", "1,1;0", "--interval",
+                             "-2,-1", "--", "H(x)")
+        assert code == 0, err
+        assert out == run("residual", "--ode", "1,1;0", "--interval=-2,-1",
+                          "--", "H(x)")[1]
 
     def test_confine_bad_interval(self):
         assert run("confine", "--ode", "1,0;0", "--interval", "x")[0] == 1

@@ -171,6 +171,23 @@ class TestVariants:
                         d.star_variant(G, F, VariantTag.STAR4)):
                 assert d.equal_dist(got, ref) is Verdict.EQUAL
 
+    def test_swapped_variants_are_structurally_star(self):
+        # exp(x)*H(x-w) differentiated gives float atoms, whose sums depend
+        # on the order of the one-sided pairings; the swaps must match star
+        # term for term, not only up to equal_dist
+        def with_exp(rng):
+            F = random_dist(rng)
+            w = rng.choice(LOCS)
+            return d.differentiate(
+                d.add(F, d.smooth_mul(d.exp_of(d.X), d.heaviside(w))))
+
+        rng = random.Random(5)
+        for _ in range(60):
+            F, G = with_exp(rng), with_exp(rng)
+            ref = d.star(G, F)
+            assert d.star_variant(F, G, VariantTag.STAR2) == ref
+            assert d.star_variant(G, F, VariantTag.STAR4) == ref
+
     def test_star5_symmetrization(self):
         out = d.star_variant(DELTA, H, VariantTag.STAR5)
         assert d.equal_dist(out, d.delta_dist(0, 0, Fraction(1, 2))) is Verdict.EQUAL
