@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -36,11 +35,14 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, *a, **kw):
-        super().__init__(*a, **kw)
-        # values like '-1,1', '-2,-1' or '-1/2' are data, not option strings;
-        # no option name starts with a digit
-        self._negative_number_matcher = re.compile(r"^-\d")
+    def _parse_optional(self, arg_string):
+        # values like '-1,1', '-x,1;0' or '-delta(x)' are data, not option
+        # strings: no option name begins with the character after the '-'
+        if (len(arg_string) > 1 and arg_string[0] == "-"
+                and arg_string[1] not in {o[1] for o in
+                                          self._option_string_actions}):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):  # argparse would exit(2); we map usage to 1
         raise _UsageError(message)

@@ -26,8 +26,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from .errors import DomainError, ShapeError, UnsupportedPiece
 from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
                    SmoothExpr, Verdict, ZERO, const, diff_expr, eval_exact,
-                   eval_expr, expr_equal, expr_from_poly, poly_normal_form,
-                   product_of, shift_expr, sum_of, worst_verdict)
+                   eval_expr, expr_equal, expr_from_poly, poly_eval,
+                   poly_normal_form, product_of, shift_expr, sum_of,
+                   worst_verdict)
 from .scalars import CR_ZERO, ComplexRational, ScalarLike, as_fraction
 
 _NODE_TYPES = (Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos)
@@ -311,13 +312,6 @@ def differentiate(F: GenDist) -> GenDist:
     return _assemble(F.breakpoints, pieces, atoms)
 
 
-def _poly_eval(coeffs: Sequence[ComplexRational], x: Fraction) -> ComplexRational:
-    acc = ComplexRational.of(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def antiderivative(F: GenDist) -> GenDist:
     """Exact antiderivative for polynomial-piece inputs.
 
@@ -339,7 +333,7 @@ def antiderivative(F: GenDist) -> GenDist:
     jumps = {a.w: a.coeff for a in F.all_atoms if a.k == 0}
     consts = [ComplexRational.of(0)]
     for i, b in enumerate(F.breakpoints):
-        c = consts[i] + _poly_eval(prims[i], b) - _poly_eval(prims[i + 1], b)
+        c = consts[i] + poly_eval(prims[i], b) - poly_eval(prims[i + 1], b)
         c = c + jumps.get(b, ComplexRational.of(0))
         consts.append(c)
     pieces = []

@@ -10,68 +10,98 @@ simplification; equality beyond the polynomial subset is a semi-decision
 
 Coefficients are exact ``ComplexRational`` values.  Floating point enters
 only through ``eval_expr`` / ``eval_num``.
+
+Polynomial normal form.  Internally a polynomial is a triple
+``(den, re, im)``: ascending integer numerators of the real and imaginary
+parts over one positive common denominator, each tuple trimmed of trailing
+zeros and the whole content-reduced (``gcd(den, *re, *im) == 1``), so two
+polynomials are equal exactly when their triples are.  ``poly_normal_form``
+converts the triple to ``ComplexRational`` coefficients at the boundary.
+
+Memos.  Each node stores, on first use, its hash, its order key and its
+normal form (or that it is not a polynomial).  They live on the node and
+die with it; no module-level cache holds a node.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .scalars import ComplexRational, ScalarLike, as_fraction
+from .scalars import CR_ONE, CR_ZERO, ComplexRational, ScalarLike, as_fraction
 
 # ---------------------------------------------------------------------------
 # node types
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose field hash is computed once per instance.
+    ``_ser_memo`` and ``_nf_memo`` hold the order key and the normal form;
+    all three are plain attributes, not fields."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash_memo
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash_memo", h)
+        return h
+
+    cls.__hash__ = __hash__
+    cls._hash_memo = cls._ser_memo = cls._nf_memo = None
+    return cls
+
+
+@_node
 class Const:
     value: ComplexRational
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Sum:
     terms: Tuple["SmoothExpr", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Product:
     factors: Tuple["SmoothExpr", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Power:
     base: "SmoothExpr"
     n: int  # constructors only emit n >= 2
 
 
-@dataclass(frozen=True)
+@_node
 class Quotient:
     num: "SmoothExpr"
     den: "SmoothExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Exp:
     arg: "SmoothExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Sin:
     arg: "SmoothExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Cos:
     arg: "SmoothExpr"
 
@@ -91,8 +121,18 @@ def const(v: ScalarLike) -> Const:
 # deterministic ordering of subexpressions
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _ser(e: SmoothExpr) -> str:
+    try:
+        s = e._ser_memo
+    except AttributeError:
+        raise TypeError(f"not a SmoothExpr: {e!r}") from None
+    if s is None:
+        s = _ser_node(e)
+        object.__setattr__(e, "_ser_memo", s)
+    return s
+
+
+def _ser_node(e: SmoothExpr) -> str:
     if isinstance(e, Const):
         return f"C[{e.value}]"
     if isinstance(e, Var):
@@ -450,17 +490,27 @@ def eval_expr(e: SmoothExpr, x0) -> complex:
         except (TypeError, ValueError):
             xf = None
         if xf is not None:
-            acc = ComplexRational.of(0)
-            for c in reversed(p):
-                acc = acc * xf + c
-            return complex(acc)
+            return complex(poly_eval(p, xf))
     return eval_num(e, x0)
+
+
+def poly_eval(coeffs: Sequence[ComplexRational], x: Fraction) -> ComplexRational:
+    """Exact Horner evaluation of ascending coefficients at a rational."""
+    acc = CR_ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # polynomial normal form
 
 PolyCoeffs = Tuple[ComplexRational, ...]
+# (den, re, im): see the module docstring
+Kernel = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+_K_ZERO: Kernel = (1, (), ())
+_K_ONE: Kernel = (1, (1,), ())
+_K_X: Kernel = (1, (0, 1), ())
 
 
 def _poly_trim(cs: Sequence[ComplexRational]) -> PolyCoeffs:
@@ -470,22 +520,79 @@ def _poly_trim(cs: Sequence[ComplexRational]) -> PolyCoeffs:
     return tuple(out)
 
 
-def _poly_add(a: PolyCoeffs, b: PolyCoeffs) -> PolyCoeffs:
-    n = max(len(a), len(b))
-    z = ComplexRational.of(0)
-    return _poly_trim([(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z)
-                       for i in range(n)])
+def _kernel(den: int, re: list, im: list) -> Kernel:
+    """Trim and content-reduce fresh numerator lists over den > 0."""
+    while re and not re[-1]:
+        re.pop()
+    while im and not im[-1]:
+        im.pop()
+    if not re and not im:
+        return _K_ZERO
+    g = gcd(den, *re, *im)
+    if g != 1:
+        den //= g
+        re = [c // g for c in re]
+        im = [c // g for c in im]
+    return den, tuple(re), tuple(im)
 
 
-def _poly_mul(a: PolyCoeffs, b: PolyCoeffs) -> PolyCoeffs:
-    if not a or not b:
-        return ()
-    z = ComplexRational.of(0)
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _poly_trim(out)
+def _vadd(p: Sequence[int], q: Sequence[int], sign: int = 1) -> list:
+    out = list(p) + [0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] += sign * c
+    return out
+
+
+def _conv(p: Sequence[int], q: Sequence[int]) -> list:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        if c:
+            for j, b in enumerate(q, i):
+                out[j] += c * b
+    return out
+
+
+def _poly_add(a: Kernel, b: Kernel) -> Kernel:
+    da, ra, ia = a
+    db, rb, ib = b
+    if not (ra or ia):
+        return b
+    if not (rb or ib):
+        return a
+    if da != db:
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        da *= sa
+        ra, ia = [c * sa for c in ra], [c * sa for c in ia]
+        rb, ib = [c * sb for c in rb], [c * sb for c in ib]
+    return _kernel(da, _vadd(ra, rb), _vadd(ia, ib))
+
+
+def _poly_mul(a: Kernel, b: Kernel) -> Kernel:
+    if a == _K_ONE:
+        return b
+    da, ra, ia = a
+    db, rb, ib = b
+    return _kernel(da * db, _vadd(_conv(ra, rb), _conv(ia, ib), -1),
+                   _vadd(_conv(ra, ib), _conv(ia, rb)))
+
+
+def _kernel_of_coeffs(cs: Sequence[ComplexRational]) -> Kernel:
+    den = lcm(*(c.re.denominator for c in cs),
+              *(c.im.denominator for c in cs))
+    return _kernel(den,
+                   [c.re.numerator * (den // c.re.denominator) for c in cs],
+                   [c.im.numerator * (den // c.im.denominator) for c in cs])
+
+
+def _coeffs_of_kernel(k: Kernel) -> PolyCoeffs:
+    den, re, im = k
+    re = re + (0,) * (len(im) - len(re))
+    im = im + (0,) * (len(re) - len(im))
+    return tuple(ComplexRational(Fraction(r, den), Fraction(i, den))
+                 for r, i in zip(re, im))
 
 
 def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
@@ -506,55 +613,77 @@ def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
     return _poly_trim(q), _poly_trim(rem)
 
 
+def _normal_form(e: SmoothExpr) -> Optional[Kernel]:
+    """Kernel normal form, None when e is not provably a polynomial;
+    memoized on the node."""
+    try:
+        k = e._nf_memo
+    except AttributeError:
+        raise TypeError(f"not a SmoothExpr: {e!r}") from None
+    if k is None:
+        k = _normal_form_node(e)
+        object.__setattr__(e, "_nf_memo", k)
+    return k or None  # False marks "not a polynomial"
+
+
+def _normal_form_node(e: SmoothExpr):
+    if isinstance(e, Const):
+        return _kernel_of_coeffs((e.value,))
+    if isinstance(e, Var):
+        return _K_X
+    if isinstance(e, Sum):
+        out = _K_ZERO
+        for t in e.terms:
+            p = _normal_form(t)
+            if p is None:
+                return False
+            out = _poly_add(out, p)
+        return out
+    if isinstance(e, Product):
+        out = _K_ONE
+        for f in e.factors:
+            p = _normal_form(f)
+            if p is None:
+                return False
+            out = _poly_mul(out, p)
+        return out
+    if isinstance(e, Power):
+        if e.n < 0:
+            return False
+        p = _normal_form(e.base)
+        if p is None:
+            return False
+        out = _K_ONE
+        for _ in range(e.n):
+            out = _poly_mul(out, p)
+        return out
+    if isinstance(e, Quotient):
+        dp = _normal_form(e.den)
+        if dp is None:
+            return False
+        if dp == _K_ZERO:
+            raise DomainError("zero-polynomial denominator")
+        np_ = _normal_form(e.num)
+        if np_ is None:
+            return False
+        q, r = _poly_divmod(_coeffs_of_kernel(np_), _coeffs_of_kernel(dp))
+        if r:
+            return False  # genuine rational function
+        return _kernel_of_coeffs(q)
+    if isinstance(e, (Exp, Sin, Cos)):
+        return False
+    raise TypeError(f"not a SmoothExpr: {e!r}")
+
+
 def poly_normal_form(e: SmoothExpr) -> Optional[PolyCoeffs]:
     """Dense ascending coefficients when e is (provably) a polynomial with
     exact coefficients; None otherwise.  The zero polynomial is ()."""
     if isinstance(e, Const):
         return () if e.value.is_zero else (e.value,)
     if isinstance(e, Var):
-        return (ComplexRational.of(0), ComplexRational.of(1))
-    if isinstance(e, Sum):
-        out: PolyCoeffs = ()
-        for t in e.terms:
-            p = poly_normal_form(t)
-            if p is None:
-                return None
-            out = _poly_add(out, p)
-        return out
-    if isinstance(e, Product):
-        out = (ComplexRational.of(1),)
-        for f in e.factors:
-            p = poly_normal_form(f)
-            if p is None:
-                return None
-            out = _poly_mul(out, p)
-        return out
-    if isinstance(e, Power):
-        if e.n < 0:
-            return None
-        p = poly_normal_form(e.base)
-        if p is None:
-            return None
-        out = (ComplexRational.of(1),)
-        for _ in range(e.n):
-            out = _poly_mul(out, p)
-        return out
-    if isinstance(e, Quotient):
-        dp = poly_normal_form(e.den)
-        if dp is None:
-            return None
-        if not dp:
-            raise DomainError("zero-polynomial denominator")
-        np_ = poly_normal_form(e.num)
-        if np_ is None:
-            return None
-        q, r = _poly_divmod(np_, dp)
-        if r:
-            return None  # genuine rational function
-        return q
-    if isinstance(e, (Exp, Sin, Cos)):
-        return None
-    raise TypeError(f"not a SmoothExpr: {e!r}")
+        return (CR_ZERO, CR_ONE)
+    k = _normal_form(e)
+    return None if k is None else _coeffs_of_kernel(k)
 
 
 def expr_from_poly(coeffs: Sequence[ScalarLike]) -> SmoothExpr:
@@ -635,6 +764,13 @@ def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
     tolerance; Unknown otherwise."""
     if e1 == e2:
         return Verdict.EQUAL
+    try:
+        k1 = _normal_form(e1)
+        k2 = _normal_form(e2) if k1 is not None else None
+    except DomainError:
+        k2 = None
+    if k2 is not None:
+        return Verdict.EQUAL if k1 == k2 else Verdict.UNEQUAL
     try:
         p = poly_normal_form(sub_expr(e1, e2))
     except DomainError:

@@ -289,6 +289,14 @@ def _float_latex(c: complex) -> tuple:
             f"{_decimal_latex(abs(c.imag))}" + r"\,i"), 1
 
 
+def _latex_factor(s: str, level: int) -> str:
+    """A coefficient as the leading factor of a term; terms join with
+    ' + ', so a sum or a leading minus sign goes in parentheses."""
+    if level < 2 or s.startswith("-"):
+        return r"\left(" + s + r"\right)"
+    return s
+
+
 def format_dist_latex(F: GenDist) -> str:
     terms: List[str] = []
     breaks = F.breakpoints
@@ -304,7 +312,7 @@ def format_dist_latex(F: GenDist) -> str:
         if piece == ONE and hs:
             terms.append(body)
         elif hs:
-            terms.append(_ltx(piece, 2) + r"\," + body)
+            terms.append(_latex_factor(*_ltx_level(piece)) + r"\," + body)
         else:
             terms.append(format_expr_latex(piece))
     for a in F.all_atoms:
@@ -313,7 +321,7 @@ def format_dist_latex(F: GenDist) -> str:
         else:
             cs, lvl = _float_latex(complex(a.coeff))
         pre = "" if a.coeff == ComplexRational.of(1) else \
-            (r"\left(" + cs + r"\right)" if lvl < 2 else cs) + r"\,"
+            _latex_factor(cs, lvl) + r"\,"
         sup = "" if a.k == 0 else f"^{{({a.k})}}"
         terms.append(pre + r"\delta%s(%s)" % (sup, _latex_shift(a.w, False)))
     if not terms:

@@ -1,7 +1,10 @@
 """Expression layer: construction, calculus, evaluation, equality verdicts."""
 
+import dataclasses
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distalg as d
+import distalg.expr as expr_mod
 from distalg import Verdict
 from distalg.errors import DomainError
+from conftest import random_poly, rational_scalar
 
 
 def poly(*coeffs):
@@ -222,3 +227,165 @@ def test_derivative_is_linear_and_leibniz(a, b):
     rhs = d.sum_of(d.product_of(d.diff_expr(a), b),
                    d.product_of(a, d.diff_expr(b)))
     assert d.poly_normal_form(lhs) == d.poly_normal_form(rhs)
+
+
+# ---------------------------------------------------------------------------
+# the exact-polynomial kernel and the per-node memos
+
+
+def test_no_module_cache_retains_trees():
+    assert not any(hasattr(v, "cache_info") for v in vars(expr_mod).values())
+    refs = []
+    for k in range(1, 40):
+        a = d.sum_of(d.product_of(d.const(k), d.power_of(d.X, 2)),
+                     d.const(Fraction(1, k + 2)))
+        b = d.product_of(d.exp_of(d.product_of(d.const(k), d.X)), a)
+        c = d.sum_of(a, b)  # orders its terms by their serialized form
+        p = d.product_of(a, b, d.sin_of(a))
+        d.expr_equal(a, c)
+        d.expr_equal(a, d.sum_of(d.power_of(d.X, 2), d.const(k)))
+        d.poly_normal_form(p)
+        d.poly_normal_form(d.power_of(a, 3))
+        refs += [weakref.ref(t) for t in (a, b, c, p)]
+    del a, b, c, p
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+_fracs = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)),
+    # nearly equal to a small integer
+    st.builds(lambda n, s, e: n + Fraction(s, 10 ** e), st.integers(-3, 3),
+              st.sampled_from([1, -1]), st.integers(20, 60)),
+)
+_consts = st.builds(
+    lambda re, im, real: d.Const(d.ComplexRational(re, Fraction(0) if real
+                                                   else im)),
+    _fracs, _fracs, st.booleans())
+
+
+def _exact_quotient(q, den):
+    den = d.Sum((d.ONE, d.Product((d.X, den))))  # never the zero polynomial
+    return d.Quotient(d.Product((q, den)), den)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.builds(lambda ts: d.Sum(tuple(ts)),
+                      st.lists(kids, min_size=2, max_size=3)),
+            st.builds(lambda ts: d.sum_of(*ts),
+                      st.lists(kids, min_size=2, max_size=3)),
+            st.builds(lambda fs: d.Product(tuple(fs)),
+                      st.lists(kids, min_size=2, max_size=3)),
+            st.builds(lambda fs: d.product_of(*fs),
+                      st.lists(kids, min_size=2, max_size=3)),
+            st.builds(d.Power, kids, st.integers(2, 4)),
+            st.builds(_exact_quotient, kids, kids),
+        ),
+        max_leaves=8)
+
+
+_poly_trees = _trees(st.one_of(_consts, st.just(d.X)))
+
+
+def _sympy_of(e, sp, x):
+    if isinstance(e, d.Const):
+        v = e.value
+        return (sp.Rational(v.re.numerator, v.re.denominator)
+                + sp.I * sp.Rational(v.im.numerator, v.im.denominator))
+    if isinstance(e, d.Var):
+        return x
+    if isinstance(e, d.Sum):
+        return sp.Add(*(_sympy_of(t, sp, x) for t in e.terms))
+    if isinstance(e, d.Product):
+        return sp.Mul(*(_sympy_of(f, sp, x) for f in e.factors))
+    if isinstance(e, d.Power):
+        return _sympy_of(e.base, sp, x) ** e.n
+    if isinstance(e, d.Quotient):
+        return _sympy_of(e.num, sp, x) / _sympy_of(e.den, sp, x)
+    raise TypeError(e)
+
+
+def _fraction_of(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_trees)
+def test_normal_form_matches_sympy(e):
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    coeffs = sp.Poly(sp.cancel(_sympy_of(e, sp, x)), x).all_coeffs()[::-1]
+    want = [d.ComplexRational(_fraction_of(sp.re(c)), _fraction_of(sp.im(c)))
+            for c in coeffs]
+    while want and want[-1].is_zero:
+        want.pop()
+    assert d.poly_normal_form(e) == tuple(want)
+
+
+_NODE_TYPES = (d.Const, d.Var, d.Sum, d.Product, d.Power, d.Quotient,
+               d.Exp, d.Sin, d.Cos)
+
+
+def _nodes(e):
+    yield e
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        for c in v if isinstance(v, tuple) else (v,):
+            if isinstance(c, _NODE_TYPES):
+                yield from _nodes(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trees(st.one_of(_consts, st.just(d.X),
+                        st.builds(d.Exp, st.one_of(_consts, st.just(d.X))))))
+def test_hash_is_the_field_tuple_hash(e):
+    d.poly_normal_form(e)
+    d.sum_of(e, d.X)
+    for n in _nodes(e):
+        fields = tuple(getattr(n, f.name) for f in dataclasses.fields(n))
+        assert hash(n) == hash(fields) == hash(n)
+
+
+def _conftest_piece(rng):
+    a = random_poly(rng)
+    if rng.random() < 0.5:
+        a = d.product_of(a, random_poly(rng))
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["none", "both", "one"]),
+       st.booleans())
+def test_equal_verdict_matches_difference_normal_form(seed, exp_terms, same):
+    rng = random.Random(seed)
+    a = _conftest_piece(rng)
+    b = (d.expr_from_poly(d.poly_normal_form(a)) if same
+         else _conftest_piece(rng))
+    if exp_terms != "none":
+        E = d.product_of(d.const(rational_scalar(rng)),
+                         d.exp_of(d.product_of(d.const(rng.randint(-2, 2)),
+                                               d.X)))
+        a = d.sum_of(a, E)
+        if exp_terms == "both":
+            b = d.sum_of(E, b)
+    verdict = d.expr_equal(a, b)
+    p = d.poly_normal_form(d.sub_expr(a, b))
+    if a == b:
+        assert verdict is Verdict.EQUAL
+    elif p is not None:
+        assert verdict is (Verdict.EQUAL if p == () else Verdict.UNEQUAL)
+    else:
+        assert verdict is not Verdict.EQUAL
+
+
+def test_equal_needs_cancellation_across_nonpolynomial_terms():
+    e1 = d.sum_of(d.exp_of(d.X), d.power_of(d.sum_of(d.ONE, d.X), 2))
+    e2 = d.sum_of(d.exp_of(d.X), poly(1, 2, 1))
+    assert d.expr_equal(e1, e2) is Verdict.EQUAL
+    assert d.expr_equal(e1, d.sum_of(d.exp_of(d.X), poly(1, 2, 2))) \
+        is Verdict.UNEQUAL

@@ -269,6 +269,14 @@ class TestRoundTrips:
             r"\left(-1.5 + 2\times 10^{-20}\,i\right)\,\delta^{(1)}(x) + "
             r"\left(-0.25\right)\,\delta(x - 2)")
 
+    def test_latex_parenthesizes_negative_coefficients(self):
+        F = d.parse_dist("-4*i*delta[1](x) + H(x)")
+        assert d.format_dist(F, "latex") == (
+            r"H(x) + \left(-4\,i\right)\,\delta^{(1)}(x)")
+        G = d.parse_dist("H(x)*H(1-x) + (-4*i*x)*H(x-2)")
+        assert d.format_dist(G, "latex") == (
+            r"H(x)\,H(1 - x) + \left(-4\,i\,x\right)\,H(x - 2)")
+
     def test_json_accepts_dict_and_defaults(self):
         assert d.is_zero_dist(d.parse_dist_json({}))
         F = d.parse_dist_json({"breakpoints": ["1/2"], "pieces": ["0", "x"]})
@@ -403,6 +411,11 @@ class TestCliConfinement:
         assert out == run("residual", "--ode", "1,1;0", "--interval=-2,-1",
                           "--", "H(x)")[1]
 
+    def test_option_value_starting_with_minus_and_a_letter(self):
+        code, out, err = run("confine", "--ode", "-x,1;0", "--interval", "0")
+        assert code == 0, err
+        assert out == run("confine", "--ode=-x,1;0", "--interval", "0")[1]
+
     def test_confine_bad_interval(self):
         assert run("confine", "--ode", "1,0;0", "--interval", "x")[0] == 1
         assert run("confine", "--ode", "1,0;0", "--interval", "1,0")[0] == 2
@@ -475,6 +488,19 @@ class TestCliMisc:
     def test_unknown_command(self):
         code, _, err = run("nope")
         assert code == 1 and "usage error" in err
+
+    def test_argument_starting_with_minus_and_a_letter(self):
+        code, out, err = run("mul", "-delta(x)", "H(x)")
+        assert (code, out) == (0, "-delta(x)\n"), err
+        assert run("diff", "-n", "2", "-x*H(x)")[:2] == (0, "-delta(x)\n")
+        assert run("diff", "-i*H(x)")[:2] == (0, "(-i)*delta(x)\n")
+
+    def test_option_names_and_stdin_dash_stay(self):
+        assert run("diff", "-n2", "x^2")[:2] == (0, "2\n")
+        code, out, _ = run("diff", "-h")
+        assert code == 0 and "usage:" in out
+        assert run("diff", "-nx", "H(x)")[0] == 1
+        assert run("fmt", "-", stdin="H(x)+H(x)\n")[:2] == (0, "2*H(x)\n")
 
     def test_help(self):
         code, out, _ = run("--help")
