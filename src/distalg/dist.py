@@ -217,10 +217,33 @@ def align(F: GenDist, G: GenDist) -> Tuple[GenDist, GenDist]:
     return Fa, Ga
 
 
-def add(F: GenDist, G: GenDist) -> GenDist:
-    Fa, Ga = align(F, G)
-    pieces = tuple(sum_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
-    return _assemble(Fa.breakpoints, pieces, Fa.all_atoms + Ga.all_atoms)
+def add(*terms: GenDist) -> GenDist:
+    """The sum of any number of distributions, n-ary, summed in argument
+    order.
+
+    The union of all breakpoints is taken once; each operand's nonzero
+    pieces are placed, by bisection, on the union intervals they cover;
+    each interval's piece is one ``sum_of`` of its collected pieces, in
+    operand order; all atoms go through one ``_assemble``.  A sum of n
+    overlapping steps ``H(x-w1) + ... + H(x-wn)`` hands ``sum_of`` about
+    n^2/2 pieces in all, since every step covers every interval to its
+    right.
+
+    The result equals the left fold of binary sums, tree for tree, with one
+    exception: where the fold joined two neighbouring pieces equal in value
+    but written differently, such as (1+x)^2 and 1+2*x+x^2, and a later
+    operand splits them again, each side keeps its own tree here, while the
+    fold carries the left tree over both."""
+    union = sorted(set().union(*(F.breakpoints for F in terms)))
+    collected: List[list] = [[] for _ in range(len(union) + 1)]
+    for F in terms:
+        ends = [bisect.bisect_left(union, b) + 1 for b in F.breakpoints]
+        for p, i, j in zip(F.pieces, [0] + ends, ends + [len(union) + 1]):
+            if p != ZERO:
+                for k in range(i, j):
+                    collected[k].append(p)
+    pieces = [sum_of(*ps) for ps in collected]
+    return _assemble(union, pieces, [a for F in terms for a in F.all_atoms])
 
 
 def scale(c: ScalarLike, F: GenDist) -> GenDist:

@@ -189,11 +189,11 @@ def _with_coeff(c: ComplexRational, core: SmoothExpr) -> SmoothExpr:
 def sum_of(*terms: SmoothExpr) -> SmoothExpr:
     """Sum with flattening, constant folding and like-term collection."""
     flat: list[SmoothExpr] = []
-    stack = list(terms)
+    stack = list(reversed(terms))
     while stack:
-        t = stack.pop(0)
+        t = stack.pop()
         if isinstance(t, Sum):
-            stack = list(t.terms) + stack
+            stack.extend(reversed(t.terms))
         else:
             flat.append(t)
     acc = ComplexRational.of(0)
@@ -229,11 +229,11 @@ def _base_exp(e: SmoothExpr) -> Tuple[SmoothExpr, int]:
 def product_of(*factors: SmoothExpr) -> SmoothExpr:
     """Product with flattening, constant folding and power grouping."""
     flat: list[SmoothExpr] = []
-    stack = list(factors)
+    stack = list(reversed(factors))
     while stack:
-        f = stack.pop(0)
+        f = stack.pop()
         if isinstance(f, Product):
-            stack = list(f.factors) + stack
+            stack.extend(reversed(f.factors))
         else:
             flat.append(f)
     coeff = ComplexRational.of(1)
@@ -613,6 +613,46 @@ def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
     return _poly_trim(q), _poly_trim(rem)
 
 
+def _poly_gcd(p: PolyCoeffs, q: PolyCoeffs) -> PolyCoeffs:
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    return p
+
+
+def _poly_derivative(p: PolyCoeffs) -> PolyCoeffs:
+    return tuple(c * i for i, c in enumerate(p))[1:]
+
+
+def reduced_denominator(num: Sequence[ComplexRational],
+                        den: Sequence[ComplexRational]) -> PolyCoeffs:
+    """The denominator of num/den in lowest terms: den divided by
+    gcd(num, den); den must be nonzero."""
+    return _poly_divmod(tuple(den), _poly_gcd(tuple(num), tuple(den)))[0]
+
+
+def real_root_count(coeffs: Sequence[ComplexRational], lo: Fraction,
+                    hi: Fraction) -> int:
+    """Distinct real roots in ]lo, hi] of a polynomial with complex rational
+    ascending coefficients.  A real root is a root of the gcd of the real and
+    the imaginary part; the Sturm chain of that gcd's squarefree part counts
+    them exactly, rational or irrational."""
+    p = _poly_gcd(_poly_trim([ComplexRational(c.re) for c in coeffs]),
+                  _poly_trim([ComplexRational(c.im) for c in coeffs]))
+    if len(p) < 2:
+        return 0
+    p = _poly_divmod(p, _poly_gcd(p, _poly_derivative(p)))[0]
+    chain = [p, _poly_derivative(p)]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in _poly_divmod(chain[-2], chain[-1])[1]))
+
+    def sign_changes(x: Fraction) -> int:
+        signs = [v.re > 0 for v in (poly_eval(q, x) for q in chain)
+                 if not v.is_zero]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
+
 def _normal_form(e: SmoothExpr) -> Optional[Kernel]:
     """Kernel normal form, None when e is not provably a polynomial;
     memoized on the node."""
@@ -684,6 +724,11 @@ def poly_normal_form(e: SmoothExpr) -> Optional[PolyCoeffs]:
         return (CR_ZERO, CR_ONE)
     k = _normal_form(e)
     return None if k is None else _coeffs_of_kernel(k)
+
+
+def is_polynomial(e: SmoothExpr) -> bool:
+    """Whether e is (provably) a polynomial; memoized on the node."""
+    return _normal_form(e) is not None
 
 
 def expr_from_poly(coeffs: Sequence[ScalarLike]) -> SmoothExpr:

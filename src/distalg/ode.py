@@ -178,14 +178,10 @@ def residual(ceq: ConfinedEquation, psi: GenDist) -> GenDist:
     evaluated at the candidate; the zero distribution exactly when psi
     solves it."""
     derivs = _derivative_chain(psi, ceq.base.n)
-    lhs = zero_dist()
-    for i, a_i in enumerate(ceq.base.coeffs):
-        if a_i == ZERO:
-            continue
-        lhs = add(lhs, smooth_mul(a_i, derivs[i]))
-    rhs = smooth_mul(ceq.base.rhs, indicator_dist(ceq))
-    for term in correction_values(ceq, psi):
-        rhs = add(rhs, term)
+    lhs = add(*(smooth_mul(a_i, derivs[i])
+                for i, a_i in enumerate(ceq.base.coeffs) if a_i != ZERO))
+    rhs = add(smooth_mul(ceq.base.rhs, indicator_dist(ceq)),
+              *correction_values(ceq, psi))
     return sub(rhs, lhs)
 
 

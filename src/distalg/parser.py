@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .dist import (DeltaAtom, GenDist, InexactAtom, _assemble, delta_dist,
-                   make_piecewise, smooth_dist, smooth_mul)
+from .dist import (DeltaAtom, GenDist, InexactAtom, _assemble, add,
+                   delta_dist, make_piecewise, scale, smooth_dist, smooth_mul)
 from .errors import ParseError, SemanticsError
 from .expr import (SmoothExpr, X, ONE, const, cos_of, exp_of, neg, power_of,
                    product_of, quotient_of, sin_of, sum_of)
@@ -302,18 +302,17 @@ class _Parser:
         return val
 
     def dist_body(self) -> GenDist:
-        from .dist import add, scale, sub
-        negate = False
+        terms = []
+        op = "+"
         if self.at_op("+", "-"):
-            negate = self.next().text == "-"
-        F = self.dterm()
-        if negate:
-            F = scale(-1, F)
-        while self.at_op("+", "-"):
             op = self.next().text
-            G = self.dterm()
-            F = add(F, G) if op == "+" else sub(F, G)
-        return F
+        while True:
+            F = self.dterm()
+            terms.append(scale(-1, F) if op == "-" else F)
+            if not self.at_op("+", "-"):
+                # a lone term is assembled already; add would renormalize it
+                return add(*terms) if len(terms) > 1 else terms[0]
+            op = self.next().text
 
 
 def parse_smooth_expr(text: str) -> SmoothExpr:

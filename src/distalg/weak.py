@@ -12,10 +12,15 @@ the product of the opposing smooth piece with the bump (Cauchy integral on a
 small circle, which needs only function values).  ``star_oracle`` drives it
 along a shrinking eps schedule and extrapolates, giving an independent check
 of the symbolic product.
+
+Neither integrates across a pole: a piece with a polynomial denominator,
+in lowest terms, that has a real root on the segment being integrated
+raises DomainError, the roots counted exactly (``_refuse_pole``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -25,9 +30,12 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .dist import GenDist, normalize_dist, singular_support
-from .errors import EpsilonTooLarge, ShapeError
-from .expr import (SmoothExpr, X, const, diff_expr, eval_num, exp_of,
-                   power_of, product_of, quotient_of, sub_expr, sum_of, ONE)
+from .errors import DomainError, EpsilonTooLarge, ShapeError
+from .expr import (Cos, Exp, Power, Product, Quotient, Sin, SmoothExpr, Sum,
+                   X, const, diff_expr, eval_num, exp_of, is_polynomial,
+                   poly_eval, poly_normal_form, power_of, product_of,
+                   quotient_of, real_root_count, reduced_denominator,
+                   sub_expr, sum_of, ONE)
 from .scalars import as_fraction
 
 
@@ -145,18 +153,109 @@ def _panel_integral(fn: Callable[[np.ndarray], np.ndarray],
     return complex(half * np.sum(w * vals))
 
 
-def _segments(lo: float, hi: float, cuts: Sequence[float]) -> list:
-    pts = [lo] + sorted({c for c in cuts if lo < c < hi}) + [hi]
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)
-            if pts[i + 1] > pts[i]]
+def _segments(t: TestFunction, cuts: Sequence[Fraction], guard: float) -> list:
+    """The panels (s, e, fs, fe) of the bump's support between the cuts:
+    the float ends fs < fe are integrated, the support ends moved in by the
+    guard; s and e are the exact cut or support end each float stands for."""
+    lo, hi = float(t.a) + guard, float(t.b) - guard
+    inner = {float(c): c for c in cuts}
+    pts = ([(lo, t.a)] + sorted((f, c) for f, c in inner.items() if lo < f < hi)
+           + [(hi, t.b)])
+    return [(s, e, fs, fe) for (fs, s), (fe, e) in zip(pts, pts[1:]) if fe > fs]
 
 
-def _piece_at(F: GenDist, x: float) -> SmoothExpr:
+# ---------------------------------------------------------------------------
+# poles
+
+
+def _has_quotient(e: SmoothExpr) -> bool:
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Quotient):
+            return True
+        if isinstance(e, Sum):
+            stack.extend(e.terms)
+        elif isinstance(e, Product):
+            stack.extend(e.factors)
+        elif isinstance(e, Power):
+            stack.append(e.base)
+        elif isinstance(e, (Exp, Sin, Cos)):
+            stack.append(e.arg)
+    return False
+
+
+def _pole_dens(p: SmoothExpr) -> list:
+    """The denominators, in lowest terms, of the rational functions in p:
+    the only places where p can have a pole.  Within a product, the
+    polynomial factors, the bases of powers and the numerators and
+    polynomial denominators of quotients multiply to one rational function,
+    so (x^2-1)*exp(x)/(x-1) has none; the other factors are searched in
+    turn.  A tree without a quotient takes no normal form; below a
+    quotient, polynomial subtrees are skipped by their memoized one."""
+    if not _has_quotient(p):
+        return []
+    dens, stack = [], [p]
+    while stack:
+        e = stack.pop()
+        if is_polynomial(e):
+            continue
+        if isinstance(e, Sum):
+            stack.extend(e.terms)
+            continue
+        if isinstance(e, (Exp, Sin, Cos)):
+            stack.append(e.arg)
+            continue
+        num, den, factors = [], [], [e]
+        while factors:
+            f = factors.pop()
+            if is_polynomial(f):
+                num.append(f)
+            elif isinstance(f, Product):
+                factors.extend(f.factors)
+            elif isinstance(f, Power):
+                factors.extend([f.base] * f.n)
+            elif isinstance(f, Quotient) and is_polynomial(f.den):
+                den.append(f.den)
+                factors.append(f.num)
+            elif isinstance(f, Quotient):
+                stack += [f.num, f.den]
+            else:
+                stack.append(f)
+        if den:
+            dens.append(reduced_denominator(
+                poly_normal_form(product_of(*num)),
+                poly_normal_form(product_of(*den))))
+    return dens
+
+
+def _refuse_pole(p: SmoothExpr, s: Fraction, e: Fraction, t: TestFunction,
+                 shift: Fraction = Fraction(0)) -> None:
+    """Raise DomainError when the integrand factor p(x + shift) on the
+    segment [s, e] has a pole: a denominator of ``_pole_dens(p)`` vanishes
+    on the segment.  The support ends t.a and t.b are exempt, since the
+    bump vanishes there to every order.  A denominator that is not a
+    polynomial, such as sin(x) in 1/sin(x), cannot be checked, and a
+    removable singularity that polynomial factors do not cancel, such as 0
+    in sin(x)/x, is refused like a pole."""
+    dens = _pole_dens(p)
+    if not dens:
+        return
+    lo, hi = s + shift, e + shift
+    for cs in dens:
+        n = real_root_count(cs, lo, hi)
+        n += s != t.a and poly_eval(cs, lo).is_zero
+        n -= e == t.b and poly_eval(cs, hi).is_zero
+        if n:
+            raise DomainError(f"a quotient denominator has a root on "
+                              f"[{lo}, {hi}], inside the bump's support")
+
+
+def _piece_finder(F: GenDist) -> Callable[[float], SmoothExpr]:
+    """x -> the piece of F at x, the one to the left at a breakpoint; the
+    breakpoints are converted to float once, and each lookup bisects."""
     fb = [float(b) for b in F.breakpoints]
-    i = 0
-    while i < len(fb) and fb[i] < x:
-        i += 1
-    return F.pieces[i]
+    return lambda x: F.pieces[bisect.bisect_left(fb, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +269,15 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
     total = 0j
-    for (s, e) in _segments(lo, hi, [float(b) for b in F.breakpoints]):
-        piece = _piece_at(F, (s + e) / 2.0)
+    piece_at = _piece_finder(F)
+    for s, e, fs, fe in _segments(t, F.breakpoints, cfg.guard):
+        piece = piece_at((fs + fe) / 2.0)
         if piece == const(0):
             continue
+        _refuse_pole(piece, s, e, t)
         total += _panel_integral(
             lambda xs: eval_num(piece, xs) * bump_values(t, xs, cfg.guard),
-            s, e, cfg.nodes)
+            fs, fe, cfg.nodes)
     for a in F.all_atoms:
         w = float(a.w)
         if not (lo < w < hi):
@@ -231,23 +332,25 @@ def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
     eps_float = float(epsf)
     lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
     total = 0j
-    cuts = [float(b) for b in Fn.breakpoints] + \
-           [float(b - epsf) for b in Gn.breakpoints]
-    for (s, e) in _segments(lo, hi, cuts):
-        mid = (s + e) / 2.0
-        fp = _piece_at(Fn, mid)
-        gp = _piece_at(Gn, mid + eps_float)
+    f_at, g_at = _piece_finder(Fn), _piece_finder(Gn)
+    cuts = list(Fn.breakpoints) + [b - epsf for b in Gn.breakpoints]
+    for s, e, fs, fe in _segments(t, cuts, cfg.guard):
+        mid = (fs + fe) / 2.0
+        fp = f_at(mid)
+        gp = g_at(mid + eps_float)
         if fp == const(0) or gp == const(0):
             continue
+        _refuse_pole(fp, s, e, t)
+        _refuse_pole(gp, s, e, t, epsf)
         total += _panel_integral(
             lambda xs: (eval_num(fp, xs) * eval_num(gp, xs + eps_float)
                         * bump_values(t, xs, cfg.guard)),
-            s, e, cfg.nodes)
+            fs, fe, cfg.nodes)
     for a in Fn.all_atoms:
         w = float(a.w)
         if not (lo < w < hi):
             continue
-        gp = _piece_at(Gn, float(a.w + epsf))
+        gp = g_at(float(a.w + epsf))
         fn = lambda z: eval_num(gp, z + eps_float) * bump_analytic(t, z)
         d = _cauchy_deriv(fn, w, a.k, _atom_radius(w, float(t.a), float(t.b)))
         total += complex(a.coeff) * (-1) ** a.k * d
@@ -256,7 +359,7 @@ def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
         w = float(wv)
         if not (lo < w < hi):
             continue
-        fp = _piece_at(Fn, w)
+        fp = f_at(w)
         fn = lambda z: eval_num(fp, z) * bump_analytic(t, z)
         d = _cauchy_deriv(fn, w, a.k, _atom_radius(w, float(t.a), float(t.b)))
         total += complex(a.coeff) * (-1) ** a.k * d

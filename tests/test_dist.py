@@ -10,7 +10,7 @@ from distalg import Verdict
 from distalg.dist import _assemble
 from distalg.errors import DomainError, ShapeError, UnsupportedPiece
 
-from conftest import random_dist, random_poly
+from conftest import random_corpus, random_dist, random_poly
 
 
 def CR(*a):
@@ -91,6 +91,77 @@ class TestLinearOps:
                 d.scale(c, d.add(F, G)),
                 d.add(d.scale(c, F), d.scale(c, G))) is Verdict.EQUAL
             assert d.is_zero_dist(d.sub(F, F))
+
+
+def signed_terms(rng):
+    """2 to 8 conftest terms with random signs; about 30 % of them are
+    multiplied by exp(x)*H(x-w), which gives exp pieces and inexact atoms."""
+    out = []
+    for _ in range(rng.randint(2, 8)):
+        F = random_dist(rng)
+        if rng.random() < 0.3:
+            F = d.smooth_mul(d.exp_of(d.X),
+                             d.star(d.heaviside(rng.randint(-2, 2)), F))
+        out.append((rng.choice("+-"), F))
+    return out
+
+
+def step_delta_text(rng, n):
+    """A sum of n signed terms c*H(x-w) and c*delta[k](x-w), one location
+    each."""
+    terms = []
+    for j, w in enumerate(rng.sample(range(-700, 700), n)):
+        w = Fraction(w, 7)
+        arg = f"x-{w}" if w >= 0 else f"x+{-w}"
+        f = f"delta[{rng.randint(0, 2)}]({arg})" if j % 3 == 0 else f"H({arg})"
+        c = Fraction(rng.randint(1, 99), rng.randint(1, 9))
+        terms.append(f"{rng.choice('+-')}{c}*{f}")
+    return " ".join(terms)
+
+
+class TestNaryAdd:
+    def test_agrees_with_the_binary_fold(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            terms = [(sign, d.parse_dist(d.format_dist(F)))
+                     for sign, F in signed_terms(rng)]
+            sign, fold = terms[0]
+            if sign == "-":
+                fold = d.scale(-1, fold)
+            for sign, F in terms[1:]:
+                fold = d.add(fold, F) if sign == "+" else d.sub(fold, F)
+            text = " ".join(f"{sign}({d.format_dist(F)})" for sign, F in terms)
+            parsed = d.parse_dist(text)
+            summed = d.add(*(d.scale(-1, F) if sign == "-" else F
+                             for sign, F in terms))
+            assert parsed == fold and summed == fold
+            assert d.format_dist(parsed) == d.format_dist(fold)
+            assert d.format_dist(summed) == d.format_dist(fold)
+
+    def test_no_and_one_operand(self):
+        assert d.add() == d.zero_dist()
+        for F in random_corpus(43, 20):
+            assert d.add(F) == F
+
+    def test_parse_work_is_linear_in_the_terms(self, monkeypatch):
+        """Counts the breakpoints that _assemble receives while parsing 50
+        and 200 terms.  A left fold of binary sums re-assembles the growing
+        partial sum, about 16 times the work for 4 times the terms."""
+        from distalg import dist
+        assemble = dist._assemble
+        received = [0]
+
+        def counting_assemble(breakpoints, *args, **kw):
+            received[0] += len(breakpoints)
+            return assemble(breakpoints, *args, **kw)
+
+        monkeypatch.setattr(dist, "_assemble", counting_assemble)
+        work = {}
+        for n in (50, 200):
+            received[0] = 0
+            d.parse_dist(step_delta_text(random.Random(n), n))
+            work[n] = received[0]
+        assert work[200] <= 5 * work[50]
 
 
 class TestSmoothTimesAtom:

@@ -152,6 +152,38 @@ class TestPolyNormalForm:
             assert d.poly_normal_form(again) == d.poly_normal_form(e)
 
 
+class TestRealRoots:
+    """Exact root counts and lowest-terms denominators of polynomials."""
+
+    @staticmethod
+    def cs(text):
+        return d.poly_normal_form(d.parse_smooth_expr(text))
+
+    @pytest.mark.parametrize("text, lo, hi, n", [
+        ("x^2-2", 0, 2, 1),              # sqrt(2), irrational
+        ("x^2-2", -2, 2, 2),
+        ("(x-1)^3*(x+1)", 0, 1, 1),      # repeated root, counted once
+        ("(x-1)^3*(x+1)", 1, 3, 0),      # ]lo, hi] leaves lo out
+        ("x^2+1", -5, 5, 0),
+        ("(x-1)*(x+i)", 0, 2, 1),        # complex coefficients
+        ("(x-1/3)*(x-i)", -1, 1, 1),
+        ("3", -1, 1, 0),
+    ])
+    def test_real_root_count(self, text, lo, hi, n):
+        assert expr_mod.real_root_count(
+            self.cs(text), Fraction(lo), Fraction(hi)) == n
+
+    def test_reduced_denominator(self):
+        # (x^2-1)/((x-1)^2*(x-2)) = (x+1)/((x-1)*(x-2))
+        den = expr_mod.reduced_denominator(self.cs("x^2-1"),
+                                           self.cs("(x-1)^2*(x-2)"))
+        assert len(den) == 3
+        for root in (1, 2):
+            assert expr_mod.poly_eval(den, Fraction(root)).is_zero
+        one = expr_mod.reduced_denominator(self.cs("x^2-1"), self.cs("x-1"))
+        assert len(one) == 1
+
+
 class TestVerdicts:
     def test_polynomials_equal(self):
         e1 = d.power_of(d.sum_of(d.X, d.ONE), 2)

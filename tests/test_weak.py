@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import distalg as d
 from distalg import QuadratureConfig, VariantTag
-from distalg.errors import EpsilonTooLarge, ShapeError
+from distalg.errors import DomainError, EpsilonTooLarge, ShapeError
 from distalg.weak import bump_values, bump_deriv_values
 
 from conftest import random_dist, random_poly
@@ -167,6 +167,80 @@ class TestOracle:
         cfg = QuadratureConfig(extrapolation="last-value")
         v = d.star_oracle(DELTA, H, T, cfg)
         assert abs(v - d.action(DELTA, T)) < 1e-6
+
+
+def quad_action(text, t):
+    """<F, t> of an atom-free F by adaptive quadrature, piece by piece."""
+    F = d.parse_dist(text)
+    total = 0.0
+    cuts = [float(t.a)] + [float(b) for b in F.breakpoints
+                           if t.a < b < t.b] + [float(t.b)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = F.pieces[sum(1 for b in F.breakpoints if b <= lo)]
+        f = lambda x: (d.eval_num(piece, x) * bump_scalar(t, x)).real
+        total += quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+class TestPoles:
+    """A quotient pole where a piece is integrated is a DomainError, never a
+    number."""
+
+    @pytest.mark.parametrize("text, a, b", [
+        ("1/(x-1)*H(x)", -1, 2),          # rational root inside a piece
+        ("1/(x^2-2)*H(x)", -1, 2),        # irrational root sqrt(2)
+        ("1/x*H(x)", -1, 1),              # root at a breakpoint
+        ("exp(x)/(x-1/3)*H(x-1/3)", 0, 1),
+        ("1/((x-1)*(x+i))", 0, 2),        # complex coefficients, real root
+        ("1/(x^5-3*x+1)*H(x)", -1, 1),    # irrational root near 0.34
+        ("(x-1)/(x-1)^2*H(x)", -1, 2),    # a factor cancels the pole once
+    ])
+    def test_action_refuses_a_pole(self, text, a, b):
+        with pytest.raises(DomainError):
+            d.action(d.parse_dist(text), d.make_bump(a, b))
+
+    @pytest.mark.parametrize("text, a, b", [
+        ("1/(x^2-2)*H(x)", -1, 1),        # sqrt(2) outside the support
+        ("1/x*H(x)", 0, 1),               # pole at a support end
+        ("1/(x-1)^2*H(x-1)", 1, 3),
+        ("1/(x^2+1)", -1, 1),             # no real root
+        ("exp(x)/(x-2)*H(x)", -1, 1),
+        ("1/((x-1)^3*(x^2-3))*H(x-2)", 0, 3),  # repeated and irrational roots
+    ])
+    def test_action_integrates_where_no_pole_is(self, text, a, b):
+        t = d.make_bump(a, b)
+        assert d.action(d.parse_dist(text), t).real == pytest.approx(
+            quad_action(text, t), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("text, cancelled", [
+        ("exp(x)*(x^2-1)/(x-1)*H(x)", "exp(x)*(x+1)*H(x)"),
+        ("(x^2-1)/(x-1)*H(x)", "(x+1)*H(x)"),
+        ("sin(x)*(x-1)^2/((x-1)*(x-3))*H(x)", "sin(x)*(x-1)/(x-3)*H(x)"),
+        ("(x-1/2)/((x-3)*(x-1/2))*H(x)", "1/(x-3)*H(x)"),
+    ])
+    def test_action_integrates_a_removable_singularity(self, text, cancelled):
+        """Polynomial factors of a product cancel its denominators."""
+        t = d.make_bump(-1, 2)
+        assert d.action(d.parse_dist(text), t) == pytest.approx(
+            d.action(d.parse_dist(cancelled), t), rel=1e-12)
+
+    def test_oracle_refuses_a_pole_on_either_side(self):
+        P, H1 = d.parse_dist("1/(x-1)*H(x)"), d.parse_dist("H(x)")
+        t = d.make_bump(-1, 3)
+        for F, G in ((P, H1), (H1, P)):
+            with pytest.raises(DomainError):
+                d.star_oracle(F, G, t)
+
+    def test_oracle_skips_a_pole_under_a_zero_piece(self):
+        F, G = d.heaviside(2), d.parse_dist("1/(x-1)")
+        t = d.make_bump(-1, 3)
+        assert d.star_oracle(F, G, t) == pytest.approx(
+            d.action(d.smooth_mul(G.pieces[0], F), t), rel=1e-6)
+
+    def test_cli_exit_code(self, capsys):
+        from distalg.cli import main
+        assert main(["action", "1/(x-1)*H(x)", "--bump", "-1,2"]) == 2
+        assert main(["action", "1/x*H(x)", "--bump", "0,1"]) == 0
 
 
 class TestConfigValidation:
