@@ -9,7 +9,8 @@ simplification; equality beyond the polynomial subset is a semi-decision
 (see ``expr_equal``).
 
 Coefficients are exact ``ComplexRational`` values.  Floating point enters
-only through ``eval_expr`` / ``eval_num``.
+only through ``eval_expr`` / ``eval_num``; numpy is imported there and in
+the sampling tail of ``expr_equal``, never by the exact paths.
 
 Polynomial normal form.  Internally a polynomial is a triple
 ``(den, re, im)``: ascending integer numerators of the real and imaginary
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .errors import DomainError
 from .scalars import CR_ONE, CR_ZERO, ComplexRational, ScalarLike, as_fraction
@@ -381,6 +380,7 @@ def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
     Returns complex values; raises DomainError when a quotient denominator
     falls below the guard in magnitude.
     """
+    import numpy as np
     if isinstance(x, Fraction):
         x = float(x)
     elif isinstance(x, ComplexRational):
@@ -758,6 +758,14 @@ def worst_verdict(*vs: Verdict) -> Verdict:
 _SAMPLE_WINDOW = 8.0
 
 
+def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n Chebyshev nodes of [lo, hi]: interior, irrational spacing,
+    no endpoint contact."""
+    import numpy as np
+    ks = np.arange(n)
+    return (lo + hi) / 2 + (hi - lo) / 2 * np.cos(np.pi * (2 * ks + 1) / (2 * n))
+
+
 def _sample_points(lo: Optional[Fraction], hi: Optional[Fraction], n: int) -> np.ndarray:
     if lo is None and hi is None:
         a, b = -_SAMPLE_WINDOW / 2, _SAMPLE_WINDOW / 2
@@ -769,13 +777,11 @@ def _sample_points(lo: Optional[Fraction], hi: Optional[Fraction], n: int) -> np
         b = a + _SAMPLE_WINDOW
     else:
         a, b = float(lo), float(hi)
-    mid, half = (a + b) / 2, (b - a) / 2
-    # Chebyshev nodes: interior, irrational spacing, no endpoint contact
-    ks = np.arange(n)
-    return mid + half * np.cos(np.pi * (2 * ks + 1) / (2 * n))
+    return chebyshev_nodes(a, b, n)
 
 
 def _safe_values(e: SmoothExpr, xs: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.full(xs.shape, np.nan + 0j, dtype=complex)
     try:
         out = eval_num(e, xs)
@@ -793,6 +799,7 @@ def _term_magnitude(e: SmoothExpr, xs: np.ndarray,
     """Pointwise size of the largest intermediate term.  A sum of huge terms
     can evaluate to a tiny value with only round-off accuracy, so separation
     must be judged against the terms, not the cancelled result."""
+    import numpy as np
     if not isinstance(e, Sum):
         return np.abs(values)
     total = np.zeros(xs.shape)
@@ -822,6 +829,7 @@ def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
         p = None
     if p is not None:
         return Verdict.EQUAL if p == () else Verdict.UNEQUAL
+    import numpy as np
     xs = _sample_points(interval[0], interval[1], samples)
     v1 = _safe_values(e1, xs)
     v2 = _safe_values(e2, xs)

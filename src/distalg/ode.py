@@ -14,19 +14,18 @@ equation; it is the zero distribution exactly when the candidate solves it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .dist import (GenDist, DeltaAtom, _assemble, add, delta_dist, equal_dist,
                    differentiate, heaviside, indicator, scale, smooth_mul,
                    smooth_times_atom, sub, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
-from .expr import (SmoothExpr, Verdict, ZERO, diff_expr, eval_num,
-                   poly_normal_form, product_of, sub_expr, sum_of)
+from .expr import (SmoothExpr, Verdict, ZERO, chebyshev_nodes, diff_expr,
+                   eval_num, poly_normal_form, product_of, sub_expr, sum_of)
 from .dist import as_expr
 from .scalars import ComplexRational, ScalarLike, as_fraction
 from .star import star
@@ -86,10 +85,9 @@ class ConfinementReport:
 
 def _sampled_nonvanishing(e: SmoothExpr, lo: float = -10.0, hi: float = 10.0,
                           n: int = 64, floor: float = 1e-9) -> bool:
-    ks = np.arange(n)
-    xs = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(np.pi * (2 * ks + 1) / (2 * n))
+    import numpy as np
     try:
-        vals = eval_num(e, xs)
+        vals = eval_num(e, chebyshev_nodes(lo, hi, n))
     except DomainError:
         return False
     return bool(np.all(np.abs(vals) > floor) and np.all(np.isfinite(vals)))
@@ -99,15 +97,21 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     """Coefficients ascending (a_0 first).  The order must be >= 1: with no
     derivatives there is nothing to confine.  The leading coefficient must
     not be the zero expression; nonvanishing on the line is only sampled and
-    the result is carried in reports."""
+    the result is carried in reports.  A constant lead c is not sampled:
+    its samples would all be c, so the test is |c| > 1e-9."""
     cs = tuple(as_expr(c) for c in coeffs)
     if len(cs) < 2:
         raise ShapeError("need order >= 1 (at least two coefficients)")
     lead = cs[-1]
-    if lead == ZERO or poly_normal_form(lead) == ():
+    p = poly_normal_form(lead)
+    if lead == ZERO or p == ():
         raise DegenerateLeadingCoefficient("leading coefficient is the zero "
                                            "expression")
-    return LinearODE(cs, as_expr(rhs), _sampled_nonvanishing(lead))
+    if p is not None and len(p) == 1:
+        nonzero = abs(complex(p[0])) > 1e-9
+    else:
+        nonzero = _sampled_nonvanishing(lead)
+    return LinearODE(cs, as_expr(rhs), nonzero)
 
 
 def _records(ode: LinearODE, endpoint: str, sign: int) -> List[CorrectionTerm]:
@@ -220,12 +224,11 @@ def _classical_residual_samples(ceq: ConfinedEquation, psi_u: SmoothExpr,
         lo, hi = float(ceq.interval.a), float(ceq.interval.a) + 8.0
     else:
         lo, hi = float(ceq.interval.a), float(ceq.interval.b)
-    ks = np.arange(n)
-    xs = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(np.pi * (2 * ks + 1) / (2 * n))
+    xs = chebyshev_nodes(lo, hi, n)
     try:
         vals = eval_num(r, xs)
     except DomainError:
-        vals = np.full(n, np.nan + 0j)
+        vals = [complex("nan")] * n
     return tuple((float(x), complex(v)) for x, v in zip(xs, vals))
 
 
@@ -238,7 +241,7 @@ def verify_confinement(ceq: ConfinedEquation, psi_u) -> ConfinementReport:
     res = residual(ceq, psi_c)
     verdict = equal_dist(res, zero_dist())
     samples = _classical_residual_samples(ceq, psi_u)
-    finite = [abs(v) for _, v in samples if np.isfinite(v)]
+    finite = [abs(v) for _, v in samples if cmath.isfinite(v)]
     cmax = max(finite) if finite else float("nan")
     return ConfinementReport(verdict, res, samples, cmax,
                              ceq.base.leading_sampled_nonzero)

@@ -279,14 +279,13 @@ class _Parser:
                 if k2 != "smooth":
                     raise SemanticsError(
                         f"divisor must be smooth (at position {op.pos})")
+                # smooth/smooth is one quotient, as in parse_smooth_expr, so
+                # an exact division keeps its polynomial normal form
                 try:
-                    recip = quotient_of(ONE, v2)
+                    q = quotient_of(val if kind == "smooth" else ONE, v2)
                 except ZeroDivisionError:
                     raise ParseError("division by zero", op.pos)
-                if kind == "smooth":
-                    val = product_of(val, recip)
-                else:
-                    val = smooth_mul(recip, val)
+                val = q if kind == "smooth" else smooth_mul(q, val)
                 continue
             if kind == "smooth" and k2 == "smooth":
                 val = product_of(val, v2)

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .dist import GenDist, normalize_dist, singular_support
 from .errors import DomainError, EpsilonTooLarge, ShapeError
 from .expr import (Cos, Exp, Power, Product, Quotient, Sin, SmoothExpr, Sum,
@@ -69,9 +67,9 @@ def _body_deriv(body: SmoothExpr, k: int) -> SmoothExpr:
     return diff_expr(_body_deriv(body, k - 1))
 
 
-def _u_of_x(t: TestFunction, x):
+def _u_of_x(t: TestFunction, x: np.ndarray) -> np.ndarray:
     a, b = float(t.a), float(t.b)
-    return (2.0 * np.asarray(x) - a - b) / (b - a)
+    return (2.0 * x - a - b) / (b - a)
 
 
 def bump_values(t: TestFunction, x, guard: float = 0.0) -> np.ndarray:
@@ -83,6 +81,7 @@ def bump_deriv_values(t: TestFunction, k: int, x, guard: float = 0.0) -> np.ndar
     """k-th derivative of t at real points.  Within `guard` of an endpoint
     the value is exactly 0 (all true derivatives vanish there faster than
     any polynomial)."""
+    import numpy as np
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = float(t.a) + guard, float(t.b) - guard
     inside = (xs > lo) & (xs < hi)
@@ -99,6 +98,7 @@ def bump_deriv_values(t: TestFunction, k: int, x, guard: float = 0.0) -> np.ndar
 def bump_analytic(t: TestFunction, z) -> np.ndarray:
     """The bump's smooth branch at complex points (no support cutoff); valid
     near real points strictly inside ]a, b[."""
+    import numpy as np
     return eval_num(t.body, _u_of_x(t, np.asarray(z, dtype=complex)))
 
 
@@ -139,12 +139,14 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @functools.lru_cache(maxsize=64)
 def _gauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
 
 def _panel_integral(fn: Callable[[np.ndarray], np.ndarray],
                     lo: float, hi: float, nodes: int) -> complex:
+    import numpy as np
     if hi <= lo:
         return 0j
     x, w = _gauss(nodes)
@@ -295,6 +297,7 @@ def _cauchy_deriv(fn: Callable[[np.ndarray], np.ndarray], w: float, k: int,
                   r: float, nodes: int = 64) -> complex:
     """k-th derivative at w of an analytic function from values on a circle
     of radius r (trapezoidal Cauchy integral; spectrally accurate)."""
+    import numpy as np
     th = 2.0 * np.pi * np.arange(nodes) / nodes
     z = w + r * np.exp(1j * th)
     vals = np.asarray(fn(z), dtype=complex)

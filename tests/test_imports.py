@@ -1,0 +1,84 @@
+"""numpy is imported only where numbers are sampled or integrated.
+
+Each check runs in a fresh interpreter, since the test process itself has
+numpy loaded long before."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import distalg
+
+SRC = str(Path(distalg.__file__).resolve().parents[1])
+
+# argv, and the README's output where it gives one
+EXACT_COMMANDS = [
+    (["mul", "delta(x)", "H(x)"], "delta(x)\n"),
+    (["fmt", "H(x)+(1+x)^2*H(x-1)", "--mode", "json"], None),
+    (["diff", "H(x)", "-n", "2"], "delta[1](x)\n"),
+    (["antideriv", "delta(x)+x*H(x-1)"], None),
+    (["bracket", "delta(x)", "H(x)"], "delta(x)\n"),
+    (["confine", "--ode", "1,0,0;0", "--interval", "0,1"], None),
+    (["residual", "--ode", "1,1;0", "--interval", "0", "H(x)"], None),
+    (["residual", "--ode", "1,0,0;0", "--interval", "0", "(3+2*x)*H(x)"],
+     "0\n"),
+]
+
+CHILD = """
+import contextlib, io, json, sys
+import distalg
+from distalg.cli import main
+report = {"import": "numpy" in sys.modules, "runs": []}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report["runs"].append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def run_child(code, *args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    from test_parser_cli import run
+    argvs = [argv for argv, _ in EXACT_COMMANDS]
+    report = json.loads(run_child(CHILD, json.dumps(argvs)))
+    assert report["import"] is False, "import distalg loaded numpy"
+    for (argv, readme), (code, out, loaded) in zip(EXACT_COMMANDS,
+                                                   report["runs"]):
+        assert not loaded, f"{argv[0]} loaded numpy"
+        assert (code, out) == run(*argv)[:2]
+        assert code == 0
+        if readme is not None:
+            assert out == readme
+
+
+def test_sampling_paths_still_work():
+    out = run_child("""
+import contextlib, io, sys
+import distalg as d
+from distalg.cli import main
+for argv in (["verify", "--ode", "1,1;0", "--interval", "0", "exp(-x)"],
+             ["oracle", "delta(x)", "H(x)", "--bump", "-1,1"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    print(buf.getvalue().strip().replace("\\n", "|"))
+e = d.parse_smooth_expr
+print(d.expr_equal(e("exp(x)"), e("exp(x)+1/1000")),
+      d.expr_equal(e("exp(x)^2"), e("exp(2*x)")))
+""").splitlines()
+    assert "verdict: Equal" in out[0] and "residual: 0" in out[0]
+    assert abs(float(out[1]) - 0.367879441171) < 1e-6
+    assert out[2] == "Unequal Unknown"

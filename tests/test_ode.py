@@ -7,6 +7,7 @@ import pytest
 
 import distalg as d
 from distalg import Verdict
+from distalg import ode as ode_mod
 from distalg.dist import _assemble
 from distalg.errors import DegenerateLeadingCoefficient, ShapeError
 
@@ -46,6 +47,29 @@ class TestMakeOde:
         ode = d.make_ode([d.ONE, spike])
         assert not ode.leading_sampled_nonzero
         assert d.make_ode([d.ONE, d.ONE]).leading_sampled_nonzero
+
+
+class TestConstantLeadShortcut:
+    """make_ode tests a constant leading coefficient without sampling it;
+    the result must be what sampling gives."""
+
+    @pytest.mark.parametrize("lead", [
+        1e-10, 1e-9, Fraction(1, 10**9) + Fraction(1, 10**20), -1e-10,
+        d.ComplexRational(Fraction(3, 10**10), Fraction(4, 10**10)),
+        d.ComplexRational(Fraction(0), Fraction(-7, 3)),
+        d.ComplexRational(Fraction(-1, 2), Fraction(1, 2)),
+        -2, Fraction(-5, 3), 10**300, -10**300, 1e308,
+    ])
+    def test_agrees_with_sampling(self, lead):
+        e = d.const(lead)
+        assert (d.make_ode([d.ONE, e]).leading_sampled_nonzero
+                is ode_mod._sampled_nonvanishing(e))
+
+    def test_constant_normal_form_of_a_tree(self):
+        e = d.parse_smooth_expr("(x+1)^2 - x^2 - 2*x")
+        assert d.poly_normal_form(e) == (d.ComplexRational.of(1),)
+        assert d.make_ode([d.ONE, e]).leading_sampled_nonzero
+        assert ode_mod._sampled_nonvanishing(e)
 
 
 class TestConfinedStructure:

@@ -212,6 +212,20 @@ class TestDistGrammar:
         with pytest.raises(SemanticsError, match="divisor must be smooth"):
             d.parse_dist("H(x)/H(x)")
 
+    def test_smooth_quotient_is_exact_division(self):
+        # a/b between smooth factors is one quotient, as in the smooth
+        # grammar, so an exact division keeps its polynomial normal form
+        F = d.parse_dist("(x^2-1)/(x-1)*H(x)")
+        assert d.poly_normal_form(F.pieces[1]) == d.poly_normal_form(
+            d.parse_smooth_expr("x+1"))
+        assert d.antiderivative(F) == d.parse_dist("(1/2*x^2+x)*H(x)")
+        assert F.pieces[1] == d.parse_smooth_expr("(x^2-1)/(x-1)")
+
+    def test_constant_divisor_unchanged(self):
+        assert d.parse_dist("1/2*x^2*H(x)") == d.parse_dist("x^2*H(x)*1/2")
+        assert d.parse_dist("x/3*H(x)") == d.parse_dist("(1/3)*x*H(x)")
+        assert d.parse_dist("H(x)/(x-1)") == d.parse_dist("1/(x-1)*H(x)")
+
     def test_step_inside_smooth_function_rejected(self):
         with pytest.raises(ParseError):
             d.parse_dist("exp(H(x))")
