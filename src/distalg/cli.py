@@ -6,7 +6,8 @@ expand through the atom rule, delta*delta is rejected), while the one-sided
 algebra product is only ever applied by the `mul` command.
 
 Exit codes: 0 success, 1 usage or syntax error, 2 mathematical domain error,
-3 verification returned Unknown.
+3 verification returned Unknown, and 1 when standard output is closed
+before the result is written (as by `distalg ... | head -c 100`).
 """
 
 from __future__ import annotations
@@ -367,7 +368,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send the rest, and the flush at interpreter
+        # exit, to devnull so that no second error is printed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

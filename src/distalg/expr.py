@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .scalars import CR_ONE, CR_ZERO, ComplexRational, ScalarLike, as_fraction

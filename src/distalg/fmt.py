@@ -4,95 +4,27 @@ Text output round-trips through the parser: the regular part prints as
 piece·H(...) indicator products, atoms as coeff·delta[k](x-w).  LaTeX is
 display-only.  JSON is the exact interchange form: rational strings for
 breakpoints and atom data, expression strings for pieces.
+
+One walker renders both notations.  Every token in which text and LaTeX
+differ is a value in one of two style tables, ``_TEXT`` and ``_LATEX``, and
+the shared code reads it from the table instead of branching on the format.
+Only the term joins of a distribution differ in code: text carries a real
+coefficient's sign into a signed join, LaTeX parenthesizes the coefficient.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from .dist import DeltaAtom, GenDist
+from .dist import DeltaAtom, GenDist, _piece_interval
 from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
                    SmoothExpr, ONE, ZERO)
-from .ode import (Bounded, ConfinedEquation, ConfinementReport, HalfLine,
-                  LinearODE)
-from .scalars import ComplexRational, frac_str
-
-# precedence levels: 1 sum, 2 product/quotient, 3 power operand, 4 atom
-
-
-def _const_text(v: ComplexRational) -> tuple:
-    if v.im == 0:
-        s = frac_str(v.re)
-        level = 1 if v.re < 0 else (4 if v.re.denominator == 1 else 2)
-        return s, level
-    if v.re == 0:
-        if v.im == 1:
-            return "i", 4
-        if v.im == -1:
-            return "-i", 1
-        return f"{frac_str(v.im)}*i", 1 if v.im < 0 else 2
-    im = v.im
-    op = "+" if im > 0 else "-"
-    mag = abs(im)
-    istr = "i" if mag == 1 else f"{frac_str(mag)}*i"
-    return f"{frac_str(v.re)}{op}{istr}", 1
-
-
-def _fmt(e: SmoothExpr, prec: int) -> str:
-    s, level = _fmt_level(e)
-    if level < prec:
-        return f"({s})"
-    return s
-
-
-def _fmt_level(e: SmoothExpr) -> tuple:
-    if isinstance(e, Const):
-        return _const_text(e.value)
-    if isinstance(e, Var):
-        return "x", 4
-    if isinstance(e, Sum):
-        parts = [_fmt(e.terms[0], 1)]
-        for t in e.terms[1:]:
-            s = _fmt(t, 1)
-            if s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts), 1
-    if isinstance(e, Product):
-        fs = e.factors
-        if (isinstance(fs[0], Const) and fs[0].value.im == 0
-                and fs[0].value.re < 0):
-            if fs[0].value.re == -1:
-                rest = fs[1:]
-            else:
-                rest = (Const(ComplexRational(-fs[0].value.re,
-                                              Fraction(0))),) + fs[1:]
-            body = rest[0] if len(rest) == 1 else Product(rest)
-            return "-" + _fmt(body, 2), 1
-        return "*".join(_fmt(f, 2) for f in fs), 2
-    if isinstance(e, Power):
-        return f"{_fmt(e.base, 3)}^{e.n}", 3
-    if isinstance(e, Quotient):
-        return f"{_fmt(e.num, 2)}/{_fmt(e.den, 3)}", 2
-    if isinstance(e, Exp):
-        return f"exp({_fmt(e.arg, 0)})", 4
-    if isinstance(e, Sin):
-        return f"sin({_fmt(e.arg, 0)})", 4
-    if isinstance(e, Cos):
-        return f"cos({_fmt(e.arg, 0)})", 4
-    raise TypeError(f"not a SmoothExpr: {e!r}")
-
-
-def format_expr(e: SmoothExpr) -> str:
-    """Parseable text for a smooth expression."""
-    return _fmt(e, 0)
-
-
-# ---------------------------------------------------------------------------
-# LaTeX for expressions
+from .ode import (ConfinedEquation, ConfinementReport, HalfLine, LinearODE,
+                  _endpoint_loc)
+from .scalars import CR_ONE, ComplexRational, frac_str
 
 
 def _frac_latex(x: Fraction) -> str:
@@ -102,37 +34,103 @@ def _frac_latex(x: Fraction) -> str:
     return sign + r"\tfrac{%d}{%d}" % (abs(x.numerator), x.denominator)
 
 
-def _const_latex(v: ComplexRational) -> tuple:
+def _float_rational(x: float) -> str:
+    """Exact rational text of a float (floats are rationals)."""
+    return frac_str(Fraction(x))
+
+
+def _decimal_latex(x: float) -> str:
+    mantissa, _, exponent = repr(x).partition("e")
+    if not exponent:
+        return mantissa
+    return mantissa + r"\times 10^{%d}" % int(exponent)
+
+
+# precedence levels: 1 sum, 2 product/quotient, 3 power operand, 4 atom
+
+
+@dataclass(frozen=True, slots=True)
+class _Style:
+    """The tokens in which the two notations differ."""
+    open: str  # grouping parentheses
+    close: str
+    mul: str  # joins the factors of a product
+    power: str  # % (base, exponent)
+    quot: str  # % (numerator, denominator)
+    quot_prec: Tuple[int, int]  # levels the numerator and denominator need
+    func: str  # % (name, argument)
+    frac: Callable[[Fraction], str]
+    float_str: Callable[[float], str]  # parts of a float coefficient
+    frac_level: int  # level of a positive non-integer rational
+    imag: str  # follows a non-unit imaginary magnitude
+    neg_imag_level: int  # a factor: (-2*i)*x against -2\,i\,x
+    plus: str  # + and - inside a constant or an H or delta argument
+    minus: str
+    reflected: str  # the argument w - x, % (sign, |w|)
+    reflected_signs: Tuple[str, str]  # that sign for w > 0 and for w < 0
+    juxt: str  # joins the factors of an ODE term
+    star: str  # % (delta, psi)
+    delta: str
+    delta_order: str
+    psi: str
+    psi_order: str
+
+
+_TEXT = _Style(open="(", close=")", mul="*", power="%s^%d", quot="%s/%s",
+               quot_prec=(2, 3), func="%s(%s)", frac=frac_str,
+               float_str=_float_rational, frac_level=2, imag="*i",
+               neg_imag_level=1, plus="+", minus="-", reflected="-x%s%s",
+               reflected_signs=("+", "-"), juxt="*", star="(%s (*) %s)",
+               delta="delta", delta_order="[%d]", psi="psi",
+               psi_order="^(%d)")
+
+_LATEX = _Style(open=r"\left(", close=r"\right)", mul=r"\,",
+                power="%s^{%d}", quot=r"\frac{%s}{%s}", quot_prec=(0, 0),
+                func=r"\%s\left(%s\right)", frac=_frac_latex,
+                float_str=_decimal_latex, frac_level=4, imag=r"\,i",
+                neg_imag_level=2, plus=" + ", minus=" - ",
+                reflected="%s%s - x", reflected_signs=("", "-"), juxt="",
+                star=r"%s \star %s", delta=r"\delta", delta_order="^{(%d)}",
+                psi=r"\psi", psi_order="^{(%d)}")
+
+_FUNCS = {Exp: "exp", Sin: "sin", Cos: "cos"}
+
+
+def _const(v: ComplexRational, st: _Style) -> tuple:
+    """(string, level) of an exact constant."""
     if v.im == 0:
-        return _frac_latex(v.re), 1 if v.re < 0 else 4
+        level = 1 if v.re < 0 else (4 if v.re.denominator == 1
+                                    else st.frac_level)
+        return st.frac(v.re), level
     if v.re == 0:
         if v.im == 1:
             return "i", 4
         if v.im == -1:
             return "-i", 1
-        return _frac_latex(v.im) + r"\,i", 2
-    op = "+" if v.im > 0 else "-"
+        return st.frac(v.im) + st.imag, st.neg_imag_level if v.im < 0 else 2
+    op = st.plus if v.im > 0 else st.minus
     mag = abs(v.im)
-    istr = "i" if mag == 1 else _frac_latex(mag) + r"\,i"
-    return f"{_frac_latex(v.re)} {op} {istr}", 1
+    istr = "i" if mag == 1 else st.frac(mag) + st.imag
+    return st.frac(v.re) + op + istr, 1
 
 
-def _ltx(e: SmoothExpr, prec: int) -> str:
-    s, level = _ltx_level(e)
+def _group(e: SmoothExpr, prec: int, st: _Style) -> str:
+    s, level = _render(e, st)
     if level < prec:
-        return r"\left(" + s + r"\right)"
+        return st.open + s + st.close
     return s
 
 
-def _ltx_level(e: SmoothExpr) -> tuple:
+def _render(e: SmoothExpr, st: _Style) -> tuple:
+    """(string, precedence level) of a smooth expression."""
     if isinstance(e, Const):
-        return _const_latex(e.value)
+        return _const(e.value, st)
     if isinstance(e, Var):
         return "x", 4
     if isinstance(e, Sum):
-        parts = [_ltx(e.terms[0], 1)]
+        parts = [_group(e.terms[0], 1, st)]
         for t in e.terms[1:]:
-            s = _ltx(t, 1)
+            s = _group(t, 1, st)
             parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
         return "".join(parts), 1
     if isinstance(e, Product):
@@ -145,77 +143,96 @@ def _ltx_level(e: SmoothExpr) -> tuple:
                 rest = (Const(ComplexRational(-fs[0].value.re,
                                               Fraction(0))),) + fs[1:]
             body = rest[0] if len(rest) == 1 else Product(rest)
-            return "-" + _ltx(body, 2), 1
-        return r"\,".join(_ltx(f, 2) for f in fs), 2
+            return "-" + _group(body, 2, st), 1
+        return st.mul.join(_group(f, 2, st) for f in fs), 2
     if isinstance(e, Power):
-        return f"{_ltx(e.base, 3)}^{{{e.n}}}", 3
+        return st.power % (_group(e.base, 3, st), e.n), 3
     if isinstance(e, Quotient):
-        return r"\frac{%s}{%s}" % (_ltx(e.num, 0), _ltx(e.den, 0)), 4
-    if isinstance(e, Exp):
-        return r"\exp\left(" + _ltx(e.arg, 0) + r"\right)", 4
-    if isinstance(e, Sin):
-        return r"\sin\left(" + _ltx(e.arg, 0) + r"\right)", 4
-    if isinstance(e, Cos):
-        return r"\cos\left(" + _ltx(e.arg, 0) + r"\right)", 4
-    raise TypeError(f"not a SmoothExpr: {e!r}")
+        num_prec, den_prec = st.quot_prec
+        return st.quot % (_group(e.num, num_prec, st),
+                          _group(e.den, den_prec, st)), 2
+    name = _FUNCS.get(type(e))
+    if name is None:
+        raise TypeError(f"not a SmoothExpr: {e!r}")
+    return st.func % (name, _group(e.arg, 0, st)), 4
+
+
+def format_expr(e: SmoothExpr) -> str:
+    """Parseable text for a smooth expression."""
+    return _group(e, 0, _TEXT)
 
 
 def format_expr_latex(e: SmoothExpr) -> str:
-    return _ltx(e, 0)
+    return _group(e, 0, _LATEX)
 
 
 # ---------------------------------------------------------------------------
 # distributions
 
-
-def _shift_text(w: Fraction, reflect: bool) -> str:
-    """Argument string: x-w, or w-x written as -x+w, for the linear-argument
-    grammar."""
-    if not reflect:
-        if w == 0:
-            return "x"
-        op = "-" if w > 0 else "+"
-        return f"x{op}{frac_str(abs(w))}"
-    if w == 0:
-        return "-x"
-    op = "+" if w > 0 else "-"
-    return f"-x{op}{frac_str(abs(w))}"
+_PLAIN = ("(", ")")
 
 
-def _indicator_factors(breaks, i: int) -> List[str]:
-    """H factors selecting the i-th piece interval."""
+def _shift(w: Fraction, reflect: bool, st: _Style) -> str:
+    """The argument x-w, or w-x when reflect."""
+    n = w.numerator  # the sign tests on an int are cheaper
+    if n == 0:
+        return "-x" if reflect else "x"
+    mag = st.frac(-w if n < 0 else w)
+    if reflect:
+        return st.reflected % (st.reflected_signs[n < 0], mag)
+    return "x" + (st.plus if n < 0 else st.minus) + mag
+
+
+def _heavisides(lo: Optional[Fraction], hi: Optional[Fraction], st: _Style,
+                paren: Tuple[str, str] = _PLAIN) -> List[str]:
+    """H factors selecting ]lo, hi[; None is an open end."""
     out = []
-    if i >= 1:
-        out.append(f"H({_shift_text(breaks[i - 1], False)})")
-    if i < len(breaks):
-        out.append(f"H({_shift_text(breaks[i], True)})")
+    if lo is not None:
+        out.append("H" + paren[0] + _shift(lo, False, st) + paren[1])
+    if hi is not None:
+        out.append("H" + paren[0] + _shift(hi, True, st) + paren[1])
     return out
 
 
-def _atom_text(w: Fraction, k: int, coeff_str: Optional[str]) -> str:
-    name = "delta" if k == 0 else f"delta[{k}]"
-    body = f"{name}({_shift_text(w, False)})"
-    if coeff_str is None:
-        return body
-    return f"{coeff_str}*{body}"
+def _delta(w: Fraction, k: int, st: _Style,
+           paren: Tuple[str, str] = _PLAIN) -> str:
+    head = st.delta if k == 0 else st.delta + st.delta_order % k
+    return head + paren[0] + _shift(w, False, st) + paren[1]
 
 
-def _coeff_prefix(v: ComplexRational) -> tuple:
-    """(prefix string or None for unit magnitude, sign); real coefficients
-    print their sign through the term join."""
-    if v.im == 0:
-        sign = -1 if v.re < 0 else 1
-        mag = abs(v.re)
-        if mag == 1:
-            return None, sign
-        return _fmt(Const(ComplexRational(mag)), 2), sign
-    s, level = _const_text(v)
-    return (f"({s})" if level < 2 else s), 1
+def _factor(s: str, level: int, st: _Style) -> str:
+    """A coefficient as the leading factor of a term; terms join with
+    ' + ', so a sum or a leading minus sign goes in parentheses."""
+    if level < 2 or s.startswith("-"):
+        return st.open + s + st.close
+    return s
 
 
-def _float_rational(x: float) -> str:
-    """Exact rational text of a float (floats are rationals)."""
-    return frac_str(Fraction(x))
+def _float_coeff(c: complex, st: _Style) -> tuple:
+    """Like _const for a float coefficient: the real part alone when the
+    imaginary part is zero."""
+    if c.imag == 0:
+        return st.float_str(c.real), 1 if c.real < 0 else 4
+    op = st.plus if c.imag >= 0 else st.minus
+    return (st.float_str(c.real) + op + st.float_str(abs(c.imag))
+            + st.imag), 1
+
+
+def _piece_terms(F: GenDist, st: _Style) -> List[str]:
+    """Each nonzero piece times the H factors of its interval."""
+    out = []
+    breaks = F.breakpoints
+    for i, piece in enumerate(F.pieces):
+        if piece == ZERO:
+            continue
+        hs = st.mul.join(_heavisides(*_piece_interval(breaks, i), st))
+        if not hs:
+            out.append(_group(piece, 0, st))
+        elif piece == ONE:
+            out.append(hs)
+        else:
+            out.append(_factor(*_render(piece, st), st) + st.mul + hs)
+    return out
 
 
 def _join_signed(terms: List[tuple]) -> str:
@@ -232,98 +249,35 @@ def _join_signed(terms: List[tuple]) -> str:
 
 
 def format_dist_text(F: GenDist) -> str:
-    terms: List[tuple] = []  # (sign, text)
-    breaks = F.breakpoints
-    for i, piece in enumerate(F.pieces):
-        if piece == ZERO:
-            continue
-        hs = _indicator_factors(breaks, i)
-        if not hs:
-            terms.append((1, format_expr(piece)))
-            continue
-        if piece == ONE:
-            terms.append((1, "*".join(hs)))
-            continue
-        terms.append((1, "*".join([_fmt(piece, 2)] + hs)))
+    """A real coefficient's sign goes to the term join; a float coefficient
+    is written as the exact rational of the float."""
+    st = _TEXT
+    terms = [(1, t) for t in _piece_terms(F, st)]  # (sign, text)
     for a in F.all_atoms:
-        if isinstance(a, DeltaAtom):
-            pre, sign = _coeff_prefix(a.coeff)
-            terms.append((sign, _atom_text(a.w, a.k, pre)))
-            continue
-        c = complex(a.coeff)
-        if c.imag == 0:
-            pre = f"({_float_rational(c.real)})"
+        sign = 1
+        if not isinstance(a, DeltaAtom):
+            pre = st.open + _float_coeff(complex(a.coeff), st)[0] + st.close
+        elif a.coeff.im == 0:
+            sign = -1 if a.coeff.re < 0 else 1
+            mag = abs(a.coeff.re)
+            pre = None if mag == 1 else st.frac(mag)
         else:
-            op = "+" if c.imag >= 0 else "-"
-            pre = (f"({_float_rational(c.real)}{op}"
-                   f"{_float_rational(abs(c.imag))}*i)")
-        terms.append((1, _atom_text(a.w, a.k, pre)))
+            pre = _factor(*_const(a.coeff, st), st)
+        body = _delta(a.w, a.k, st)
+        terms.append((sign, body if pre is None else pre + st.mul + body))
     return _join_signed(terms)
 
 
-def _latex_shift(w: Fraction, reflect: bool) -> str:
-    if not reflect:
-        if w == 0:
-            return "x"
-        op = "-" if w > 0 else "+"
-        return f"x {op} {_frac_latex(abs(w))}"
-    if w == 0:
-        return "-x"
-    return f"{_frac_latex(w)} - x"
-
-
-def _decimal_latex(x: float) -> str:
-    mantissa, _, exponent = repr(x).partition("e")
-    if not exponent:
-        return mantissa
-    return mantissa + r"\times 10^{%d}" % int(exponent)
-
-
-def _float_latex(c: complex) -> tuple:
-    """Like _const_latex for a float coefficient: decimals, the real part
-    alone when the imaginary part is zero."""
-    if c.imag == 0:
-        return _decimal_latex(c.real), 1 if c.real < 0 else 4
-    op = "+" if c.imag >= 0 else "-"
-    return (f"{_decimal_latex(c.real)} {op} "
-            f"{_decimal_latex(abs(c.imag))}" + r"\,i"), 1
-
-
-def _latex_factor(s: str, level: int) -> str:
-    """A coefficient as the leading factor of a term; terms join with
-    ' + ', so a sum or a leading minus sign goes in parentheses."""
-    if level < 2 or s.startswith("-"):
-        return r"\left(" + s + r"\right)"
-    return s
-
-
 def format_dist_latex(F: GenDist) -> str:
-    terms: List[str] = []
-    breaks = F.breakpoints
-    for i, piece in enumerate(F.pieces):
-        if piece == ZERO:
-            continue
-        hs = []
-        if i >= 1:
-            hs.append(f"H({_latex_shift(breaks[i - 1], False)})")
-        if i < len(breaks):
-            hs.append(f"H({_latex_shift(breaks[i], True)})")
-        body = r"\," .join(hs)
-        if piece == ONE and hs:
-            terms.append(body)
-        elif hs:
-            terms.append(_latex_factor(*_ltx_level(piece)) + r"\," + body)
-        else:
-            terms.append(format_expr_latex(piece))
+    st = _LATEX
+    terms = _piece_terms(F, st)
     for a in F.all_atoms:
         if isinstance(a, DeltaAtom):
-            cs, lvl = _const_latex(a.coeff)
+            cs, lvl = _const(a.coeff, st)
         else:
-            cs, lvl = _float_latex(complex(a.coeff))
-        pre = "" if a.coeff == ComplexRational.of(1) else \
-            _latex_factor(cs, lvl) + r"\,"
-        sup = "" if a.k == 0 else f"^{{({a.k})}}"
-        terms.append(pre + r"\delta%s(%s)" % (sup, _latex_shift(a.w, False)))
+            cs, lvl = _float_coeff(complex(a.coeff), st)
+        pre = "" if a.coeff == CR_ONE else _factor(cs, lvl, st) + st.mul
+        terms.append(pre + _delta(a.w, a.k, st))
     if not terms:
         return "0"
     return " + ".join(terms)
@@ -362,94 +316,59 @@ def format_dist(F: GenDist, mode: str = "text") -> str:
 _PRIMES = {0: "", 1: "'", 2: "''", 3: "'''"}
 
 
-def _psi_name(i: int) -> str:
+def _psi(i: int, st: _Style) -> str:
     if i in _PRIMES:
-        return "psi" + _PRIMES[i]
-    return f"psi^({i})"
+        return st.psi + _PRIMES[i]
+    return st.psi + st.psi_order % i
 
 
-def _ode_lhs_text(ode: LinearODE) -> str:
+def _coeff_group(c: SmoothExpr, st: _Style) -> str:
+    return st.open + _group(c, 0, st) + st.close
+
+
+def _ode_lhs(ode: LinearODE, st: _Style) -> str:
     """sum a_i·psi^(i), highest order first."""
     terms = []
     for i, c in enumerate(ode.coeffs):
         if c == ZERO:
             continue
-        terms.append(_psi_name(i) if c == ONE
-                     else f"({format_expr(c)})*{_psi_name(i)}")
+        terms.append(_psi(i, st) if c == ONE
+                     else _coeff_group(c, st) + st.juxt + _psi(i, st))
     return " + ".join(reversed(terms)) if terms else "0"
 
 
 def format_ode_text(ode: LinearODE) -> str:
-    return f"{_ode_lhs_text(ode)} = {format_expr(ode.rhs)}"
+    return f"{_ode_lhs(ode, _TEXT)} = {format_expr(ode.rhs)}"
+
+
+def _confined(ceq: ConfinedEquation, st: _Style) -> str:
+    """lhs = chi·rhs + the signed corrections, each
+    binomial·a_i·(delta^(j-1)(x-endpoint) ⋆ psi^(i-j))."""
+    ode = ceq.base
+    paren = (st.open, st.close)
+    rhs_terms = []
+    if ode.rhs != ZERO:
+        hi = None if isinstance(ceq.interval, HalfLine) else ceq.interval.b
+        chi = st.juxt.join(_heavisides(ceq.interval.a, hi, st, paren))
+        rhs_terms.append((1, chi + st.juxt + _coeff_group(ode.rhs, st)))
+    for rec in ceq.corrections:
+        datom = _delta(_endpoint_loc(ceq, rec), rec.j - 1, st, paren)
+        a_i = ode.coeffs[rec.i]
+        coeff_bits = [] if rec.binomial == 1 else [str(rec.binomial)]
+        if a_i != ONE:
+            coeff_bits.append(_coeff_group(a_i, st))
+        pre = st.juxt.join(coeff_bits) + st.mul if coeff_bits else ""
+        rhs_terms.append((rec.sign,
+                          pre + st.star % (datom, _psi(rec.i - rec.j, st))))
+    return f"{_ode_lhs(ode, st)} = {_join_signed(rhs_terms)}"
 
 
 def format_confined_text(ceq: ConfinedEquation) -> str:
-    ode = ceq.base
-    lhs = _ode_lhs_text(ode)
-    if isinstance(ceq.interval, HalfLine):
-        chi = f"H({_shift_text(ceq.interval.a, False)})"
-    else:
-        chi = (f"H({_shift_text(ceq.interval.a, False)})"
-               f"*H({_shift_text(ceq.interval.b, True)})")
-    rhs_terms = []
-    if ode.rhs != ZERO:
-        rhs_terms.append((1, f"{chi}*({format_expr(ode.rhs)})"))
-    for rec in ceq.corrections:
-        loc = ceq.interval.a if (isinstance(ceq.interval, HalfLine)
-                                 or rec.endpoint == "lower") else ceq.interval.b
-        datom = _atom_text(loc, rec.j - 1, None)
-        a_i = ode.coeffs[rec.i]
-        coeff_bits = [] if rec.binomial == 1 else [str(rec.binomial)]
-        if a_i != ONE:
-            coeff_bits.append(f"({format_expr(a_i)})")
-        pre = "*".join(coeff_bits) + "*" if coeff_bits else ""
-        rhs_terms.append((rec.sign,
-                          f"{pre}({datom} (*) {_psi_name(rec.i - rec.j)})"))
-    return f"{lhs} = {_join_signed(rhs_terms)}"
-
-
-def _psi_latex(i: int) -> str:
-    if i in _PRIMES:
-        return "\\psi" + _PRIMES[i]
-    return f"\\psi^{{({i})}}"
-
-
-def _delta_latex(w: Fraction, k: int) -> str:
-    head = "\\delta" if k == 0 else f"\\delta^{{({k})}}"
-    return f"{head}\\left({_latex_shift(w, False)}\\right)"
+    return _confined(ceq, _TEXT)
 
 
 def format_confined_latex(ceq: ConfinedEquation) -> str:
-    ode = ceq.base
-    lhs_terms = []
-    for i, c in enumerate(ode.coeffs):
-        if c == ZERO:
-            continue
-        lhs_terms.append(_psi_latex(i) if c == ONE
-                         else f"\\left({format_expr_latex(c)}\\right){_psi_latex(i)}")
-    lhs = " + ".join(reversed(lhs_terms)) if lhs_terms else "0"
-    if isinstance(ceq.interval, HalfLine):
-        chi = f"H\\left({_latex_shift(ceq.interval.a, False)}\\right)"
-    else:
-        chi = (f"H\\left({_latex_shift(ceq.interval.a, False)}\\right)"
-               f"H\\left({_latex_shift(ceq.interval.b, True)}\\right)")
-    rhs_terms = []
-    if ode.rhs != ZERO:
-        rhs_terms.append((1, f"{chi}\\left({format_expr_latex(ode.rhs)}\\right)"))
-    for rec in ceq.corrections:
-        loc = ceq.interval.a if (isinstance(ceq.interval, HalfLine)
-                                 or rec.endpoint == "lower") else ceq.interval.b
-        datom = _delta_latex(loc, rec.j - 1)
-        a_i = ode.coeffs[rec.i]
-        coeff_bits = [] if rec.binomial == 1 else [str(rec.binomial)]
-        if a_i != ONE:
-            coeff_bits.append(f"\\left({format_expr_latex(a_i)}\\right)")
-        pre = "".join(coeff_bits)
-        if pre:
-            pre += "\\,"
-        rhs_terms.append((rec.sign,
-                          f"{pre}{datom} \\star {_psi_latex(rec.i - rec.j)}"))
-    return f"{lhs} = {_join_signed(rhs_terms)}"
+    return _confined(ceq, _LATEX)
 
 
 def confined_to_jsonable(ceq: ConfinedEquation) -> dict:

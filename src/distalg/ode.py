@@ -18,14 +18,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .dist import (GenDist, DeltaAtom, _assemble, add, delta_dist, equal_dist,
                    differentiate, heaviside, indicator, scale, smooth_mul,
                    smooth_times_atom, sub, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
 from .expr import (SmoothExpr, Verdict, ZERO, chebyshev_nodes, diff_expr,
-                   eval_num, poly_normal_form, product_of, sub_expr, sum_of)
+                   eval_num, poly_eval, poly_normal_form, product_of,
+                   real_root_count, sub_expr, sum_of)
 from .dist import as_expr
 from .scalars import ComplexRational, ScalarLike, as_fraction
 from .star import star
@@ -96,9 +97,12 @@ def _sampled_nonvanishing(e: SmoothExpr, lo: float = -10.0, hi: float = 10.0,
 def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     """Coefficients ascending (a_0 first).  The order must be >= 1: with no
     derivatives there is nothing to confine.  The leading coefficient must
-    not be the zero expression; nonvanishing on the line is only sampled and
-    the result is carried in reports.  A constant lead c is not sampled:
-    its samples would all be c, so the test is |c| > 1e-9."""
+    not be the zero expression; nonvanishing on [-10, 10] is only sampled
+    and the result is carried in reports.  A constant lead c is not sampled:
+    its samples would all be c, so the test is |c| > 1e-9.  A polynomial
+    lead with a real root in the window fails without sampling, since the
+    sample nodes need not hit the root; the Sturm count of
+    ``real_root_count`` finds it exactly."""
     cs = tuple(as_expr(c) for c in coeffs)
     if len(cs) < 2:
         raise ShapeError("need order >= 1 (at least two coefficients)")
@@ -109,6 +113,9 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
                                            "expression")
     if p is not None and len(p) == 1:
         nonzero = abs(complex(p[0])) > 1e-9
+    elif p is not None and (real_root_count(p, Fraction(-10), Fraction(10))
+                            or poly_eval(p, Fraction(-10)).is_zero):
+        nonzero = False
     else:
         nonzero = _sampled_nonvanishing(lead)
     return LinearODE(cs, as_expr(rhs), nonzero)

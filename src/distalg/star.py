@@ -5,7 +5,7 @@ limit of F(x)·G(x+eps) for eps -> 0+.  Its closed form multiplies aligned
 regular parts pointwise and pairs each atom with a one-sided piece of the
 other factor: F's atoms see G's piece just RIGHT of the atom location, G's
 atoms see F's piece just LEFT of it.  That one-sided selection is the entire
-asymmetry and lives in a single helper; the product variants are that
+asymmetry and lives in ``star`` alone; the product variants are that
 product with its arguments swapped, so they share one audited site.
 
 ``hormander`` is the classical product for disjoint singular supports; it is
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .dist import (GenDist, _assemble, align, normalize_dist, add, scale, sub,
                    singular_support, smooth_times_atom)
 from .errors import OverlapError
-from .expr import SmoothExpr, product_of
+from .expr import product_of
 
 
 class VariantTag(enum.Enum):
@@ -33,10 +33,9 @@ class VariantTag(enum.Enum):
     STAR5 = "star5"
 
 
-def _translation_limit_product(F: GenDist, G: GenDist) -> GenDist:
-    """Closed form of the eps -> 0+ right-translation limit on aligned
-    breakpoints: F-atoms pair with G's right piece, G-atoms with F's left
-    piece."""
+def star(F: GenDist, G: GenDist) -> GenDist:
+    """The noncommutative product; associative, distributive, and equal to
+    the pointwise product whenever either factor is smooth."""
     Fa, Ga = align(F, G)
     breaks = Fa.breakpoints
     pieces = tuple(product_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
@@ -50,12 +49,6 @@ def _translation_limit_product(F: GenDist, G: GenDist) -> GenDist:
         j = bisect.bisect_left(breaks, a.w)
         atoms += smooth_times_atom(Fa.pieces[j], a)
     return _assemble(breaks, pieces, atoms)
-
-
-def star(F: GenDist, G: GenDist) -> GenDist:
-    """The noncommutative product; associative, distributive, and equal to
-    the pointwise product whenever either factor is smooth."""
-    return _translation_limit_product(F, G)
 
 
 def star_variant(F: GenDist, G: GenDist, tag: VariantTag) -> GenDist:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -33,7 +33,7 @@ from .expr import (Cos, Exp, Power, Product, Quotient, Sin, SmoothExpr, Sum,
                    X, const, diff_expr, eval_num, exp_of, is_polynomial,
                    poly_eval, poly_normal_form, power_of, product_of,
                    quotient_of, real_root_count, reduced_denominator,
-                   sub_expr, sum_of, ONE)
+                   sub_expr, ONE)
 from .scalars import as_fraction
 
 

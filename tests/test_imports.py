@@ -3,6 +3,7 @@
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded long before."""
 
+import ast
 import json
 import os
 import subprocess
@@ -82,3 +83,65 @@ print(d.expr_equal(e("exp(x)"), e("exp(x)+1/1000")),
     assert "verdict: Equal" in out[0] and "residual: 0" in out[0]
     assert abs(float(out[1]) - 0.367879441171) < 1e-6
     assert out[2] == "Unequal Unknown"
+
+
+def _annotation_names(node):
+    """Names inside string annotations, which the AST keeps as strings."""
+    for ann in ast.walk(node):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            try:
+                sub = ast.parse(ann.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (n.id for n in ast.walk(sub) if isinstance(n, ast.Name))
+
+
+def unused_imports(source):
+    """Names a module imports and never uses; `from __future__` imports and
+    names listed in `__all__` count as used."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef,
+                               ast.AsyncFunctionDef)):
+            ann = (node.returns if isinstance(node, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef))
+                   else node.annotation)
+            if ann is not None:
+                used.update(_annotation_names(ann))
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(e.value for e in node.value.elts)
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    pkg = Path(distalg.__file__).resolve().parent
+    found = {p.name: unused_imports(p.read_text())
+             for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_unused_import_check_sees_its_cases():
+    src = ("from __future__ import annotations\n"
+           "import os, json as j\n"
+           "from typing import List, Optional\n"
+           "from .a import b, c\n"
+           "def f(x: 'List[int]') -> Optional[int]:\n"
+           "    return os.sep\n")
+    assert unused_imports(src) == ["b (line 4)", "c (line 4)",
+                                   "j (line 2)"]

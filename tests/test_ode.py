@@ -72,6 +72,29 @@ class TestConstantLeadShortcut:
         assert ode_mod._sampled_nonvanishing(e)
 
 
+class TestPolynomialLeadRoots:
+    """A polynomial lead with a real root in the sampled window [-10, 10]
+    is flagged, though no sample node hits the root; otherwise the result
+    is what sampling gives."""
+
+    @pytest.mark.parametrize("lead", ["x", "(x-1/3)^2", "x^3-2", "i*x",
+                                      "x+10", "x-10", "(x-2)*(x^2+1)"])
+    def test_root_in_window_flagged(self, lead):
+        e = d.parse_smooth_expr(lead)
+        assert not d.make_ode([d.ONE, e]).leading_sampled_nonzero
+
+    def test_sampling_misses_the_roots(self):
+        for lead in ("x", "(x-1/3)^2", "x^3-2"):
+            assert ode_mod._sampled_nonvanishing(d.parse_smooth_expr(lead))
+
+    @pytest.mark.parametrize("lead", ["x-11", "x+21/2", "1+x^2",
+                                      "(x-i)*(x+i)", "x^2+1/1000", "x+i"])
+    def test_no_root_in_window_agrees_with_sampling(self, lead):
+        e = d.parse_smooth_expr(lead)
+        assert (d.make_ode([d.ONE, e]).leading_sampled_nonzero
+                is ode_mod._sampled_nonvanishing(e) is True)
+
+
 class TestConfinedStructure:
     def test_halfline_records(self):
         ceq = d.confine_halfline(second_order(), 0)

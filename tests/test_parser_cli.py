@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -519,3 +522,19 @@ class TestCliMisc:
     def test_help(self):
         code, out, _ = run("--help")
         assert code == 0 and "COMMAND" in out
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        src = str(Path(d.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distalg.cli", "fmt", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env)
+        # the child reads its input first, so it writes only after the
+        # reader of its stdout is gone
+        proc.stdout.close()
+        _, err = proc.communicate(b"H(x)+H(x)\n", timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err, err.decode()
