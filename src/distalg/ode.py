@@ -24,9 +24,10 @@ from .dist import (GenDist, DeltaAtom, _assemble, add, delta_dist, equal_dist,
                    differentiate, heaviside, indicator, scale, smooth_mul,
                    smooth_times_atom, sub, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
-from .expr import (SmoothExpr, Verdict, ZERO, chebyshev_nodes, diff_expr,
-                   eval_num, poly_eval, poly_normal_form, product_of,
-                   real_root_count, sub_expr, sum_of)
+from .expr import (Quotient, SmoothExpr, Verdict, ZERO, _coeff_core,
+                   chebyshev_nodes, diff_expr, eval_num, poly_eval,
+                   poly_normal_form, product_of, real_root_count, sub_expr,
+                   sum_of)
 from .dist import as_expr
 from .scalars import ComplexRational, ScalarLike, as_fraction
 from .star import star
@@ -94,6 +95,12 @@ def _sampled_nonvanishing(e: SmoothExpr, lo: float = -10.0, hi: float = 10.0,
     return bool(np.all(np.abs(vals) > floor) and np.all(np.isfinite(vals)))
 
 
+def _has_root_in_window(p: Sequence[ComplexRational]) -> bool:
+    """A real root of the polynomial p in [-10, 10]."""
+    return bool(real_root_count(p, Fraction(-10), Fraction(10))
+                or poly_eval(p, Fraction(-10)).is_zero)
+
+
 def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     """Coefficients ascending (a_0 first).  The order must be >= 1: with no
     derivatives there is nothing to confine.  The leading coefficient must
@@ -102,7 +109,9 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     its samples would all be c, so the test is |c| > 1e-9.  A polynomial
     lead with a real root in the window fails without sampling, since the
     sample nodes need not hit the root; the Sturm count of
-    ``real_root_count`` finds it exactly."""
+    ``real_root_count`` finds it exactly.  So does a quotient of two
+    polynomials, or a constant times one, whose numerator or denominator
+    has a real root there: a root or a pole of the lead."""
     cs = tuple(as_expr(c) for c in coeffs)
     if len(cs) < 2:
         raise ShapeError("need order >= 1 (at least two coefficients)")
@@ -111,10 +120,14 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     if lead == ZERO or p == ():
         raise DegenerateLeadingCoefficient("leading coefficient is the zero "
                                            "expression")
+    # the polynomials whose real roots are the roots and poles of the lead
+    polys = [p]
+    core = _coeff_core(lead)[1]
+    if p is None and isinstance(core, Quotient):
+        polys = [poly_normal_form(core.num), poly_normal_form(core.den)]
     if p is not None and len(p) == 1:
         nonzero = abs(complex(p[0])) > 1e-9
-    elif p is not None and (real_root_count(p, Fraction(-10), Fraction(10))
-                            or poly_eval(p, Fraction(-10)).is_zero):
+    elif None not in polys and any(_has_root_in_window(q) for q in polys):
         nonzero = False
     else:
         nonzero = _sampled_nonvanishing(lead)
@@ -170,7 +183,12 @@ def _derivative_chain(psi: GenDist, n: int) -> List[GenDist]:
 def correction_values(ceq: ConfinedEquation, psi: GenDist) -> List[GenDist]:
     """The value of each correction record at the candidate, including sign
     and binomial factor, in record order."""
-    derivs = _derivative_chain(psi, ceq.base.n)
+    return _corrections(ceq, _derivative_chain(psi, ceq.base.n))
+
+
+def _corrections(ceq: ConfinedEquation, derivs: Sequence[GenDist]
+                 ) -> List[GenDist]:
+    """``correction_values`` from the candidate's derivatives 0..n."""
     out = []
     for rec in ceq.corrections:
         loc = _endpoint_loc(ceq, rec)
@@ -192,7 +210,7 @@ def residual(ceq: ConfinedEquation, psi: GenDist) -> GenDist:
     lhs = add(*(smooth_mul(a_i, derivs[i])
                 for i, a_i in enumerate(ceq.base.coeffs) if a_i != ZERO))
     rhs = add(smooth_mul(ceq.base.rhs, indicator_dist(ceq)),
-              *correction_values(ceq, psi))
+              *_corrections(ceq, derivs))
     return sub(rhs, lhs)
 
 

@@ -7,17 +7,23 @@ a command, not notation).  A product that would need the algebra -- two
 delta factors, or a delta against a piecewise factor -- is rejected with a
 SemanticsError.
 
-Grammar sketch (rationals are ``p/q`` or decimal digits, parsed exactly):
+Smooth text and distribution text share one grammar (rationals are ``p/q``
+or decimal digits, parsed exactly):
 
-    dist    := ('+'|'-')? dterm (('+'|'-') dterm)*
-    dterm   := dfactor (('*'|'/') dfactor)*      -- '/' needs a smooth divisor
-    dfactor := 'H' '(' linarg ')'
+    sum     := ('+'|'-')? term (('+'|'-') term)*
+    term    := signed (('*'|'/') signed)*     -- '/' needs a smooth divisor
+    signed  := ('+'|'-') signed | primary ('^' uint)*   -- '^' a smooth base
+    primary := rational | 'x' | 'i' | ('exp'|'sin'|'cos') '(' sum ')'
+             | '(' sum ')' | 'H' '(' linarg ')'
              | 'delta' ('[' uint ']')? '(' linarg ')'
-             | '(' dist ')' ('^' uint)?          -- power needs smooth content
-             | smooth-factor
     linarg  := ('+'|'-')? 'x' (('+'|'-') rational)? | rational '-' 'x'
-    smooth  := full arithmetic over rationals, 'i', 'x', exp/sin/cos,
-               with '+', '-', '*', '/', '^' uint and parentheses
+
+A value is a smooth expression until an H or delta factor makes it a
+distribution.  H and delta are names only in distribution text, and never
+inside a function's argument.  A term's sign applies to the whole term.  A
+parenthesized distribution with no breakpoints and no atoms reads as its
+smooth piece.  Parentheses, function arguments and signs each open one
+nesting level.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import ParseError, SemanticsError
 from .expr import (SmoothExpr, X, ONE, const, cos_of, exp_of, neg, power_of,
                    product_of, quotient_of, sin_of, sum_of)
 from .scalars import ComplexRational, as_fraction
+from .star import star
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<id>[A-Za-z_]+)"
                        r"|(?P<op>[-+*/^()\[\],;]))")
@@ -67,32 +74,35 @@ def _tokenize(text: str) -> List[_Tok]:
     return out
 
 
-_Value = Tuple[str, Union[SmoothExpr, GenDist]]  # ("smooth", e) | ("dist", F)
+_Value = Union[SmoothExpr, GenDist]  # smooth until an H or delta factor
 
-# Parentheses, function arguments and unary signs each open one level; the
-# limit keeps the descent and the later tree walks inside Python's
-# recursion limit.
+# Parentheses, function arguments and signs each open one level; the limit
+# keeps the descent and the later tree walks inside Python's recursion limit.
 _MAX_DEPTH = 100
+
+_FUNCTIONS = {"exp": exp_of, "sin": sin_of, "cos": cos_of}
+
+
+def _negate(v: _Value) -> _Value:
+    return scale(-1, v) if isinstance(v, GenDist) else neg(v)
 
 
 def _pointwise_mul(A: GenDist, B: GenDist, pos: int) -> GenDist:
-    from .dist import align
     if A.all_atoms or B.all_atoms:
         raise SemanticsError(
             "a delta factor can only be multiplied by smooth factors in "
             "construction syntax; use the mul command for the algebra "
             f"product (at position {pos})")
-    Aa, Ba = align(A, B)
-    pieces = tuple(product_of(p, q) for p, q in zip(Aa.pieces, Ba.pieces))
-    return _assemble(Aa.breakpoints, pieces)
+    return star(A, B)
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, dist_names: bool):
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
+        # whether H and delta are names; never inside a function argument
+        self.dist_names = dist_names
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -144,69 +154,105 @@ class _Parser:
             val = val / q
         return val
 
-    # -- smooth expressions ----------------------------------------------
+    # -- the grammar ------------------------------------------------------
 
-    def smooth_expr(self) -> SmoothExpr:
-        e = self.smooth_term()
+    def sign(self, parse) -> _Value:
+        """A '+' or '-' followed by parse(), one level deeper."""
+        t = self.next()
+        v = self.nested(parse, t.pos)
+        return _negate(v) if t.text == "-" else v
+
+    def sum(self) -> _Value:
+        terms = [self.sign(self.term) if self.at_op("+", "-")
+                 else self.term()]
         while self.at_op("+", "-"):
             op = self.next().text
-            rhs = self.smooth_term()
-            e = sum_of(e, rhs if op == "+" else neg(rhs))
-        return e
+            v = self.term()
+            terms.append(_negate(v) if op == "-" else v)
+        if len(terms) == 1:
+            # a lone term is assembled already; add would renormalize it
+            return terms[0]
+        if not any(isinstance(v, GenDist) for v in terms):
+            return sum_of(*terms)
+        return add(*(v if isinstance(v, GenDist) else smooth_dist(v)
+                     for v in terms))
 
-    def smooth_term(self) -> SmoothExpr:
-        e = self.smooth_unary()
+    def term(self) -> _Value:
+        v = self.signed()
         while self.at_op("*", "/"):
-            op = self.next().text
-            rhs = self.smooth_unary()
-            if op == "*":
-                e = product_of(e, rhs)
-            else:
+            op = self.next()
+            rhs = self.signed()
+            smooth = not isinstance(v, GenDist)
+            if op.text == "/":
+                if isinstance(rhs, GenDist):
+                    raise SemanticsError(
+                        f"divisor must be smooth (at position {op.pos})")
+                # smooth/smooth is one quotient, so an exact division keeps
+                # its polynomial normal form
                 try:
-                    e = quotient_of(e, rhs)
+                    q = quotient_of(v if smooth else ONE, rhs)
                 except ZeroDivisionError:
-                    raise ParseError("division by zero", self.peek().pos)
-        return e
+                    raise ParseError("division by zero", op.pos)
+                v = q if smooth else smooth_mul(q, v)
+            elif not isinstance(rhs, GenDist):
+                v = product_of(v, rhs) if smooth else smooth_mul(rhs, v)
+            elif smooth:
+                v = smooth_mul(v, rhs)
+            else:
+                v = _pointwise_mul(v, rhs, op.pos)
+        return v
 
-    def smooth_unary(self) -> SmoothExpr:
-        if self.at_op("-"):
-            return neg(self.nested(self.smooth_unary, self.next().pos))
-        if self.at_op("+"):
-            return self.nested(self.smooth_unary, self.next().pos)
-        return self.smooth_postfix()
-
-    def smooth_postfix(self) -> SmoothExpr:
-        e = self.smooth_primary()
+    def signed(self) -> _Value:
+        if self.at_op("+", "-"):
+            return self.sign(self.signed)
+        v = self.primary()
         while self.at_op("^"):
+            if isinstance(v, GenDist):
+                raise ParseError("'^' needs a smooth base", self.peek().pos)
             self.next()
-            e = power_of(e, self.uint())
-        return e
+            v = power_of(v, self.uint())
+        return v
 
-    def smooth_primary(self) -> SmoothExpr:
-        t = self.peek()
+    def primary(self) -> _Value:
+        t = self.next()
         if t.kind == "num":
-            self.next()
             return const(Fraction(t.text))
         if t.kind == "id":
             if t.text == "x":
-                self.next()
                 return X
             if t.text == "i":
-                self.next()
                 return const(ComplexRational(Fraction(0), Fraction(1)))
-            if t.text in ("exp", "sin", "cos"):
-                self.next()
-                arg = self.nested(self.smooth_expr, self.expect_op("(").pos)
+            if t.text in _FUNCTIONS:
+                outer, self.dist_names = self.dist_names, False
+                arg = self.nested(self.sum, self.expect_op("(").pos)
+                self.dist_names = outer
                 self.expect_op(")")
-                return {"exp": exp_of, "sin": sin_of, "cos": cos_of}[t.text](arg)
+                return _FUNCTIONS[t.text](arg)
+            if self.dist_names and t.text in ("H", "delta"):
+                return self.step_or_delta(t.text)
             raise ParseError(f"{t.text!r} is not a smooth function here", t.pos)
-        if self.at_op("("):
-            e = self.nested(self.smooth_expr, self.next().pos)
+        if t.kind == "op" and t.text == "(":
+            v = self.nested(self.sum, t.pos)
             self.expect_op(")")
-            return e
+            if (isinstance(v, GenDist) and not v.breakpoints
+                    and not v.all_atoms):
+                return v.pieces[0]
+            return v
         raise ParseError("expected a smooth operand", t.pos)
 
-    # -- distributions ----------------------------------------------------
+    def step_or_delta(self, name: str) -> GenDist:
+        k = 0
+        if name == "delta" and self.at_op("["):
+            self.next()
+            k = self.uint()
+            self.expect_op("]")
+        self.expect_op("(")
+        w, reflected = self.linarg()
+        self.expect_op(")")
+        if name == "delta":
+            return delta_dist(w, k, (-1) ** k if reflected else 1)
+        pieces = [const(1), const(0)] if reflected else [const(0), const(1)]
+        return make_piecewise([w], pieces)
 
     def linarg(self) -> Tuple[Fraction, bool]:
         """Linear argument of H or delta: returns (w, reflected) meaning
@@ -234,103 +280,25 @@ class _Parser:
         # unreflected: x + q  ->  w = -q ; reflected: -x + q  ->  w = q
         return (q if reflected else -q), reflected
 
-    def dfactor(self) -> _Value:
-        t = self.peek()
-        if t.kind == "id" and t.text == "H":
-            self.next()
-            self.expect_op("(")
-            w, reflected = self.linarg()
-            self.expect_op(")")
-            pieces = ([const(1), const(0)] if reflected
-                      else [const(0), const(1)])
-            return "dist", make_piecewise([w], pieces)
-        if t.kind == "id" and t.text == "delta":
-            self.next()
-            k = 0
-            if self.at_op("["):
-                self.next()
-                k = self.uint()
-                self.expect_op("]")
-            self.expect_op("(")
-            w, reflected = self.linarg()
-            self.expect_op(")")
-            c = (-1) ** k if reflected else 1
-            return "dist", delta_dist(w, k, c)
-        if self.at_op("("):
-            D = self.nested(self.dist_body, self.next().pos)
-            self.expect_op(")")
-            if not D.breakpoints and not D.all_atoms:
-                e: SmoothExpr = D.pieces[0]
-                while self.at_op("^"):
-                    self.next()
-                    e = power_of(e, self.uint())
-                return "smooth", e
-            if self.at_op("^"):
-                raise ParseError("'^' needs a smooth base", self.peek().pos)
-            return "dist", D
-        return "smooth", self.smooth_postfix()
 
-    def dterm(self) -> GenDist:
-        kind, val = self.dfactor()
-        while self.at_op("*", "/"):
-            op = self.next()
-            k2, v2 = self.dfactor()
-            if op.text == "/":
-                if k2 != "smooth":
-                    raise SemanticsError(
-                        f"divisor must be smooth (at position {op.pos})")
-                # smooth/smooth is one quotient, as in parse_smooth_expr, so
-                # an exact division keeps its polynomial normal form
-                try:
-                    q = quotient_of(val if kind == "smooth" else ONE, v2)
-                except ZeroDivisionError:
-                    raise ParseError("division by zero", op.pos)
-                val = q if kind == "smooth" else smooth_mul(q, val)
-                continue
-            if kind == "smooth" and k2 == "smooth":
-                val = product_of(val, v2)
-            elif kind == "smooth":
-                val = smooth_mul(val, v2)
-                kind = "dist"
-            elif k2 == "smooth":
-                val = smooth_mul(v2, val)
-            else:
-                val = _pointwise_mul(val, v2, op.pos)
-        if kind == "smooth":
-            return smooth_dist(val)
-        return val
-
-    def dist_body(self) -> GenDist:
-        terms = []
-        op = "+"
-        if self.at_op("+", "-"):
-            op = self.next().text
-        while True:
-            F = self.dterm()
-            terms.append(scale(-1, F) if op == "-" else F)
-            if not self.at_op("+", "-"):
-                # a lone term is assembled already; add would renormalize it
-                return add(*terms) if len(terms) > 1 else terms[0]
-            op = self.next().text
-
-
-def parse_smooth_expr(text: str) -> SmoothExpr:
-    p = _Parser(text)
-    e = p.smooth_expr()
+def _parse(text: str, dist_names: bool) -> _Value:
+    p = _Parser(text, dist_names)
+    v = p.sum()
     t = p.peek()
     if t.kind != "end":
         raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
-    return e
+    return v
+
+
+def parse_smooth_expr(text: str) -> SmoothExpr:
+    """Parse smooth text: the grammar without H and delta."""
+    return _parse(text, False)
 
 
 def parse_dist(text: str) -> GenDist:
     """Parse construction syntax into a normalized distribution."""
-    p = _Parser(text)
-    F = p.dist_body()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
-    return F
+    v = _parse(text, True)
+    return v if isinstance(v, GenDist) else smooth_dist(v)
 
 
 def parse_rational(text: str) -> Fraction:

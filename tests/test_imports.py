@@ -145,3 +145,76 @@ def test_unused_import_check_sees_its_cases():
            "    return os.sep\n")
     assert unused_imports(src) == ["b (line 4)", "c (line 4)",
                                    "j (line 2)"]
+
+
+def unreferenced_private_names(sources):
+    """Private top-level functions, classes and assignments, and the methods
+    of private classes, that no module of `sources` (name -> text)
+    references by name or attribute.  Methods of a class with a base class
+    are skipped, since the base may call an override."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            if (isinstance(node, ast.ClassDef) and node.name.startswith("_")
+                    and not node.bases):
+                defined += [(module, item.name, item.lineno)
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                            and not item.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+                used.update(_annotation_names(node.annotation))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.returns):
+                used.update(_annotation_names(node.returns))
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, name, line in defined if name not in used)
+
+
+def test_no_unreferenced_private_names():
+    pkg = Path(distalg.__file__).resolve().parent
+    sources = {p.name: p.read_text() for p in sorted(pkg.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_dead_code_check_sees_its_cases():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_unused_table = {}\n"
+                 "def _helper(x: '_Alias') -> int:\n"
+                 "    return x + _LIMIT\n"
+                 "class _Walker:\n"
+                 "    def __init__(self):\n"
+                 "        self.step()\n"
+                 "    def step(self):\n"
+                 "        pass\n"
+                 "    def old_step(self):\n"
+                 "        pass\n"),
+        "b.py": ("from .a import _helper, _Walker\n"
+                 "_Alias = int\n"
+                 "def _orphan():\n"
+                 "    return _Walker()\n"),
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py: _unused_table (line 2)", "a.py: old_step (line 10)",
+        "b.py: _orphan (line 3)"]

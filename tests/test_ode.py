@@ -74,7 +74,8 @@ class TestConstantLeadShortcut:
 
 class TestPolynomialLeadRoots:
     """A polynomial lead with a real root in the sampled window [-10, 10]
-    is flagged, though no sample node hits the root; otherwise the result
+    is flagged, though no sample node hits the root, and so is a quotient
+    of two polynomials with a root or a pole there; otherwise the result
     is what sampling gives."""
 
     @pytest.mark.parametrize("lead", ["x", "(x-1/3)^2", "x^3-2", "i*x",
@@ -87,8 +88,17 @@ class TestPolynomialLeadRoots:
         for lead in ("x", "(x-1/3)^2", "x^3-2"):
             assert ode_mod._sampled_nonvanishing(d.parse_smooth_expr(lead))
 
+    @pytest.mark.parametrize("lead", ["x/(x-1)", "(x-1)/(x+20)", "1/(x-3)",
+                                      "-2*x/(x-1)", "1/(x+10)", "1/(x^2-2)"])
+    def test_rational_root_or_pole_in_window_flagged(self, lead):
+        e = d.parse_smooth_expr(lead)
+        assert ode_mod._sampled_nonvanishing(e)
+        assert not d.make_ode([d.ONE, e]).leading_sampled_nonzero
+
     @pytest.mark.parametrize("lead", ["x-11", "x+21/2", "1+x^2",
-                                      "(x-i)*(x+i)", "x^2+1/1000", "x+i"])
+                                      "(x-i)*(x+i)", "x^2+1/1000", "x+i",
+                                      "1/(x+20)", "(x^2+1)/(x^2+2)",
+                                      "exp(x)/(x-1)"])
     def test_no_root_in_window_agrees_with_sampling(self, lead):
         e = d.parse_smooth_expr(lead)
         assert (d.make_ode([d.ONE, e]).leading_sampled_nonzero
@@ -157,6 +167,21 @@ class TestResidualHalfline:
         psi = d.smooth_mul(linear(-1, 1), d.heaviside(1))  # (x-1)*H(x-1)
         assert d.is_zero_dist(d.residual(ceq, psi))
         assert {a.w for a in d.residual(ceq, d.smooth_dist(d.X)).atoms} == {Fraction(1)}
+
+    def test_differentiates_the_candidate_once_per_order(self, monkeypatch):
+        calls = []
+
+        def counted(F):
+            calls.append(F)
+            return d.differentiate(F)
+
+        monkeypatch.setattr(ode_mod, "differentiate", counted)
+        ode = d.make_ode([d.ONE, d.X, d.ZERO, d.ONE])
+        psi = d.parse_dist("(1 + x^2)*H(x) + delta(x-1)")
+        for ceq in (d.confine_halfline(ode, 0), d.confine_interval(ode, 0, 2)):
+            calls.clear()
+            d.residual(ceq, psi)
+            assert len(calls) == ode.n
 
     def test_wrong_shapes_never_pass(self):
         # candidates with an extra atom or a live left branch must fail

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distalg as d
 from distalg import Verdict
@@ -84,6 +85,56 @@ class TestSmoothGrammar:
             d.parse_smooth_expr("x^(1/2)")
 
 
+def _smooth_texts():
+    """Smooth text from numbers, x, i, exp/sin/cos, parentheses, the binary
+    operators and '^', with a sign allowed before any factor."""
+    leaf = st.sampled_from(["x", "i", "0", "1", "2", "7", "3/4", "0.5"])
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos"]),
+                      inner),
+            st.builds("({})".format, inner),
+            st.builds("{}^{}".format, inner, st.integers(0, 3)),
+            st.builds("{}{}".format, st.sampled_from("+-"), inner),
+            st.builds("{}{}{}".format, inner,
+                      st.sampled_from(["+", "-", "*", "/", " - "]), inner))
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except d.DistAlgError as e:
+        return type(e)
+
+
+class TestEntryPointsAgree:
+    """Smooth text means the same to both entry points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_smooth_texts())
+    def test_dist_of_smooth_text_is_its_smooth_dist(self, text):
+        e = _parsed(d.parse_smooth_expr, text)
+        want = e if isinstance(e, type) else d.smooth_dist(e)
+        assert _parsed(d.parse_dist, text) == want
+
+    def test_json_round_trip_of_a_negative_product(self):
+        F = d.parse_dist("-(1+x)*exp(x)*H(x)")
+        assert d.parse_dist_json(d.dist_to_jsonable(F)) == F
+
+    @pytest.mark.parametrize("e", [
+        d.neg(d.product_of(d.sum_of(d.ONE, d.X), d.exp_of(d.X))),
+        d.neg(d.quotient_of(d.X, d.exp_of(d.ONE))),
+    ], ids=["-(1 + x)*exp(x)", "-x/exp(1)"])
+    def test_smooth_text_round_trip_is_tree_exact(self, e):
+        assert d.parse_smooth_expr(d.format_expr(e)) == e
+
+    def test_sign_before_a_factor_applies_to_its_term(self):
+        assert d.parse_dist("H(x)*-x") == d.parse_dist("-x*H(x)")
+
+
 class TestNestingDepth:
     @pytest.mark.parametrize("parse, text, position", [
         (d.parse_smooth_expr, "(" * 199 + "x" + ")" * 199, 100),
@@ -91,7 +142,8 @@ class TestNestingDepth:
         (d.parse_smooth_expr, "-" * 2000 + "x", 100),
         (d.parse_smooth_expr, "exp(" * 300 + "x" + ")" * 300, 403),
         (d.parse_dist, "cos(" * 300 + "x" + ")" * 300 + "*H(x)", 403),
-    ], ids=["parens", "dist-parens", "signs", "exp", "cos"])
+        (d.parse_dist, "(" * 100 + "-H(x)" + ")" * 100, 100),
+    ], ids=["parens", "dist-parens", "signs", "exp", "cos", "dist-sign"])
     def test_deep_nesting_is_a_parse_error(self, parse, text, position):
         with pytest.raises(ParseError, match="nesting") as exc:
             parse(text)
