@@ -24,11 +24,8 @@ from .errors import DistAlgError, ParseError, SemanticsError
 from .expr import Verdict, eval_exact, poly_normal_form
 from .fmt import (confined_to_jsonable, format_confined_latex,
                   format_confined_text, format_dist, report_to_jsonable)
-from .ode import (ConfinedEquation, confine_halfline, confine_interval,
-                  make_ode, particular_rhs, residual, verify_confinement)
 from .parser import parse_dist, parse_rational, parse_smooth_expr
 from .star import VariantTag, bracket, hormander, star_variant
-from .weak import QuadratureConfig, action, make_bump, star_oracle
 
 
 class _UsageError(Exception):
@@ -65,7 +62,8 @@ def _fill_from_stdin(values: List[Optional[str]]) -> List[str]:
     return out
 
 
-def _quad_config(args) -> QuadratureConfig:
+def _quad_config(args):
+    from .weak import QuadratureConfig
     nodes = getattr(args, "quad_nodes", None)
     if nodes is None:
         env = os.environ.get("DISTALG_QUAD_NODES", "").strip()
@@ -94,6 +92,7 @@ def _quad_config(args) -> QuadratureConfig:
 
 
 def _bump(text: str):
+    from .weak import make_bump
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (2, 3):
         raise _UsageError("--bump needs 'a,b' or 'a,b,c'")
@@ -108,6 +107,7 @@ def _bump(text: str):
 
 def _ode(text: str):
     """'a_n,...,a_0;f' with coefficients highest order first."""
+    from .ode import make_ode
     head, _, tail = text.partition(";")
     coeff_texts = [p.strip() for p in head.split(",")]
     if len(coeff_texts) < 2:
@@ -117,7 +117,8 @@ def _ode(text: str):
     return make_ode(list(reversed(coeffs)), rhs)
 
 
-def _confined(args) -> ConfinedEquation:
+def _confined(args):
+    from .ode import confine_halfline, confine_interval
     ode = _ode(args.ode)
     parts = [p.strip() for p in args.interval.split(",")]
     try:
@@ -178,6 +179,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_action(args) -> int:
+    from .weak import action
     (text,) = _fill_from_stdin([args.F])
     _print_complex(action(parse_dist(text), _bump(args.bump),
                           _quad_config(args)))
@@ -185,6 +187,7 @@ def _cmd_action(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .weak import star_oracle
     f_text, g_text = _fill_from_stdin([args.F, args.G])
     z = star_oracle(parse_dist(f_text), parse_dist(g_text), _bump(args.bump),
                     _quad_config(args), direction=args.direction)
@@ -204,6 +207,7 @@ def _cmd_confine(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    from .ode import residual
     ceq = _confined(args)
     (text,) = _fill_from_stdin([args.candidate])
     print(format_dist(residual(ceq, parse_dist(text)), args.mode))
@@ -211,6 +215,7 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_particular_rhs(args) -> int:
+    from .ode import particular_rhs
     ode = _ode(args.ode)
     vals = []
     for part in args.values.split(","):
@@ -226,6 +231,7 @@ def _cmd_particular_rhs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .ode import verify_confinement
     ceq = _confined(args)
     (text,) = _fill_from_stdin([args.psi])
     rep = verify_confinement(ceq, parse_smooth_expr(text))
@@ -249,12 +255,11 @@ def _cmd_fmt(args) -> int:
 # -- wiring -----------------------------------------------------------------
 
 
-def _add_mode(p, choices=("text", "latex", "json")):
-    p.add_argument("--mode", choices=list(choices), default="text",
-                   help="output format")
-
-
-def _add_quad(p, schedule: bool):
+def _add_weak(p, schedule: bool):
+    """The options of a weak action: the bump, the quadrature and, for the
+    oracle, its eps limit."""
+    p.add_argument("--bump", required=True, metavar="a,b[,c]",
+                   help="bump supported on ]a,b[ with amplitude c")
     p.add_argument("--quad-nodes", type=int, default=None,
                    help="Gauss-Legendre nodes per panel "
                         "(default: DISTALG_QUAD_NODES or 64)")
@@ -276,91 +281,60 @@ def build_parser() -> _ArgumentParser:
                     "numerical weak-action oracle, and ODE confinement.")
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("mul", help="one-sided product of two distributions")
-    p.add_argument("F", nargs="?")
-    p.add_argument("G", nargs="?")
+    def command(name, func, help, operands=(), ode=False, interval=False,
+                mode=("text", "latex", "json")):
+        """One subcommand, with the arguments that several share: optional
+        distribution operands, --ode, --interval and --mode."""
+        p = sub.add_parser(name, help=help)
+        for dest in operands:
+            p.add_argument(dest, nargs="?")
+        if ode:
+            p.add_argument("--ode", required=True, help="ODE coefficients "
+                           "'a_n,...,a_0;f', highest order first")
+        if interval:
+            p.add_argument("--interval", required=True,
+                           help="'a' for the half line ]a,oo[, or 'a,b'")
+        if mode:
+            p.add_argument("--mode", choices=list(mode), default="text",
+                           help="output format")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("mul", _cmd_mul, "one-sided product of two distributions",
+                ("F", "G"))
     p.add_argument("--variant", default="star",
                    choices=["star", "star2", "star3", "star4", "star5",
                             "hormander"])
-    _add_mode(p)
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("diff", help="distributional derivative")
-    p.add_argument("F", nargs="?")
+    p = command("diff", _cmd_diff, "distributional derivative", ("F",))
     p.add_argument("-n", type=int, default=1,
                    help="number of derivatives (default 1)")
-    _add_mode(p)
-    p.set_defaults(func=_cmd_diff)
-
-    p = sub.add_parser("antideriv",
-                       help="antiderivative (polynomial pieces only)")
-    p.add_argument("F", nargs="?")
-    _add_mode(p)
-    p.set_defaults(func=_cmd_antideriv)
-
-    p = sub.add_parser("bracket", help="Lie bracket [F,G] = F*G - G*F")
-    p.add_argument("F", nargs="?")
-    p.add_argument("G", nargs="?")
-    _add_mode(p)
-    p.set_defaults(func=_cmd_bracket)
-
-    p = sub.add_parser("action", help="weak action <F,t> on a bump")
-    p.add_argument("F", nargs="?")
-    p.add_argument("--bump", required=True, metavar="a,b[,c]",
-                   help="bump supported on ]a,b[ with amplitude c")
-    _add_quad(p, schedule=False)
-    p.set_defaults(func=_cmd_action)
-
-    p = sub.add_parser("oracle",
-                       help="translation-limit product action, numerically")
-    p.add_argument("F", nargs="?")
-    p.add_argument("G", nargs="?")
-    p.add_argument("--bump", required=True, metavar="a,b[,c]")
-    _add_quad(p, schedule=True)
-    p.set_defaults(func=_cmd_oracle)
-
-    ode_help = "ODE coefficients 'a_n,...,a_0;f', highest order first"
-    interval_help = "'a' for the half line ]a,oo[, or 'a,b'"
-
-    p = sub.add_parser("confine",
-                       help="transform an ODE so solutions are cut off")
-    p.add_argument("--ode", required=True, help=ode_help)
-    p.add_argument("--interval", required=True, help=interval_help)
-    _add_mode(p)
-    p.set_defaults(func=_cmd_confine)
-
-    p = sub.add_parser("residual",
-                       help="confined-equation residual of a candidate")
-    p.add_argument("--ode", required=True, help=ode_help)
-    p.add_argument("--interval", required=True, help=interval_help)
-    p.add_argument("candidate", nargs="?")
-    _add_mode(p)
-    p.set_defaults(func=_cmd_residual)
-
-    p = sub.add_parser("particular-rhs",
-                       help="delta terms a cutoff particular solution adds")
-    p.add_argument("--ode", required=True, help=ode_help)
+    command("antideriv", _cmd_antideriv,
+            "antiderivative (polynomial pieces only)", ("F",))
+    command("bracket", _cmd_bracket, "Lie bracket [F,G] = F*G - G*F",
+            ("F", "G"))
+    _add_weak(command("action", _cmd_action, "weak action <F,t> on a bump",
+                      ("F",), mode=()), schedule=False)
+    _add_weak(command("oracle", _cmd_oracle,
+                      "translation-limit product action, numerically",
+                      ("F", "G"), mode=()), schedule=True)
+    command("confine", _cmd_confine,
+            "transform an ODE so solutions are cut off",
+            ode=True, interval=True)
+    command("residual", _cmd_residual,
+            "confined-equation residual of a candidate", ("candidate",),
+            ode=True, interval=True)
+    p = command("particular-rhs", _cmd_particular_rhs,
+                "delta terms a cutoff particular solution adds", ode=True)
     p.add_argument("--at", required=True, help="endpoint location")
     p.add_argument("--values", required=True,
                    help="comma list psi(a),psi'(a),...,psi^(n-1)(a)")
-    _add_mode(p)
-    p.set_defaults(func=_cmd_particular_rhs)
-
-    p = sub.add_parser("verify",
-                       help="check that the cutoff of a smooth solution "
-                            "solves the confined equation")
-    p.add_argument("--ode", required=True, help=ode_help)
-    p.add_argument("--interval", required=True, help=interval_help)
+    p = command("verify", _cmd_verify,
+                "check that the cutoff of a smooth solution solves the "
+                "confined equation", ode=True, interval=True,
+                mode=("text", "json"))
     p.add_argument("psi", nargs="?",
                    help="smooth expression for the unconfined solution")
-    _add_mode(p, choices=("text", "json"))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("fmt", help="parse and re-emit a distribution")
-    p.add_argument("F", nargs="?")
-    _add_mode(p)
-    p.set_defaults(func=_cmd_fmt)
-
+    command("fmt", _cmd_fmt, "parse and re-emit a distribution", ("F",))
     return top
 
 

@@ -18,6 +18,7 @@ exact and an inexact atom at the same (location, order) stay separate.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,11 @@ class InexactAtom:
     w: Fraction
     k: int
     coeff: complex
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.coeff):
+            raise DomainError(f"inexact atom coefficient {self.coeff} at "
+                              f"{self.w} is not finite")
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,8 @@ def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
             if ps[i] == ps[i + 1]:
                 merged = True
             else:
-                lo = breaks[i - 1] if i >= 1 else None
-                hi = breaks[i + 1] if i + 1 < len(breaks) else None
+                lo = _piece_interval(breaks, i)[0]
+                hi = _piece_interval(breaks, i + 1)[1]
                 merged = expr_equal(ps[i], ps[i + 1], (lo, hi)) is Verdict.EQUAL
             if merged:
                 del breaks[i]
@@ -351,13 +357,13 @@ def antiderivative(F: GenDist) -> GenDist:
     if any(isinstance(a, InexactAtom) and a.k == 0 for a in F.all_atoms):
         raise DomainError("order-0 atom with inexact coefficient has no "
                           "exact antiderivative")
-    prims = [tuple([ComplexRational.of(0)] +
+    prims = [tuple([CR_ZERO] +
                    [c / (i + 1) for i, c in enumerate(nf)]) for nf in polys]
     jumps = {a.w: a.coeff for a in F.all_atoms if a.k == 0}
-    consts = [ComplexRational.of(0)]
+    consts = [CR_ZERO]
     for i, b in enumerate(F.breakpoints):
         c = consts[i] + poly_eval(prims[i], b) - poly_eval(prims[i + 1], b)
-        c = c + jumps.get(b, ComplexRational.of(0))
+        c = c + jumps.get(b, CR_ZERO)
         consts.append(c)
     pieces = []
     for prim, c in zip(prims, consts):
@@ -393,8 +399,8 @@ def singular_support(F: GenDist) -> List[Fraction]:
         if _has_atom_at(F, w):
             out.append(w)
             continue
-        lo = F.breakpoints[i - 1] if i >= 1 else None
-        hi = F.breakpoints[i + 1] if i + 1 < len(F.breakpoints) else None
+        lo = _piece_interval(F.breakpoints, i)[0]
+        hi = _piece_interval(F.breakpoints, i + 1)[1]
         if expr_equal(F.pieces[i], F.pieces[i + 1], (lo, hi)) is not Verdict.EQUAL:
             out.append(w)
     return out

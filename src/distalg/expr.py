@@ -108,8 +108,8 @@ class Cos:
 SmoothExpr = Union[Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos]
 
 X = Var()
-ZERO = Const(ComplexRational())
-ONE = Const(ComplexRational(Fraction(1)))
+ZERO = Const(CR_ZERO)
+ONE = Const(CR_ONE)
 
 
 def const(v: ScalarLike) -> Const:
@@ -170,7 +170,7 @@ def _coeff_core(e: SmoothExpr) -> Tuple[ComplexRational, SmoothExpr]:
         rest = e.factors[1:]
         core = rest[0] if len(rest) == 1 else Product(rest)
         return e.factors[0].value, core
-    return ComplexRational.of(1), e
+    return CR_ONE, e
 
 
 def _with_coeff(c: ComplexRational, core: SmoothExpr) -> SmoothExpr:
@@ -178,7 +178,7 @@ def _with_coeff(c: ComplexRational, core: SmoothExpr) -> SmoothExpr:
         return ZERO
     if isinstance(core, Const):  # only ONE reaches here
         return Const(c * core.value)
-    if c == ComplexRational.of(1):
+    if c == CR_ONE:
         return core
     if isinstance(core, Product):
         return Product((Const(c),) + core.factors)
@@ -195,7 +195,7 @@ def sum_of(*terms: SmoothExpr) -> SmoothExpr:
             stack.extend(reversed(t.terms))
         else:
             flat.append(t)
-    acc = ComplexRational.of(0)
+    acc = CR_ZERO
     by_core: dict[SmoothExpr, ComplexRational] = {}
     order: list[SmoothExpr] = []
     for t in flat:
@@ -235,7 +235,7 @@ def product_of(*factors: SmoothExpr) -> SmoothExpr:
             stack.extend(reversed(f.factors))
         else:
             flat.append(f)
-    coeff = ComplexRational.of(1)
+    coeff = CR_ONE
     by_base: dict[SmoothExpr, int] = {}
     order: list[SmoothExpr] = []
     for f in flat:
@@ -259,10 +259,10 @@ def product_of(*factors: SmoothExpr) -> SmoothExpr:
     if not out:
         return Const(coeff)
     if (len(out) == 1 and isinstance(out[0], Sum)
-            and coeff != ComplexRational.of(1)):
+            and coeff != CR_ONE):
         # scalar times sum distributes, so c*(a+b) and c*a + c*b coincide
         return sum_of(*(product_of(Const(coeff), t) for t in out[0].terms))
-    if coeff != ComplexRational.of(1):
+    if coeff != CR_ONE:
         out.insert(0, Const(coeff))
     if len(out) == 1:
         return out[0]
@@ -289,7 +289,7 @@ def quotient_of(num: SmoothExpr, den: SmoothExpr) -> SmoothExpr:
     if isinstance(den, Const):
         if den.value.is_zero:
             raise ZeroDivisionError("zero denominator in quotient")
-        return product_of(Const(ComplexRational.of(1) / den.value), num)
+        return product_of(Const(CR_ONE / den.value), num)
     if num == ZERO:
         return ZERO
     if isinstance(num, Quotient) or isinstance(den, Quotient):
@@ -378,13 +378,12 @@ def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
     """Numerically evaluate at x (scalar or ndarray, real or complex).
 
     Returns complex values; raises DomainError when a quotient denominator
-    falls below the guard in magnitude.
+    falls below the guard in magnitude, or when an exact constant or the
+    point does not fit in a float.
     """
     import numpy as np
-    if isinstance(x, Fraction):
-        x = float(x)
-    elif isinstance(x, ComplexRational):
-        x = complex(x)
+    if isinstance(x, (Fraction, ComplexRational)):
+        x = complex(ComplexRational.of(x))
     xa = np.asarray(x, dtype=complex)
     scalar = xa.ndim == 0
 
@@ -440,7 +439,7 @@ def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
         if isinstance(e, Var):
             return xv
         if isinstance(e, Sum):
-            acc = ComplexRational.of(0)
+            acc = CR_ZERO
             for t in e.terms:
                 v = rec(t)
                 if v is None:
@@ -448,7 +447,7 @@ def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
                 acc = acc + v
             return acc
         if isinstance(e, Product):
-            acc = ComplexRational.of(1)
+            acc = CR_ONE
             for f in e.factors:
                 v = rec(f)
                 if v is None:
@@ -474,7 +473,7 @@ def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
             a = rec(e.arg)
             if a is None or not a.is_zero:
                 return None
-            return ComplexRational.of(0) if isinstance(e, Sin) else ComplexRational.of(1)
+            return CR_ZERO if isinstance(e, Sin) else CR_ONE
         raise TypeError(f"not a SmoothExpr: {e!r}")
 
     return rec(e)
@@ -598,7 +597,7 @@ def _coeffs_of_kernel(k: Kernel) -> PolyCoeffs:
 def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
     """Exact division with remainder; b must be nonzero."""
     rem = list(a)
-    q = [ComplexRational.of(0)] * max(0, len(a) - len(b) + 1)
+    q = [CR_ZERO] * max(0, len(a) - len(b) + 1)
     lead = b[-1]
     while len(rem) >= len(b) and _poly_trim(rem):
         rem = list(_poly_trim(rem))

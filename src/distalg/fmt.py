@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
 from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
                    SmoothExpr, ONE, ZERO)
-from .ode import (ConfinedEquation, ConfinementReport, HalfLine, LinearODE,
-                  _endpoint_loc)
 from .scalars import CR_ONE, ComplexRational, frac_str
+
+if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
+    from .ode import ConfinedEquation, ConfinementReport, LinearODE
 
 
 def _frac_latex(x: Fraction) -> str:
@@ -344,6 +345,7 @@ def format_ode_text(ode: LinearODE) -> str:
 def _confined(ceq: ConfinedEquation, st: _Style) -> str:
     """lhs = chi·rhs + the signed corrections, each
     binomial·a_i·(delta^(j-1)(x-endpoint) ⋆ psi^(i-j))."""
+    from .ode import HalfLine, _endpoint_loc
     ode = ceq.base
     paren = (st.open, st.close)
     rhs_terms = []
@@ -372,6 +374,7 @@ def format_confined_latex(ceq: ConfinedEquation) -> str:
 
 
 def confined_to_jsonable(ceq: ConfinedEquation) -> dict:
+    from .ode import HalfLine
     if isinstance(ceq.interval, HalfLine):
         interval = {"kind": "halfline", "a": frac_str(ceq.interval.a)}
     else:

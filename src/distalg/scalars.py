@@ -3,7 +3,8 @@
 Rationals are plain ``fractions.Fraction`` (arbitrary precision, always
 reduced, positive denominator).  ``ComplexRational`` pairs two of them and
 supports field arithmetic, so every coefficient in the package stays exact
-until a caller explicitly asks for a float.
+until a caller explicitly asks for a float; a value beyond the float range
+then raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import DomainError
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "ComplexRational"]
@@ -97,8 +100,8 @@ class ComplexRational:
 
     def __pow__(self, n: int) -> "ComplexRational":
         if n < 0:
-            return ComplexRational.of(1) / self ** (-n)
-        out = ComplexRational(Fraction(1))
+            return CR_ONE / self ** (-n)
+        out = CR_ONE
         base = self
         while n:
             if n & 1:
@@ -108,7 +111,10 @@ class ComplexRational:
         return out
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise DomainError("exact value does not fit in a float") from None
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -111,6 +111,17 @@ class TestEvaluation:
         assert d.eval_exact(e, Fraction(0)) == d.ComplexRational.of(1)
         assert d.eval_exact(e, Fraction(1)) is None
 
+    def test_constant_beyond_float_range(self):
+        big = d.product_of(d.const(10 ** 400), d.exp_of(d.X))
+        with pytest.raises(DomainError):
+            d.eval_num(big, 0.0)
+        with pytest.raises(DomainError):
+            d.eval_num(d.X, Fraction(10 ** 400))
+
+    def test_sampled_equality_beyond_float_range_is_unknown(self):
+        big = d.product_of(d.const(10 ** 400), d.exp_of(d.X))
+        assert d.expr_equal(big, d.exp_of(d.X)) is Verdict.UNKNOWN
+
     def test_complex_constant(self):
         i = d.ComplexRational(Fraction(0), Fraction(1))
         e = d.product_of(d.const(i), d.X)

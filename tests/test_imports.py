@@ -1,14 +1,19 @@
-"""numpy is imported only where numbers are sampled or integrated.
+"""numpy is imported only where numbers are sampled or integrated, and each
+CLI command loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, since the test process itself has
-numpy loaded long before."""
+numpy and every module loaded long before."""
 
+import argparse
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import distalg
 
@@ -85,6 +90,142 @@ print(d.expr_equal(e("exp(x)"), e("exp(x)+1/1000")),
     assert out[2] == "Unequal Unknown"
 
 
+# argv of one call per command; the modules it must leave unloaded
+COMMAND_MODULES = [
+    (["mul", "delta(x)", "H(x)"], {"weak", "ode"}),
+    (["fmt", "H(x)+H(x)"], {"weak", "ode"}),
+    (["diff", "H(x)"], {"weak", "ode"}),
+    (["antideriv", "delta(x)"], {"weak", "ode"}),
+    (["bracket", "delta(x)", "H(x)"], {"weak", "ode"}),
+    (["confine", "--ode", "1,0,0;0", "--interval", "0"], {"weak"}),
+    (["residual", "--ode", "1,1;0", "--interval", "0", "H(x)"], {"weak"}),
+    (["particular-rhs", "--ode", "1,0,0;0", "--at", "0", "--values", "3,2"],
+     {"weak"}),
+    (["verify", "--ode", "1,1;0", "--interval", "0", "exp(-x)"], {"weak"}),
+    (["action", "delta(x)", "--bump", "-1,1"], {"ode"}),
+    (["oracle", "delta(x)", "H(x)", "--bump", "-1,1"], {"ode"}),
+]
+
+MODULES_CHILD = """
+import contextlib, io, json, sys
+from distalg.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m.split(".")[1] for m in sys.modules
+                               if m.startswith("distalg."))]))
+"""
+
+
+@pytest.mark.parametrize("argv,unloaded", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_the_modules_it_runs(argv, unloaded):
+    code, loaded = json.loads(run_child(MODULES_CHILD, json.dumps(argv)))
+    assert code == 0
+    assert {"cli", "parser", "fmt", "star", "dist"} <= set(loaded)
+    assert not unloaded & set(loaded), loaded
+
+
+def test_bare_import_loads_star_and_what_it_needs():
+    out = run_child("""
+import sys
+import distalg
+print(sorted(m for m in sys.modules if m.startswith("distalg")))
+print(distalg.weak.__name__, distalg.dist.__name__,
+      hasattr(distalg, "no_such_name"), "distalg.weak" in sys.modules)
+""").splitlines()
+    assert out[0] == str(["distalg", "distalg.dist", "distalg.errors",
+                          "distalg.expr", "distalg.scalars", "distalg.star"])
+    assert out[1] == "distalg.weak distalg.dist False True"
+
+
+@pytest.mark.parametrize("code", ["import distalg.parser, distalg",
+                                  "from distalg import star",
+                                  "import distalg.star",
+                                  "from distalg.cli import main\n"
+                                  "import distalg"])
+def test_star_is_the_function(code):
+    out = run_child(code + "\nimport distalg as d\nprint(d.star.__module__,"
+                    " callable(d.star), d.star is d.star_variant.__globals__"
+                    "['star'])\n")
+    assert out == "distalg.star True True\n"
+
+
+def test_public_names_resolve_to_their_modules():
+    modules = [importlib.import_module("distalg." + m) for m in
+               ("errors", "scalars", "expr", "dist", "star", "weak", "ode",
+                "parser", "fmt")]
+    assert len(distalg.__all__) == len(set(distalg.__all__)) == 113
+    for name in distalg.__all__:
+        homes = [m for m in modules if name in vars(m)]
+        assert homes, name
+        assert all(getattr(distalg, name) is getattr(m, name) for m in homes)
+    namespace = {}
+    exec("from distalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(distalg.__all__)
+    with pytest.raises(AttributeError):
+        distalg.no_such_name
+
+
+MODE = (["text", "latex", "json"], "text", False, None)
+REQUIRED = (None, None, True, None)
+BUMP_AND_NODES = {"--bump": REQUIRED, "--quad-nodes": (None, None, False, "int")}
+
+# subcommand -> (positionals with nargs, option -> (choices, default,
+# required, type)), as the command line was before its wiring was shared
+CLI_TABLE = {
+    "mul": ([("F", "?"), ("G", "?")],
+            {"--variant": (["star", "star2", "star3", "star4", "star5",
+                            "hormander"], "star", False, None),
+             "--mode": MODE}),
+    "diff": ([("F", "?")], {"-n": (None, 1, False, "int"), "--mode": MODE}),
+    "antideriv": ([("F", "?")], {"--mode": MODE}),
+    "bracket": ([("F", "?"), ("G", "?")], {"--mode": MODE}),
+    "action": ([("F", "?")], BUMP_AND_NODES),
+    "oracle": ([("F", "?"), ("G", "?")],
+               {**BUMP_AND_NODES,
+                "--eps-schedule": (None, None, False, None),
+                "--extrapolation": (["richardson", "last-value"], None, False,
+                                    None),
+                "--direction": ([1, -1], 1, False, "int")}),
+    "confine": ([], {"--ode": REQUIRED, "--interval": REQUIRED,
+                     "--mode": MODE}),
+    "residual": ([("candidate", "?")],
+                 {"--ode": REQUIRED, "--interval": REQUIRED, "--mode": MODE}),
+    "particular-rhs": ([], {"--ode": REQUIRED, "--at": REQUIRED,
+                            "--values": REQUIRED, "--mode": MODE}),
+    "verify": ([("psi", "?")],
+               {"--ode": REQUIRED, "--interval": REQUIRED,
+                "--mode": (["text", "json"], "text", False, None)}),
+    "fmt": ([("F", "?")], {"--mode": MODE}),
+}
+
+
+def cli_table():
+    from distalg.cli import build_parser
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, p in sub.choices.items():
+        positionals, options = [], {}
+        for a in p._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            row = (a.choices and list(a.choices), a.default, a.required,
+                   getattr(a.type, "__name__", None))
+            if a.option_strings:
+                options[" ".join(a.option_strings)] = row
+            else:
+                positionals.append((a.dest, a.nargs))
+        table[name] = (positionals, options)
+    return table
+
+
+def test_cli_options_are_unchanged():
+    table = cli_table()
+    assert list(table) == list(CLI_TABLE)
+    assert table == CLI_TABLE
+
+
 def _annotation_names(node):
     """Names inside string annotations, which the AST keeps as strings."""
     for ann in ast.walk(node):
@@ -132,7 +273,7 @@ def unused_imports(source):
 def test_no_unused_imports():
     pkg = Path(distalg.__file__).resolve().parent
     found = {p.name: unused_imports(p.read_text())
-             for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"}
+             for p in sorted(pkg.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 

@@ -540,6 +540,42 @@ class TestCliConfinement:
         assert "warning: leading coefficient vanishes" in out
 
 
+class TestFloatOverflow:
+    """A value beyond the float range ends in a domain error, exit 2."""
+
+    def assert_domain_error(self, *argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error:") and "not" in err
+
+    def test_constant_in_weak_action(self):
+        self.assert_domain_error("action", "10^400*H(x)", "--bump", "-1,1")
+
+    def test_constant_times_atom(self):
+        self.assert_domain_error("fmt", "10^400*exp(x)*delta(x-1)")
+
+    def test_derivative_value_that_overflows(self):
+        self.assert_domain_error("fmt", "delta[1](x-2)*exp(729*x)")
+
+    def test_jump_that_overflows(self):
+        self.assert_domain_error("diff", "exp(800*x)*H(x-1)")
+        self.assert_domain_error("diff", "exp(800*x)*H(x-1)", "--mode", "json")
+
+    def test_verify_with_exact_residual(self):
+        # the residual is exactly zero; only sampled equality overflows
+        code, out, _ = run("verify", "--ode", "1,1;0", "--interval", "0",
+                           "10^400*exp(-x)")
+        assert code == 0 and out.startswith("verdict: Equal\n")
+
+    def test_inexact_atom_must_be_finite(self):
+        with pytest.raises(d.DomainError):
+            d.InexactAtom(Fraction(0), 0, complex("nan"))
+        with pytest.raises(d.DomainError):
+            d.parse_dist_json('{"breakpoints": [], "pieces": ["0"], '
+                              '"atoms": [], "inexact_atoms": [{"w": "0", '
+                              '"k": 0, "re": Infinity, "im": 0}]}')
+
+
 class TestCliMisc:
     def test_fmt(self):
         assert run("fmt", "H(x)+H(x)")[1] == "2*H(x)\n"
