@@ -26,10 +26,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError, UnsupportedPiece
 from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
-                   SmoothExpr, Verdict, ZERO, const, diff_expr, eval_exact,
-                   eval_expr, expr_equal, expr_from_poly, poly_eval,
-                   poly_normal_form, product_of, shift_expr, sum_of,
-                   worst_verdict)
+                   SmoothExpr, Verdict, ZERO, _normal_form, const, diff_expr,
+                   eval_exact, eval_expr, expr_equal, expr_from_poly,
+                   poly_eval, poly_normal_form, product_of, shift_expr,
+                   sum_of, worst_verdict)
 from .scalars import CR_ZERO, ComplexRational, ScalarLike, as_fraction
 
 _NODE_TYPES = (Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos)
@@ -269,6 +269,51 @@ def sub(F: GenDist, G: GenDist) -> GenDist:
 # atom expansion
 
 
+def _plain_polynomial(e: SmoothExpr) -> bool:
+    """Whether e is built from constants and x by sums, products and powers
+    alone, with no quotient, exp, sin or cos anywhere in it."""
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, Sum):
+        return all(map(_plain_polynomial, e.terms))
+    if isinstance(e, Product):
+        return all(map(_plain_polynomial, e.factors))
+    if isinstance(e, Power):
+        return _plain_polynomial(e.base)
+    return False
+
+
+def _taylor_values(g: SmoothExpr, w: Fraction, k: int
+                   ) -> Optional[List[ComplexRational]]:
+    """[g(w), g'(w), ..., g^(k)(w)] from one Taylor shift of g's integer
+    normal form to w; None unless g is a plain polynomial.
+
+    g^(j)(w) is j! times coefficient j of g(x + w).  With g = sum_i c_i x^i
+    / den over n integer numerators and w = p/q, that coefficient is
+    sum_{i>=j} c_i C(i,j) p^(i-j) q^(n-1-i) / (den q^(n-1-j)), all in
+    integers.  A quotient, even one that divides exactly, keeps g off this
+    route, so ``eval_exact`` still refuses its pole."""
+    kern = _normal_form(g) if _plain_polynomial(g) else None
+    if kern is None:
+        return None
+    den, re, im = kern
+    n = max(len(re), len(im))
+    p, q = w.numerator, w.denominator
+    ps = [p ** m for m in range(n)]
+    qs = [q ** m for m in range(n)]
+
+    def shifted(cs: Tuple[int, ...], j: int) -> int:
+        return sum(c * math.comb(i, j) * ps[i - j] * qs[n - 1 - i]
+                   for i, c in enumerate(cs[j:], j))
+
+    out = []
+    for j in range(min(k + 1, n)):
+        f, scale = math.factorial(j), den * qs[n - 1 - j]
+        out.append(ComplexRational(Fraction(f * shifted(re, j), scale),
+                                   Fraction(f * shifted(im, j), scale)))
+    return out + [CR_ZERO] * (k + 1 - len(out))
+
+
 def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     """Expand g·delta^(k)(x-w) into plain atoms.
 
@@ -276,14 +321,25 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     delta^(k-j)(x-w); equivalently the unique atom list with the same weak
     action as delta^(k)(·-w) applied to g·t.  Derivative values without an
     exact evaluation produce InexactAtom entries.
+
+    The values g^(j)(w) come by one of two routes.  A plain polynomial (no
+    quotient, exp, sin or cos in its tree) reads all of them from one
+    Taylor shift of its integer normal form (``_taylor_values``).  Any
+    other piece differentiates its tree with ``diff_expr`` and evaluates
+    each derivative with ``eval_exact``, falling back to floats where that
+    has no exact value.  Both give the same atoms wherever both apply.
     """
     g = as_expr(g)
+    vals = _taylor_values(g, a.w, a.k)
     out: List[Atom] = []
     d = g
     for j in range(a.k + 1):
-        if j > 0:
-            d = diff_expr(d)
-        v = eval_exact(d, a.w)
+        if vals is not None:
+            v = vals[j]
+        else:
+            if j > 0:
+                d = diff_expr(d)
+            v = eval_exact(d, a.w)
         factor = math.comb(a.k, j) * (-1) ** j
         if isinstance(a, DeltaAtom) and v is not None:
             coeff = a.coeff * v * factor
@@ -309,13 +365,20 @@ def smooth_mul(g, F: GenDist) -> GenDist:
 # calculus
 
 
+def _exact_value(e: SmoothExpr, w: Fraction) -> Optional[ComplexRational]:
+    """``eval_exact(e, w)``, read from the Taylor shift on a plain
+    polynomial."""
+    vals = _taylor_values(e, w, 0)
+    return eval_exact(e, w) if vals is None else vals[0]
+
+
 def _jump_value(left: SmoothExpr, right: SmoothExpr, w: Fraction
                 ) -> Union[ComplexRational, complex, None]:
     """Right limit minus left limit at w; None when zero, exact when possible."""
     if left == right:
         return None
-    lv = eval_exact(left, w)
-    rv = eval_exact(right, w)
+    lv = _exact_value(left, w)
+    rv = _exact_value(right, w)
     if lv is not None and rv is not None:
         d = rv - lv
         return None if d.is_zero else d

@@ -382,7 +382,7 @@ def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
     point does not fit in a float.
     """
     import numpy as np
-    if isinstance(x, (Fraction, ComplexRational)):
+    if isinstance(x, (int, Fraction, ComplexRational)):
         x = complex(ComplexRational.of(x))
     xa = np.asarray(x, dtype=complex)
     scalar = xa.ndim == 0

@@ -5,6 +5,12 @@ reduced, positive denominator).  ``ComplexRational`` pairs two of them and
 supports field arithmetic, so every coefficient in the package stays exact
 until a caller explicitly asks for a float; a value beyond the float range
 then raises ``DomainError``.
+
+Most values met in practice are real, so ``+`` and ``*`` have a real
+path.  An ``int`` operand is used as it is, without wrapping.  When one
+operand is real, each nonzero part of the result costs one ``Fraction``
+operation, so real plus or times real is a single one.  The results equal
+the general formula's in value, hash and repr.
 """
 
 from __future__ import annotations
@@ -62,7 +68,13 @@ class ComplexRational:
         return self.im == 0
 
     def __add__(self, other: ScalarLike) -> "ComplexRational":
+        if isinstance(other, int):
+            return ComplexRational(self.re + other, self.im)
         o = ComplexRational.of(other)
+        if not o.im:
+            return ComplexRational(self.re + o.re, self.im)
+        if not self.im:
+            return ComplexRational(self.re + o.re, o.im)
         return ComplexRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -77,11 +89,21 @@ class ComplexRational:
         return ComplexRational.of(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        # z * r with r real: an int operand, or whichever factor is real
+        if isinstance(other, int):
+            z, r = self, other
+        else:
+            o = ComplexRational.of(other)
+            if not o.im:
+                z, r = self, o.re
+            elif not self.im:
+                z, r = o, self.re
+            else:
+                return ComplexRational(self.re * o.re - self.im * o.im,
+                                       self.re * o.im + self.im * o.re)
+        if not z.im:
+            return ComplexRational(z.re * r)
+        return ComplexRational(z.re * r, z.im * r)
 
     __rmul__ = __mul__
 

@@ -55,6 +55,10 @@ def make_bump(a, b, c=1) -> TestFunction:
     af, bf = as_fraction(a), as_fraction(b)
     if af >= bf:
         raise ShapeError("bump support needs a < b")
+    try:
+        float(af), float(bf)
+    except OverflowError:
+        raise DomainError("a bump end does not fit in a float") from None
     body = product_of(const(c), exp_of(
         quotient_of(const(-1), sub_expr(ONE, power_of(X, 2)))))
     return TestFunction(af, bf, body)

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distalg as d
+import distalg.dist as dist_mod
 from distalg import Verdict
 from distalg.dist import _assemble
 from distalg.errors import DomainError, ShapeError, UnsupportedPiece
@@ -199,6 +201,128 @@ class TestSmoothTimesAtom:
             gF = d.smooth_mul(g, _assemble((), (d.ZERO,), [a]))
             rhs = d.action(gF, t)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
+
+
+def _outcome(g, a):
+    """The atom list of g times a, or the error it ends in."""
+    try:
+        return d.smooth_times_atom(g, a)
+    except d.DistAlgError as e:
+        return type(e), str(e)
+
+
+def _tree_route(g, a):
+    """smooth_times_atom with the Taylor shift switched off, so every value
+    comes from diff_expr and eval_exact."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist_mod, "_taylor_values", lambda *args: None)
+        return _outcome(g, a)
+
+
+def _poly_of(cs):
+    return d.expr_from_poly([d.ComplexRational(re, im) for re, im in cs])
+
+
+_small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+_coeffs = st.lists(st.tuples(_small, st.one_of(st.just(Fraction(0)), _small)),
+                   max_size=6)
+_pieces = st.one_of(
+    st.builds(_poly_of, _coeffs),
+    st.builds(lambda p, q: d.product_of(_poly_of(p), _poly_of(q)),
+              _coeffs, _coeffs),
+    st.builds(lambda p, n: d.power_of(_poly_of(p), n), _coeffs,
+              st.integers(2, 3)),
+    st.builds(lambda p, q: d.sum_of(_poly_of(p), d.product_of(d.X, _poly_of(q))),
+              _coeffs, _coeffs))
+_ints = st.one_of(st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
+_locs = st.builds(Fraction, _ints,
+                  st.one_of(st.integers(1, 9), st.integers(1, 10 ** 40)))
+
+
+class TestTaylorRoute:
+    """Plain polynomial pieces read g^(j)(w) from one Taylor shift; every
+    other piece walks derivative trees.  Both must give the same atoms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pieces, _locs, st.integers(0, 6),
+           st.tuples(_small, _small))
+    def test_exact_atoms_agree(self, g, w, k, c):
+        a = d.DeltaAtom(w, k, d.ComplexRational(*c))
+        fast, tree = _outcome(g, a), _tree_route(g, a)
+        assert dist_mod._taylor_values(g, w, k) is not None
+        assert fast == tree and repr(fast) == repr(tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pieces, _locs, st.integers(0, 6),
+           st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                              allow_infinity=False))
+    def test_inexact_atoms_agree_bit_for_bit(self, g, w, k, c):
+        a = d.InexactAtom(w, k, c)
+        fast = _outcome(g, a)
+        # repr of a float is exact, and tells -0.0 from 0.0
+        assert repr(fast) == repr(_tree_route(g, a))
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_zero_constant_and_order_beyond_degree(self, k):
+        w = Fraction(-3, 7)
+        for cs in ([], [(Fraction(2), Fraction(-1))],
+                   [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2))]):
+            g = _poly_of(cs)
+            vals = dist_mod._taylor_values(g, w, k)
+            assert vals == [d.eval_exact(d.diff_n(g, j), w)
+                            for j in range(k + 1)]
+            assert all(v.is_zero for v in vals[len(cs):])
+            a = d.DeltaAtom(w, k, CR(1, 1))
+            assert _outcome(g, a) == _tree_route(g, a)
+
+    def test_exactly_dividing_quotient_keeps_its_pole(self):
+        q = d.quotient_of(d.expr_from_poly([-1, 0, 1]),
+                          d.expr_from_poly([-1, 1]))
+        assert dist_mod._taylor_values(q, Fraction(1), 1) is None
+        with pytest.raises(DomainError):
+            d.smooth_times_atom(q, d.DeltaAtom(Fraction(1), 1, CR(1)))
+        # away from the pole it expands like x + 1
+        a = d.DeltaAtom(Fraction(2), 1, CR(1))
+        assert d.smooth_times_atom(q, a) == d.smooth_times_atom(
+            d.expr_from_poly([1, 1]), a)
+
+    def test_exp_piece_takes_the_tree_route(self):
+        g = d.product_of(d.X, d.exp_of(d.X))
+        assert dist_mod._taylor_values(g, Fraction(0), 2) is None
+
+    def test_polynomial_jumps_walk_no_tree(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dist_mod, "eval_exact",
+                            lambda *args: calls.append(args))
+        D = d.differentiate(d.make_piecewise(
+            [Fraction(1, 3)], [d.X, d.expr_from_poly([2, 0, CR(0, 1)])]))
+        assert calls == []
+        assert D.atoms[0] == d.DeltaAtom(Fraction(1, 3), 0,
+                                         CR(Fraction(5, 3), Fraction(1, 9)))
+
+
+def test_star_on_acceptance_triples_walks_no_tree(monkeypatch):
+    """On the polynomial triples of acceptance 02, star never falls back to
+    differentiating and evaluating trees, and differentiate evaluates no
+    tree for a jump."""
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(dist_mod, "diff_expr", counted(dist_mod.diff_expr))
+    monkeypatch.setattr(dist_mod, "eval_exact", counted(dist_mod.eval_exact))
+    fs, gs, js = (random_corpus(seed, 100) for seed in (11, 12, 13))
+    for F, G, J in zip(fs, gs, js):
+        d.star(d.star(F, G), J)
+        d.star(F, d.star(G, J))
+    assert calls == []
+    for F in fs:
+        d.differentiate(F)
+    assert "eval_exact" not in calls
 
 
 class TestDifferentiate:

@@ -118,6 +118,12 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             d.eval_num(d.X, Fraction(10 ** 400))
 
+    def test_int_point_beyond_float_range(self):
+        with pytest.raises(DomainError):
+            d.eval_num(d.exp_of(d.X), 10 ** 400)
+        assert d.eval_num(d.exp_of(d.X), 0) == 1
+        assert d.eval_num(d.X, True) == 1
+
     def test_sampled_equality_beyond_float_range_is_unknown(self):
         big = d.product_of(d.const(10 ** 400), d.exp_of(d.X))
         assert d.expr_equal(big, d.exp_of(d.X)) is Verdict.UNKNOWN

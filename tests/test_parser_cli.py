@@ -551,6 +551,11 @@ class TestFloatOverflow:
     def test_constant_in_weak_action(self):
         self.assert_domain_error("action", "10^400*H(x)", "--bump", "-1,1")
 
+    def test_bump_end(self):
+        self.assert_domain_error("action", "H(x)", "--bump", "0,1e400")
+        self.assert_domain_error("oracle", "H(x)", "H(x)",
+                                 "--bump=-1e400,0")
+
     def test_constant_times_atom(self):
         self.assert_domain_error("fmt", "10^400*exp(x)*delta(x-1)")
 

@@ -35,6 +35,12 @@ class TestBump:
     def test_peak_value(self):
         assert abs(bump_scalar(T, 0) - math.exp(-1)) < 1e-15
 
+    def test_end_beyond_float_range(self):
+        with pytest.raises(DomainError):
+            d.make_bump(0, 10 ** 400)
+        with pytest.raises(DomainError):
+            d.make_bump(-Fraction(10 ** 400), 0)
+
     def test_amplitude(self):
         t3 = d.make_bump(-1, 1, 3)
         assert abs(bump_scalar(t3, 0) - 3 * math.exp(-1)) < 1e-14
