@@ -252,13 +252,15 @@ def add(*terms: GenDist) -> GenDist:
     return _assemble(union, pieces, [a for F in terms for a in F.all_atoms])
 
 
+def _scaled_atoms(cv: ComplexRational, atoms: Iterable[Atom]) -> List[Atom]:
+    return [DeltaAtom(a.w, a.k, cv * a.coeff) if isinstance(a, DeltaAtom)
+            else InexactAtom(a.w, a.k, complex(cv) * a.coeff) for a in atoms]
+
+
 def scale(c: ScalarLike, F: GenDist) -> GenDist:
     cv = ComplexRational.of(c)
     pieces = tuple(product_of(Const(cv), p) for p in F.pieces)
-    atoms = [DeltaAtom(a.w, a.k, cv * a.coeff) if isinstance(a, DeltaAtom)
-             else InexactAtom(a.w, a.k, complex(cv) * a.coeff)
-             for a in F.all_atoms]
-    return _assemble(F.breakpoints, pieces, atoms)
+    return _assemble(F.breakpoints, pieces, _scaled_atoms(cv, F.all_atoms))
 
 
 def sub(F: GenDist, G: GenDist) -> GenDist:

@@ -24,76 +24,174 @@ inside a function's argument.  A term's sign applies to the whole term.  A
 parenthesized distribution with no breakpoints and no atoms reads as its
 smooth piece.  Parentheses, function arguments and signs each open one
 nesting level.
+
+While a term is parsed, a distribution value keeps one of two light shapes
+instead of being assembled after every factor:
+
+- ``_Piece``: a smooth piece g on an open interval ]lo, hi[ cut out by the
+  term's H factors, zero elsewhere;
+- ``_Atoms``: the atoms at one point w of the term's one delta factor,
+  expanded by the smooth factors around it with ``smooth_times_atom``.
+
+Each factor updates the shape exactly as assembling the term after that
+factor would: g comes from the same ``product_of`` calls, atoms are merged
+as ``_assemble`` merges them, an empty interval or an empty atom list is
+the zero term, and a piece proven zero joins its zero neighbours.  A sum
+hands its terms to one ``add``, so a parse assembles once per sum of
+several terms with a distribution among them.  Only such a sum, when it
+sits in parentheses and keeps breakpoints or atoms, is a ``GenDist``
+inside a term; it meets other factors through ``smooth_mul`` and the
+pointwise product.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .dist import (DeltaAtom, GenDist, InexactAtom, _assemble, add,
-                   delta_dist, make_piecewise, scale, smooth_dist, smooth_mul)
-from .errors import ParseError, SemanticsError
-from .expr import (SmoothExpr, X, ONE, const, cos_of, exp_of, neg, power_of,
-                   product_of, quotient_of, sin_of, sum_of)
+from .dist import (Atom, DeltaAtom, GenDist, InexactAtom, PiecewiseSmooth,
+                   _assemble, _merge_atoms, _scaled_atoms, add, scale,
+                   smooth_mul, smooth_times_atom)
+from .errors import DomainError, ParseError, SemanticsError
+from .expr import (SmoothExpr, X, ZERO, ONE, _K_ZERO, _normal_form, Const,
+                   const, cos_of, exp_of, neg, power_of, product_of,
+                   quotient_of, sin_of, sum_of)
 from .scalars import ComplexRational, as_fraction
 from .star import star
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<id>[A-Za-z_]+)"
-                       r"|(?P<op>[-+*/^()\[\],;]))")
+                       r"|(?P<op>[-+*/^()\[\],;])|(?P<bad>\S))")
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num | id | op | end
-    text: str
-    pos: int
+# A token is a (kind, text, position) triple; kind is num, id, op or end.
+_Tok = Tuple[str, str, int]
 
 
 def _tokenize(text: str) -> List[_Tok]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            bad = len(text) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num"):
-            out.append(_Tok("num", m.group("num"), m.start("num")))
-        elif m.group("id"):
-            out.append(_Tok("id", m.group("id"), m.start("id")))
-        else:
-            out.append(_Tok("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    out.append(_Tok("end", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             m.start(kind))
+        out.append((kind, m.group(kind), m.start(kind)))
+    out.append(("end", "", len(text)))
     return out
 
 
-_Value = Union[SmoothExpr, GenDist]  # smooth until an H or delta factor
+def _number(text: str) -> Union[int, Fraction]:
+    """The exact value of a numeric literal: an int unless it has a point."""
+    return Fraction(text) if "." in text else int(text)
+
+
+def _proven_zero(g: SmoothExpr) -> bool:
+    """Whether assembly joins g to a zero neighbour: ``expr_equal`` proves
+    g equal to 0 exactly when g is 0 or its polynomial normal form is."""
+    if isinstance(g, Const):
+        return g.value.is_zero
+    try:
+        return _normal_form(g) == _K_ZERO
+    except DomainError:
+        return False
+
+
+class _Piece(NamedTuple):
+    """g on ]lo, hi[ and zero elsewhere; a bound of None is infinite."""
+    g: SmoothExpr
+    lo: Optional[Fraction]
+    hi: Optional[Fraction]
+
+
+class _Atoms(NamedTuple):
+    """Merged, nonzero atoms, all at w."""
+    w: Fraction
+    atoms: Tuple[Atom, ...]
+
+
+_ZERO_TERM = _Piece(ZERO, None, None)
+
+
+def _piece(g: SmoothExpr, lo: Optional[Fraction], hi: Optional[Fraction]
+           ) -> _Piece:
+    """The piece as ``_assemble`` leaves ZERO | g | ZERO on ]lo, hi[.  An
+    empty interval is the zero term.  A g proven zero joins its neighbours,
+    and a join keeps the left tree: g over the whole line when it has no
+    left bound, else zero."""
+    if lo is not None and hi is not None and lo >= hi:
+        return _ZERO_TERM
+    if (lo is not None or hi is not None) and _proven_zero(g):
+        return _ZERO_TERM if lo is not None else _Piece(g, None, None)
+    return _Piece(g, lo, hi)
+
+
+def _atoms(w: Fraction, atoms: List[Atom]) -> Union[_Atoms, _Piece]:
+    merged = _merge_atoms(atoms)
+    return _Atoms(w, tuple(merged)) if merged else _ZERO_TERM
+
+
+_Value = Union[SmoothExpr, _Piece, _Atoms, GenDist]  # smooth until H or delta
+_DIST = (_Piece, _Atoms, GenDist)
 
 # Parentheses, function arguments and signs each open one level; the limit
 # keeps the descent and the later tree walks inside Python's recursion limit.
 _MAX_DEPTH = 100
 
 _FUNCTIONS = {"exp": exp_of, "sin": sin_of, "cos": cos_of}
+_MINUS_ONE = ComplexRational.of(-1)
+
+
+def _as_dist(v: _Value) -> GenDist:
+    """The assembled distribution of a value; the light shapes are
+    canonical already, so they are built without reassembly."""
+    if isinstance(v, GenDist):
+        return v
+    if isinstance(v, _Atoms):
+        return GenDist(PiecewiseSmooth((v.w,), (ZERO, ZERO)), v.atoms)
+    if not isinstance(v, _Piece):
+        return GenDist(PiecewiseSmooth((), (v,)), ())
+    breaks, pieces = (), (v.g,)
+    if v.lo is not None:
+        breaks, pieces = (v.lo,), (ZERO, v.g)
+    if v.hi is not None:
+        breaks, pieces = breaks + (v.hi,), pieces + (ZERO,)
+    return GenDist(PiecewiseSmooth(breaks, pieces), ())
 
 
 def _negate(v: _Value) -> _Value:
+    if isinstance(v, _Piece):
+        return _piece(neg(v.g), v.lo, v.hi)
+    if isinstance(v, _Atoms):
+        return _atoms(v.w, _scaled_atoms(_MINUS_ONE, v.atoms))
     return scale(-1, v) if isinstance(v, GenDist) else neg(v)
 
 
-def _pointwise_mul(A: GenDist, B: GenDist, pos: int) -> GenDist:
-    if A.all_atoms or B.all_atoms:
+def _times(g: SmoothExpr, v: _Value) -> _Value:
+    """The smooth g times the distribution v, as ``smooth_mul``."""
+    if isinstance(v, _Piece):
+        return _piece(product_of(g, v.g), v.lo, v.hi)
+    if isinstance(v, _Atoms):
+        return _atoms(v.w, [b for a in v.atoms
+                            for b in smooth_times_atom(g, a)])
+    return smooth_mul(g, v)
+
+
+def _bound(a: Optional[Fraction], b: Optional[Fraction], pick):
+    return b if a is None else a if b is None else pick(a, b)
+
+
+def _pointwise_mul(A: _Value, B: _Value, pos: int) -> _Value:
+    if any(isinstance(v, _Atoms) or isinstance(v, GenDist) and v.all_atoms
+           for v in (A, B)):
         raise SemanticsError(
             "a delta factor can only be multiplied by smooth factors in "
             "construction syntax; use the mul command for the algebra "
             f"product (at position {pos})")
-    return star(A, B)
+    if isinstance(A, _Piece) and isinstance(B, _Piece):
+        # star's aligned pieces: zero but on the intersection of the two
+        return _piece(product_of(A.g, B.g), _bound(A.lo, B.lo, max),
+                      _bound(A.hi, B.hi, min))
+    return star(_as_dist(A), _as_dist(B))
 
 
 class _Parser:
@@ -113,14 +211,18 @@ class _Parser:
         return t
 
     def expect_op(self, ch: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "op" or t.text != ch:
-            raise ParseError(f"expected {ch!r}", t.pos)
+        kind, text, pos = self.peek()
+        if kind != "op" or text != ch:
+            raise ParseError(f"expected {ch!r}", pos)
         return self.next()
 
     def at_op(self, *chs: str) -> bool:
-        t = self.peek()
-        return t.kind == "op" and t.text in chs
+        # only an op token's text is one of these characters
+        return self.toks[self.i][1] in chs
+
+    def at_x(self) -> bool:
+        kind, text, _ = self.peek()
+        return kind == "id" and text == "x"
 
     def nested(self, parse, pos: int):
         """Run one nested parse one level deeper; errors past _MAX_DEPTH."""
@@ -134,23 +236,23 @@ class _Parser:
     # -- numbers ----------------------------------------------------------
 
     def uint(self) -> int:
-        t = self.peek()
-        if t.kind != "num" or "." in t.text:
-            raise ParseError("expected a nonnegative integer", t.pos)
+        kind, text, pos = self.peek()
+        if kind != "num" or "." in text:
+            raise ParseError("expected a nonnegative integer", pos)
         self.next()
-        return int(t.text)
+        return int(text)
 
     def rational(self) -> Fraction:
-        t = self.peek()
-        if t.kind != "num":
-            raise ParseError("expected a number", t.pos)
+        kind, text, pos = self.peek()
+        if kind != "num":
+            raise ParseError("expected a number", pos)
         self.next()
-        val = Fraction(t.text)
-        if self.at_op("/") and self.toks[self.i + 1].kind == "num":
+        val = Fraction(_number(text))
+        if self.at_op("/") and self.toks[self.i + 1][0] == "num":
             self.next()
-            q = Fraction(self.next().text)
+            q = _number(self.next()[1])
             if q == 0:
-                raise ParseError("zero denominator", t.pos)
+                raise ParseError("zero denominator", pos)
             val = val / q
         return val
 
@@ -158,48 +260,47 @@ class _Parser:
 
     def sign(self, parse) -> _Value:
         """A '+' or '-' followed by parse(), one level deeper."""
-        t = self.next()
-        v = self.nested(parse, t.pos)
-        return _negate(v) if t.text == "-" else v
+        _, text, pos = self.next()
+        v = self.nested(parse, pos)
+        return _negate(v) if text == "-" else v
 
     def sum(self) -> _Value:
         terms = [self.sign(self.term) if self.at_op("+", "-")
                  else self.term()]
         while self.at_op("+", "-"):
-            op = self.next().text
+            op = self.next()[1]
             v = self.term()
             terms.append(_negate(v) if op == "-" else v)
         if len(terms) == 1:
-            # a lone term is assembled already; add would renormalize it
+            # a lone term is canonical already; add would renormalize it
             return terms[0]
-        if not any(isinstance(v, GenDist) for v in terms):
+        if not any(isinstance(v, _DIST) for v in terms):
             return sum_of(*terms)
-        return add(*(v if isinstance(v, GenDist) else smooth_dist(v)
-                     for v in terms))
+        return add(*map(_as_dist, terms))
 
     def term(self) -> _Value:
         v = self.signed()
         while self.at_op("*", "/"):
-            op = self.next()
+            _, op, pos = self.next()
             rhs = self.signed()
-            smooth = not isinstance(v, GenDist)
-            if op.text == "/":
-                if isinstance(rhs, GenDist):
+            smooth = not isinstance(v, _DIST)
+            if op == "/":
+                if isinstance(rhs, _DIST):
                     raise SemanticsError(
-                        f"divisor must be smooth (at position {op.pos})")
+                        f"divisor must be smooth (at position {pos})")
                 # smooth/smooth is one quotient, so an exact division keeps
                 # its polynomial normal form
                 try:
                     q = quotient_of(v if smooth else ONE, rhs)
                 except ZeroDivisionError:
-                    raise ParseError("division by zero", op.pos)
-                v = q if smooth else smooth_mul(q, v)
-            elif not isinstance(rhs, GenDist):
-                v = product_of(v, rhs) if smooth else smooth_mul(rhs, v)
+                    raise ParseError("division by zero", pos)
+                v = q if smooth else _times(q, v)
+            elif not isinstance(rhs, _DIST):
+                v = product_of(v, rhs) if smooth else _times(rhs, v)
             elif smooth:
-                v = smooth_mul(v, rhs)
+                v = _times(v, rhs)
             else:
-                v = _pointwise_mul(v, rhs, op.pos)
+                v = _pointwise_mul(v, rhs, pos)
         return v
 
     def signed(self) -> _Value:
@@ -207,40 +308,42 @@ class _Parser:
             return self.sign(self.signed)
         v = self.primary()
         while self.at_op("^"):
-            if isinstance(v, GenDist):
-                raise ParseError("'^' needs a smooth base", self.peek().pos)
+            if isinstance(v, _DIST):
+                raise ParseError("'^' needs a smooth base", self.peek()[2])
             self.next()
             v = power_of(v, self.uint())
         return v
 
     def primary(self) -> _Value:
-        t = self.next()
-        if t.kind == "num":
-            return const(Fraction(t.text))
-        if t.kind == "id":
-            if t.text == "x":
+        kind, text, pos = self.next()
+        if kind == "num":
+            return const(_number(text))
+        if kind == "id":
+            if text == "x":
                 return X
-            if t.text == "i":
+            if text == "i":
                 return const(ComplexRational(Fraction(0), Fraction(1)))
-            if t.text in _FUNCTIONS:
+            if text in _FUNCTIONS:
                 outer, self.dist_names = self.dist_names, False
-                arg = self.nested(self.sum, self.expect_op("(").pos)
+                arg = self.nested(self.sum, self.expect_op("(")[2])
                 self.dist_names = outer
                 self.expect_op(")")
-                return _FUNCTIONS[t.text](arg)
-            if self.dist_names and t.text in ("H", "delta"):
-                return self.step_or_delta(t.text)
-            raise ParseError(f"{t.text!r} is not a smooth function here", t.pos)
-        if t.kind == "op" and t.text == "(":
-            v = self.nested(self.sum, t.pos)
+                return _FUNCTIONS[text](arg)
+            if self.dist_names and text in ("H", "delta"):
+                return self.step_or_delta(text)
+            raise ParseError(f"{text!r} is not a smooth function here", pos)
+        if kind == "op" and text == "(":
+            v = self.nested(self.sum, pos)
             self.expect_op(")")
+            if isinstance(v, _Piece) and v.lo is None and v.hi is None:
+                return v.g
             if (isinstance(v, GenDist) and not v.breakpoints
                     and not v.all_atoms):
                 return v.pieces[0]
             return v
-        raise ParseError("expected a smooth operand", t.pos)
+        raise ParseError("expected a smooth operand", pos)
 
-    def step_or_delta(self, name: str) -> GenDist:
+    def step_or_delta(self, name: str) -> _Value:
         k = 0
         if name == "delta" and self.at_op("["):
             self.next()
@@ -250,32 +353,30 @@ class _Parser:
         w, reflected = self.linarg()
         self.expect_op(")")
         if name == "delta":
-            return delta_dist(w, k, (-1) ** k if reflected else 1)
-        pieces = [const(1), const(0)] if reflected else [const(0), const(1)]
-        return make_piecewise([w], pieces)
+            c = ComplexRational.of((-1) ** k if reflected else 1)
+            return _Atoms(w, (DeltaAtom(w, k, c),))
+        return _Piece(ONE, None, w) if reflected else _Piece(ONE, w, None)
 
     def linarg(self) -> Tuple[Fraction, bool]:
         """Linear argument of H or delta: returns (w, reflected) meaning
         x - w, or w - x when reflected."""
-        t = self.peek()
-        if t.kind == "num":
+        if self.peek()[0] == "num":
             r = self.rational()
             self.expect_op("-")
-            tx = self.peek()
-            if tx.kind != "id" or tx.text != "x":
-                raise ParseError("expected x after the constant", tx.pos)
+            if not self.at_x():
+                raise ParseError("expected x after the constant",
+                                 self.peek()[2])
             self.next()
             return r, True
         reflected = False
         if self.at_op("+", "-"):
-            reflected = self.next().text == "-"
-        tx = self.peek()
-        if tx.kind != "id" or tx.text != "x":
-            raise ParseError("expected x in linear argument", tx.pos)
+            reflected = self.next()[1] == "-"
+        if not self.at_x():
+            raise ParseError("expected x in linear argument", self.peek()[2])
         self.next()
         q = Fraction(0)
         if self.at_op("+", "-"):
-            sgn = 1 if self.next().text == "+" else -1
+            sgn = 1 if self.next()[1] == "+" else -1
             q = sgn * self.rational()
         # unreflected: x + q  ->  w = -q ; reflected: -x + q  ->  w = q
         return (q if reflected else -q), reflected
@@ -284,9 +385,9 @@ class _Parser:
 def _parse(text: str, dist_names: bool) -> _Value:
     p = _Parser(text, dist_names)
     v = p.sum()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
+    kind, text, pos = p.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
     return v
 
 
@@ -297,8 +398,7 @@ def parse_smooth_expr(text: str) -> SmoothExpr:
 
 def parse_dist(text: str) -> GenDist:
     """Parse construction syntax into a normalized distribution."""
-    v = _parse(text, True)
-    return v if isinstance(v, GenDist) else smooth_dist(v)
+    return _as_dist(_parse(text, True))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -6,11 +6,12 @@ supports field arithmetic, so every coefficient in the package stays exact
 until a caller explicitly asks for a float; a value beyond the float range
 then raises ``DomainError``.
 
-Most values met in practice are real, so ``+`` and ``*`` have a real
-path.  An ``int`` operand is used as it is, without wrapping.  When one
-operand is real, each nonzero part of the result costs one ``Fraction``
-operation, so real plus or times real is a single one.  The results equal
-the general formula's in value, hash and repr.
+Most values met in practice are real, so ``+``, ``*`` and ``/`` have a
+real path.  An ``int`` operand is used as it is, without wrapping.  When
+one operand of ``+`` or ``*``, or the divisor of ``/``, is real, each
+nonzero part of the result costs one ``Fraction`` operation, so real plus,
+times or over real is a single one.  The results equal the general
+formula's in value, hash and repr.
 """
 
 from __future__ import annotations
@@ -108,14 +109,23 @@ class ComplexRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        # z / r with r real: an int operand, or a real divisor
+        if isinstance(other, int):
+            r = other
+        else:
+            o = ComplexRational.of(other)
+            if o.im:
+                d = o.re * o.re + o.im * o.im
+                return ComplexRational(
+                    (self.re * o.re + self.im * o.im) / d,
+                    (self.im * o.re - self.re * o.im) / d,
+                )
+            r = o.re
+        if not r:
             raise ZeroDivisionError("division by exact zero")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        if not self.im:
+            return ComplexRational(self.re / r)
+        return ComplexRational(self.re / r, self.im / r)
 
     def __rtruediv__(self, other: ScalarLike) -> "ComplexRational":
         return ComplexRational.of(other) / self

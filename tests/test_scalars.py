@@ -3,6 +3,7 @@ formula."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from distalg import ComplexRational
@@ -29,6 +30,13 @@ def _general_mul(a, b):
                            a.re * o.im + a.im * o.re)
 
 
+def _general_div(a, b):
+    o = ComplexRational.of(b)
+    d = o.re * o.re + o.im * o.im
+    return ComplexRational((a.re * o.re + a.im * o.im) / d,
+                           (a.im * o.re - a.re * o.im) / d)
+
+
 def _same(got, want):
     assert (got.re, got.im) == (want.re, want.im)
     assert got == want
@@ -48,3 +56,25 @@ def test_add_matches_the_general_formula(a, b):
 def test_mul_matches_the_general_formula(a, b):
     _same(a * b, _general_mul(a, b))
     _same(b * a, _general_mul(a, b))
+
+
+def _same_quotient(a, b):
+    if ComplexRational.of(b).is_zero:
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            a / b
+    else:
+        _same(a / b, _general_div(ComplexRational.of(a), b))
+
+
+@given(_crs, _operands)
+def test_div_matches_the_general_formula(a, b):
+    _same_quotient(a, b)
+    _same_quotient(b, a)
+
+
+@pytest.mark.parametrize("zero", [0, False, Fraction(0), ComplexRational()])
+def test_div_by_exact_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+        ComplexRational(Fraction(3), Fraction(1)) / zero
+    with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+        ComplexRational(Fraction(3)) / zero
