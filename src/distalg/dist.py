@@ -30,7 +30,8 @@ from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
                    eval_exact, eval_expr, expr_equal, expr_from_poly,
                    poly_eval, poly_normal_form, product_of, shift_expr,
                    sum_of, worst_verdict)
-from .scalars import CR_ZERO, ComplexRational, ScalarLike, as_fraction
+from .scalars import (CR_ZERO, ComplexRational, ScalarLike, as_fraction,
+                      cr_of_ints)
 
 _NODE_TYPES = (Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos)
 
@@ -228,9 +229,10 @@ def add(*terms: GenDist) -> GenDist:
     order.
 
     The union of all breakpoints is taken once; each operand's nonzero
-    pieces are placed, by bisection, on the union intervals they cover;
-    each interval's piece is one ``sum_of`` of its collected pieces, in
-    operand order; all atoms go through one ``_assemble``.  A sum of n
+    pieces are placed on the union intervals they cover, whose ends are
+    found by a dict lookup of each breakpoint's place in the union; each
+    interval's piece is one ``sum_of`` of its collected pieces, in operand
+    order; all atoms go through one ``_assemble``.  A sum of n
     overlapping steps ``H(x-w1) + ... + H(x-wn)`` hands ``sum_of`` about
     n^2/2 pieces in all, since every step covers every interval to its
     right.
@@ -241,9 +243,10 @@ def add(*terms: GenDist) -> GenDist:
     operand splits them again, each side keeps its own tree here, while the
     fold carries the left tree over both."""
     union = sorted(set().union(*(F.breakpoints for F in terms)))
+    place = {b: i for i, b in enumerate(union, 1)}
     collected: List[list] = [[] for _ in range(len(union) + 1)]
     for F in terms:
-        ends = [bisect.bisect_left(union, b) + 1 for b in F.breakpoints]
+        ends = [place[b] for b in F.breakpoints]
         for p, i, j in zip(F.pieces, [0] + ends, ends + [len(union) + 1]):
             if p != ZERO:
                 for k in range(i, j):
@@ -311,8 +314,7 @@ def _taylor_values(g: SmoothExpr, w: Fraction, k: int
     out = []
     for j in range(min(k + 1, n)):
         f, scale = math.factorial(j), den * qs[n - 1 - j]
-        out.append(ComplexRational(Fraction(f * shifted(re, j), scale),
-                                   Fraction(f * shifted(im, j), scale)))
+        out.append(cr_of_ints(f * shifted(re, j), f * shifted(im, j), scale))
     return out + [CR_ZERO] * (k + 1 - len(out))
 
 

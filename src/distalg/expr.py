@@ -16,8 +16,9 @@ Polynomial normal form.  Internally a polynomial is a triple
 ``(den, re, im)``: ascending integer numerators of the real and imaginary
 parts over one positive common denominator, each tuple trimmed of trailing
 zeros and the whole content-reduced (``gcd(den, *re, *im) == 1``), so two
-polynomials are equal exactly when their triples are.  ``poly_normal_form``
-converts the triple to ``ComplexRational`` coefficients at the boundary.
+polynomials are equal exactly when their triples are.  A ``ComplexRational``
+has the same layout for one number, so at the boundary to coefficient lists
+integers only move: numerators go over the common denominator, and back.
 
 Memos.  Each node stores, on first use, its hash, its order key and its
 normal form (or that it is not a polynomial).  They live on the node and
@@ -33,7 +34,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
-from .scalars import CR_ONE, CR_ZERO, ComplexRational, ScalarLike, as_fraction
+from .scalars import (CR_ONE, CR_ZERO, ComplexRational, ScalarLike,
+                      as_fraction, cr_of_ints)
 
 # ---------------------------------------------------------------------------
 # node types
@@ -235,14 +237,14 @@ def product_of(*factors: SmoothExpr) -> SmoothExpr:
             stack.extend(reversed(f.factors))
         else:
             flat.append(f)
-    coeff = CR_ONE
+    coeff = None  # the product of the constant factors, once there is one
     by_base: dict[SmoothExpr, int] = {}
     order: list[SmoothExpr] = []
     for f in flat:
         if isinstance(f, Const):
             if f.value.is_zero:
                 return ZERO
-            coeff = coeff * f.value
+            coeff = f.value if coeff is None else coeff * f.value
             continue
         base, n = _base_exp(f)
         if base not in by_base:
@@ -250,6 +252,7 @@ def product_of(*factors: SmoothExpr) -> SmoothExpr:
             order.append(base)
         else:
             by_base[base] += n
+    coeff = CR_ONE if coeff is None else coeff
     out: list[SmoothExpr] = []
     for base in sorted(order, key=_order_key):
         n = by_base[base]
@@ -289,6 +292,8 @@ def quotient_of(num: SmoothExpr, den: SmoothExpr) -> SmoothExpr:
     if isinstance(den, Const):
         if den.value.is_zero:
             raise ZeroDivisionError("zero denominator in quotient")
+        if isinstance(num, Const):
+            return Const(num.value / den.value)
         return product_of(Const(CR_ONE / den.value), num)
     if num == ZERO:
         return ZERO
@@ -579,19 +584,16 @@ def _poly_mul(a: Kernel, b: Kernel) -> Kernel:
 
 
 def _kernel_of_coeffs(cs: Sequence[ComplexRational]) -> Kernel:
-    den = lcm(*(c.re.denominator for c in cs),
-              *(c.im.denominator for c in cs))
-    return _kernel(den,
-                   [c.re.numerator * (den // c.re.denominator) for c in cs],
-                   [c.im.numerator * (den // c.im.denominator) for c in cs])
+    den = lcm(*(c.den for c in cs))
+    return _kernel(den, [c.re_num * (den // c.den) for c in cs],
+                   [c.im_num * (den // c.den) for c in cs])
 
 
 def _coeffs_of_kernel(k: Kernel) -> PolyCoeffs:
     den, re, im = k
     re = re + (0,) * (len(im) - len(re))
     im = im + (0,) * (len(re) - len(im))
-    return tuple(ComplexRational(Fraction(r, den), Fraction(i, den))
-                 for r, i in zip(re, im))
+    return tuple(cr_of_ints(r, i, den) for r, i in zip(re, im))
 
 
 def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:

@@ -99,20 +99,22 @@ _FUNCS = {Exp: "exp", Sin: "sin", Cos: "cos"}
 
 def _const(v: ComplexRational, st: _Style) -> tuple:
     """(string, level) of an exact constant."""
-    if v.im == 0:
-        level = 1 if v.re < 0 else (4 if v.re.denominator == 1
-                                    else st.frac_level)
-        return st.frac(v.re), level
-    if v.re == 0:
-        if v.im == 1:
+    re = v.re
+    if v.is_real:
+        level = 1 if re < 0 else (4 if re.denominator == 1
+                                  else st.frac_level)
+        return st.frac(re), level
+    im = v.im
+    if re == 0:
+        if im == 1:
             return "i", 4
-        if v.im == -1:
+        if im == -1:
             return "-i", 1
-        return st.frac(v.im) + st.imag, st.neg_imag_level if v.im < 0 else 2
-    op = st.plus if v.im > 0 else st.minus
-    mag = abs(v.im)
+        return st.frac(im) + st.imag, st.neg_imag_level if im < 0 else 2
+    op = st.plus if im > 0 else st.minus
+    mag = abs(im)
     istr = "i" if mag == 1 else st.frac(mag) + st.imag
-    return st.frac(v.re) + op + istr, 1
+    return st.frac(re) + op + istr, 1
 
 
 def _group(e: SmoothExpr, prec: int, st: _Style) -> str:
@@ -136,13 +138,9 @@ def _render(e: SmoothExpr, st: _Style) -> tuple:
         return "".join(parts), 1
     if isinstance(e, Product):
         fs = e.factors
-        if (isinstance(fs[0], Const) and fs[0].value.im == 0
-                and fs[0].value.re < 0):
-            if fs[0].value.re == -1:
-                rest = fs[1:]
-            else:
-                rest = (Const(ComplexRational(-fs[0].value.re,
-                                              Fraction(0))),) + fs[1:]
+        c = fs[0].value if isinstance(fs[0], Const) else None
+        if c is not None and c.is_real and c.re_num < 0:
+            rest = fs[1:] if c == -CR_ONE else (Const(-c),) + fs[1:]
             body = rest[0] if len(rest) == 1 else Product(rest)
             return "-" + _group(body, 2, st), 1
         return st.mul.join(_group(f, 2, st) for f in fs), 2
@@ -258,9 +256,10 @@ def format_dist_text(F: GenDist) -> str:
         sign = 1
         if not isinstance(a, DeltaAtom):
             pre = st.open + _float_coeff(complex(a.coeff), st)[0] + st.close
-        elif a.coeff.im == 0:
-            sign = -1 if a.coeff.re < 0 else 1
-            mag = abs(a.coeff.re)
+        elif a.coeff.is_real:
+            re = a.coeff.re
+            sign = -1 if re < 0 else 1
+            mag = abs(re)
             pre = None if mag == 1 else st.frac(mag)
         else:
             pre = _factor(*_const(a.coeff, st), st)

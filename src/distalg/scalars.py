@@ -1,24 +1,24 @@
 """Exact scalar arithmetic: rationals and complex rationals.
 
 Rationals are plain ``fractions.Fraction`` (arbitrary precision, always
-reduced, positive denominator).  ``ComplexRational`` pairs two of them and
-supports field arithmetic, so every coefficient in the package stays exact
-until a caller explicitly asks for a float; a value beyond the float range
-then raises ``DomainError``.
+reduced, positive denominator).  A ``ComplexRational`` is two integer
+numerators over one positive denominator, ``(re_num + im_num*i) / den``
+with ``gcd(re_num, im_num, den) == 1``: the layout of ``expr``'s polynomial
+kernel, and of FLINT's ``fmpq`` for one rational.  Each of ``+``, ``-``,
+``*`` and ``/`` is one integer formula and one ``math.gcd``, whether an
+operand is complex, real, an ``int`` or a ``Fraction``.  The parts ``re``
+and ``im`` read as ``Fraction`` values, built on each read, so a caller
+that needs a part more than once reads it once.
 
-Most values met in practice are real, so ``+``, ``*`` and ``/`` have a
-real path.  An ``int`` operand is used as it is, without wrapping.  When
-one operand of ``+`` or ``*``, or the divisor of ``/``, is real, each
-nonzero part of the result costs one ``Fraction`` operation, so real plus,
-times or over real is a single one.  The results equal the general
-formula's in value, hash and repr.
+Every coefficient in the package stays exact until a caller explicitly asks
+for a float; a value beyond the float range then raises ``DomainError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 from .errors import DomainError
 
@@ -47,85 +47,89 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
 class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts,
+    stored as ``(re_num + im_num*i) / den`` in lowest terms.  Immutable."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re_num", "im_num", "den")
+
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        return cr_of_ints(re.numerator * im.denominator,
+                          im.numerator * re.denominator,
+                          re.denominator * im.denominator)
 
     @staticmethod
     def of(x: ScalarLike) -> "ComplexRational":
-        if isinstance(x, ComplexRational):
-            return x
-        return ComplexRational(as_fraction(x))
+        return x if isinstance(x, ComplexRational) else cr_of_ints(*_parts(x))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re_num and not self.im_num
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im_num
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ComplexRational, (self.re, self.im)
+
+    def __eq__(self, other):
+        if other.__class__ is not ComplexRational:
+            return NotImplemented
+        return (self.re_num == other.re_num and self.im_num == other.im_num
+                and self.den == other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, other: ScalarLike) -> "ComplexRational":
-        if isinstance(other, int):
-            return ComplexRational(self.re + other, self.im)
-        o = ComplexRational.of(other)
-        if not o.im:
-            return ComplexRational(self.re + o.re, self.im)
-        if not self.im:
-            return ComplexRational(self.re + o.re, o.im)
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        c, e, f = _parts(other)
+        d = self.den
+        return cr_of_ints(self.re_num * f + c * d, self.im_num * f + e * d,
+                          d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return cr_of_ints(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other: ScalarLike) -> "ComplexRational":
-        return self + (-ComplexRational.of(other))
+        c, e, f = _parts(other)
+        d = self.den
+        return cr_of_ints(self.re_num * f - c * d, self.im_num * f - e * d,
+                          d * f)
 
     def __rsub__(self, other: ScalarLike) -> "ComplexRational":
-        return ComplexRational.of(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: ScalarLike) -> "ComplexRational":
-        # z * r with r real: an int operand, or whichever factor is real
-        if isinstance(other, int):
-            z, r = self, other
-        else:
-            o = ComplexRational.of(other)
-            if not o.im:
-                z, r = self, o.re
-            elif not self.im:
-                z, r = o, self.re
-            else:
-                return ComplexRational(self.re * o.re - self.im * o.im,
-                                       self.re * o.im + self.im * o.re)
-        if not z.im:
-            return ComplexRational(z.re * r)
-        return ComplexRational(z.re * r, z.im * r)
+        c, e, f = _parts(other)
+        a, b = self.re_num, self.im_num
+        return cr_of_ints(a * c - b * e, a * e + b * c, self.den * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "ComplexRational":
-        # z / r with r real: an int operand, or a real divisor
-        if isinstance(other, int):
-            r = other
-        else:
-            o = ComplexRational.of(other)
-            if o.im:
-                d = o.re * o.re + o.im * o.im
-                return ComplexRational(
-                    (self.re * o.re + self.im * o.im) / d,
-                    (self.im * o.re - self.re * o.im) / d,
-                )
-            r = o.re
-        if not r:
+        c, e, f = _parts(other)
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by exact zero")
-        if not self.im:
-            return ComplexRational(self.re / r)
-        return ComplexRational(self.re / r, self.im / r)
+        a, b = self.re_num, self.im_num
+        return cr_of_ints(f * (a * c + b * e), f * (b * c - a * e),
+                          self.den * n)
 
     def __rtruediv__(self, other: ScalarLike) -> "ComplexRational":
         return ComplexRational.of(other) / self
@@ -144,25 +148,56 @@ class ComplexRational:
 
     def __complex__(self) -> complex:
         try:
-            return complex(float(self.re), float(self.im))
+            return complex(self.re_num / self.den, self.im_num / self.den)
         except OverflowError:
             raise DomainError("exact value does not fit in a float") from None
 
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
+
     def __str__(self) -> str:
-        if self.im == 0:
-            return frac_str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return frac_str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{frac_str(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{frac_str(im)}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else f"{frac_str(mag)}*i"
-        return f"{frac_str(self.re)}{sign}{istr}"
+        return f"{frac_str(re)}{sign}{istr}"
+
+
+# the slots' own setters, which get past the raising __setattr__
+_new = object.__new__
+_set_re = ComplexRational.re_num.__set__
+_set_im = ComplexRational.im_num.__set__
+_set_den = ComplexRational.den.__set__
+
+
+def cr_of_ints(re_num: int, im_num: int, den: int) -> ComplexRational:
+    """``(re_num + im_num*i) / den`` for integers with den > 0."""
+    g = gcd(re_num, im_num, den)
+    z = _new(ComplexRational)
+    _set_re(z, re_num // g)
+    _set_im(z, im_num // g)
+    _set_den(z, den // g)
+    return z
+
+
+def _parts(x: ScalarLike) -> Tuple[int, int, int]:
+    """(re_num, im_num, den) of an operand."""
+    if isinstance(x, ComplexRational):
+        return x.re_num, x.im_num, x.den
+    if isinstance(x, int):
+        return x, 0, 1
+    x = as_fraction(x)
+    return x.numerator, 0, x.denominator
 
 
 CR_ZERO = ComplexRational()
-CR_ONE = ComplexRational(Fraction(1))
-CR_I = ComplexRational(Fraction(0), Fraction(1))
+CR_ONE = ComplexRational(1)
+CR_I = ComplexRational(0, 1)

@@ -1,12 +1,20 @@
-"""Exact scalars: the real paths of ComplexRational agree with the general
-formula."""
+"""Exact scalars: ComplexRational agrees with the general formula, with the
+dataclass of two Fractions it replaced, and keeps Fraction arithmetic off
+the exact path of star."""
 
+import copy
+import operator
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from distalg import ComplexRational
+import distalg as d
+from distalg import ComplexRational, DomainError, as_fraction
+
+from conftest import random_corpus
 
 _fracs = st.one_of(st.just(Fraction(0)),
                    st.fractions(min_value=-20, max_value=20,
@@ -78,3 +86,248 @@ def test_div_by_exact_zero_raises(zero):
         ComplexRational(Fraction(3), Fraction(1)) / zero
     with pytest.raises(ZeroDivisionError, match="division by exact zero"):
         ComplexRational(Fraction(3)) / zero
+
+
+# ---------------------------------------------------------------------------
+# the dataclass of two Fractions that the integer layout replaced, as it was
+
+
+@dataclass(frozen=True)
+class _Reference:
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, _Reference):
+            return x
+        return _Reference(as_fraction(x))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _Reference(self.re + other, self.im)
+        o = _Reference.of(other)
+        if not o.im:
+            return _Reference(self.re + o.re, self.im)
+        if not self.im:
+            return _Reference(self.re + o.re, o.im)
+        return _Reference(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Reference(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-_Reference.of(other))
+
+    def __rsub__(self, other):
+        return _Reference.of(other) + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            z, r = self, other
+        else:
+            o = _Reference.of(other)
+            if not o.im:
+                z, r = self, o.re
+            elif not self.im:
+                z, r = o, self.re
+            else:
+                return _Reference(self.re * o.re - self.im * o.im,
+                                  self.re * o.im + self.im * o.re)
+        if not z.im:
+            return _Reference(z.re * r)
+        return _Reference(z.re * r, z.im * r)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            r = other
+        else:
+            o = _Reference.of(other)
+            if o.im:
+                dd = o.re * o.re + o.im * o.im
+                return _Reference((self.re * o.re + self.im * o.im) / dd,
+                                  (self.im * o.re - self.re * o.im) / dd)
+            r = o.re
+        if not r:
+            raise ZeroDivisionError("division by exact zero")
+        if not self.im:
+            return _Reference(self.re / r)
+        return _Reference(self.re / r, self.im / r)
+
+    def __rtruediv__(self, other):
+        return _Reference.of(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return _Reference(Fraction(1)) / self ** (-n)
+        out = _Reference(Fraction(1))
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __complex__(self):
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise DomainError("exact value does not fit in a float") from None
+
+    def __str__(self):
+        if self.im == 0:
+            return d.frac_str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{d.frac_str(self.im)}*i"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        istr = "i" if mag == 1 else f"{d.frac_str(mag)}*i"
+        return f"{d.frac_str(self.re)}{sign}{istr}"
+
+
+_Reference.__qualname__ = "ComplexRational"  # the dataclass repr's name
+
+_big = st.integers(-10 ** 30, 10 ** 30)
+_ctor_parts = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-5, 5),
+                        _big, st.fractions(min_value=-20, max_value=20,
+                                           max_denominator=12),
+                        st.builds(Fraction, _big, st.integers(1, 10 ** 30)))
+_ctor_args = st.tuples(_ctor_parts, _ctor_parts)
+_plain = st.one_of(st.integers(-3, 3), _big, st.booleans(),
+                   st.fractions(min_value=-20, max_value=20,
+                                max_denominator=12),
+                   st.builds(Fraction, _big, st.integers(1, 10 ** 30)))
+
+
+def _pair(args):
+    """The same number as the new class and as the reference; the library
+    only ever built the reference from Fraction parts."""
+    re, im = args
+    return ComplexRational(re, im), _Reference(as_fraction(re),
+                                               as_fraction(im))
+
+
+_operands = st.one_of(_ctor_args.map(_pair), _plain.map(lambda x: (x, x)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError as e:
+        return ("raises", str(e))
+
+
+def _pinned(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert type(got) is ComplexRational
+    assert type(got.re) is type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im)
+    assert (got.is_zero, got.is_real) == (want.is_zero, want.is_real)
+    assert got == ComplexRational(want.re, want.im)
+    assert hash(got) == hash(want) == hash((want.re, want.im))
+    assert repr(got) == repr(want)
+    assert str(got) == str(want)
+    assert complex(got) == complex(want)
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ctor_args.map(_pair), _operands)
+def test_matches_the_dataclass_it_replaced(a, b):
+    (a_new, a_ref), (b_new, b_ref) = a, b
+    _pinned(a_new, a_ref)
+    _pinned(-a_new, -a_ref)
+    assert (a_new == b_new) == (a_ref == b_ref)
+    assert (b_new == a_new) == (b_ref == a_ref)
+    for op in _BINARY:
+        _pinned(_outcome(op, a_new, b_new), _outcome(op, a_ref, b_ref))
+        _pinned(_outcome(op, b_new, a_new), _outcome(op, b_ref, a_ref))
+    for n in range(-4, 5):
+        _pinned(_outcome(operator.pow, a_new, n),
+                _outcome(operator.pow, a_ref, n))
+
+
+def test_constructor_keywords_defaults_and_of():
+    z = ComplexRational(im=Fraction(1, 6), re=Fraction(-3, 4))
+    assert (z.re_num, z.im_num, z.den) == (-9, 2, 12)
+    assert repr(z) == ("ComplexRational(re=Fraction(-3, 4), "
+                       "im=Fraction(1, 6))")
+    assert repr(ComplexRational()) == ("ComplexRational(re=Fraction(0, 1), "
+                                       "im=Fraction(0, 1))")
+    assert ComplexRational.of(z) is z
+    for x in (3, True, Fraction(2, 3), "5/7", 0.1):
+        assert ComplexRational.of(x) == ComplexRational(as_fraction(x))
+
+
+def test_equal_only_to_a_complex_rational():
+    z = ComplexRational(Fraction(1, 2))
+    assert z != Fraction(1, 2) and Fraction(1, 2) != z and z != 0.5
+    assert ComplexRational(1) == ComplexRational(Fraction(2, 2))
+
+
+def test_immutable_and_copyable():
+    z = ComplexRational(Fraction(1, 2), Fraction(-3))
+    for name in ("re", "im", "re_num", "im_num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+    with pytest.raises(AttributeError):
+        del z.den
+    assert (z.re_num, z.im_num, z.den) == (1, -6, 2)
+    assert copy.copy(z) == pickle.loads(pickle.dumps(z)) == z
+
+
+def test_complex_beyond_the_float_range_raises():
+    for z in (ComplexRational(Fraction(10 ** 400, 3)),
+              ComplexRational(0, -10 ** 400)):
+        with pytest.raises(DomainError):
+            complex(z)
+    # a huge numerator over a huge denominator still fits
+    assert complex(ComplexRational(Fraction(10 ** 400 + 1, 10 ** 400))) == 1
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                        "__mul__", "__rmul__", "__truediv__",
+                        "__rtruediv__", "__neg__")
+
+
+def test_star_on_acceptance_triples_does_no_fraction_arithmetic(monkeypatch):
+    """The exact path of star, on 30 polynomial triples of acceptance 02,
+    computes with integers: no Fraction is added, subtracted, multiplied,
+    divided or negated."""
+    fs, gs, js = (random_corpus(seed, 30) for seed in (11, 12, 13))
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name,
+                            counted(name, getattr(Fraction, name)))
+    for F, G, J in zip(fs, gs, js):
+        d.star(d.star(F, G), J)
+        d.star(F, d.star(G, J))
+    assert calls == []
