@@ -23,7 +23,7 @@ _PUBLIC = {
                "DegenerateLeadingCoefficient", "SemanticsError",
                "ParseError"),
     "scalars": ("ComplexRational", "as_fraction", "frac_str"),
-    "expr": ("SmoothExpr", "Const", "Var", "Sum", "Product", "Power",
+    "expr": ("SmoothExpr", "Const", "Var", "Poly", "Sum", "Product", "Power",
              "Quotient", "Exp", "Sin", "Cos", "X", "ZERO", "ONE", "const",
              "sum_of", "product_of", "power_of", "quotient_of", "exp_of",
              "sin_of", "cos_of", "neg", "sub_expr", "diff_expr", "diff_n",

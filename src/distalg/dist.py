@@ -25,15 +25,15 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError, UnsupportedPiece
-from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
-                   SmoothExpr, Verdict, ZERO, _normal_form, const, diff_expr,
-                   eval_exact, eval_expr, expr_equal, expr_from_poly,
-                   poly_eval, poly_normal_form, product_of, shift_expr,
-                   sum_of, worst_verdict)
+from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
+                   Var, SmoothExpr, Verdict, ZERO, const, diff_expr,
+                   eval_exact, eval_expr, expr_equal, leaf_kernel,
+                   poly_antiderivative, product_of, shift_expr, sum_of,
+                   worst_verdict)
 from .scalars import (CR_ZERO, ComplexRational, ScalarLike, as_fraction,
                       cr_of_ints)
 
-_NODE_TYPES = (Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos)
+_NODE_TYPES = (Const, Var, Poly, Sum, Product, Power, Quotient, Exp, Sin, Cos)
 
 
 def as_expr(v) -> SmoothExpr:
@@ -239,9 +239,9 @@ def add(*terms: GenDist) -> GenDist:
 
     The result equals the left fold of binary sums, tree for tree, with one
     exception: where the fold joined two neighbouring pieces equal in value
-    but written differently, such as (1+x)^2 and 1+2*x+x^2, and a later
-    operand splits them again, each side keeps its own tree here, while the
-    fold carries the left tree over both."""
+    but written differently, such as x and x^2/x (a quotient stays a tree),
+    and a later operand splits them again, each side keeps its own tree
+    here, while the fold carries the left tree over both."""
     union = sorted(set().union(*(F.breakpoints for F in terms)))
     place = {b: i for i, b in enumerate(union, 1)}
     collected: List[list] = [[] for _ in range(len(union) + 1)]
@@ -274,31 +274,17 @@ def sub(F: GenDist, G: GenDist) -> GenDist:
 # atom expansion
 
 
-def _plain_polynomial(e: SmoothExpr) -> bool:
-    """Whether e is built from constants and x by sums, products and powers
-    alone, with no quotient, exp, sin or cos anywhere in it."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Sum):
-        return all(map(_plain_polynomial, e.terms))
-    if isinstance(e, Product):
-        return all(map(_plain_polynomial, e.factors))
-    if isinstance(e, Power):
-        return _plain_polynomial(e.base)
-    return False
-
-
 def _taylor_values(g: SmoothExpr, w: Fraction, k: int
                    ) -> Optional[List[ComplexRational]]:
     """[g(w), g'(w), ..., g^(k)(w)] from one Taylor shift of g's integer
-    normal form to w; None unless g is a plain polynomial.
+    kernel to w; None unless g is a polynomial leaf (Const, X or Poly).
 
     g^(j)(w) is j! times coefficient j of g(x + w).  With g = sum_i c_i x^i
     / den over n integer numerators and w = p/q, that coefficient is
     sum_{i>=j} c_i C(i,j) p^(i-j) q^(n-1-i) / (den q^(n-1-j)), all in
-    integers.  A quotient, even one that divides exactly, keeps g off this
-    route, so ``eval_exact`` still refuses its pole."""
-    kern = _normal_form(g) if _plain_polynomial(g) else None
+    integers.  A quotient, even one that divides exactly, is a tree and
+    stays off this route, so ``eval_exact`` still refuses its pole."""
+    kern = leaf_kernel(g)
     if kern is None:
         return None
     den, re, im = kern
@@ -326,12 +312,11 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     action as delta^(k)(·-w) applied to g·t.  Derivative values without an
     exact evaluation produce InexactAtom entries.
 
-    The values g^(j)(w) come by one of two routes.  A plain polynomial (no
-    quotient, exp, sin or cos in its tree) reads all of them from one
-    Taylor shift of its integer normal form (``_taylor_values``).  Any
-    other piece differentiates its tree with ``diff_expr`` and evaluates
-    each derivative with ``eval_exact``, falling back to floats where that
-    has no exact value.  Both give the same atoms wherever both apply.
+    The values g^(j)(w) come by one of two routes.  A polynomial leaf reads
+    all of them from one Taylor shift of its integer kernel
+    (``_taylor_values``).  A tree differentiates with ``diff_expr`` and
+    evaluates each derivative with ``eval_exact``, falling back to floats
+    where that has no exact value.
     """
     g = as_expr(g)
     vals = _taylor_values(g, a.w, a.k)
@@ -370,8 +355,8 @@ def smooth_mul(g, F: GenDist) -> GenDist:
 
 
 def _exact_value(e: SmoothExpr, w: Fraction) -> Optional[ComplexRational]:
-    """``eval_exact(e, w)``, read from the Taylor shift on a plain
-    polynomial."""
+    """``eval_exact(e, w)``, read from the Taylor shift on a polynomial
+    leaf."""
     vals = _taylor_values(e, w, 0)
     return eval_exact(e, w) if vals is None else vals[0]
 
@@ -415,28 +400,21 @@ def antiderivative(F: GenDist) -> GenDist:
     k-1; order-0 atoms become jumps of the regular part.  The regular part is
     continuous elsewhere and the leftmost piece has zero constant term.
     """
-    polys: List[Tuple[ComplexRational, ...]] = []
+    prims = []
     for p in F.pieces:
-        nf = poly_normal_form(p)
-        if nf is None:
+        prim = poly_antiderivative(p)
+        if prim is None:
             raise UnsupportedPiece("antiderivative requires polynomial pieces")
-        polys.append(nf)
+        prims.append(prim)
     if any(isinstance(a, InexactAtom) and a.k == 0 for a in F.all_atoms):
         raise DomainError("order-0 atom with inexact coefficient has no "
                           "exact antiderivative")
-    prims = [tuple([CR_ZERO] +
-                   [c / (i + 1) for i, c in enumerate(nf)]) for nf in polys]
     jumps = {a.w: a.coeff for a in F.all_atoms if a.k == 0}
     consts = [CR_ZERO]
     for i, b in enumerate(F.breakpoints):
-        c = consts[i] + poly_eval(prims[i], b) - poly_eval(prims[i + 1], b)
-        c = c + jumps.get(b, CR_ZERO)
-        consts.append(c)
-    pieces = []
-    for prim, c in zip(prims, consts):
-        cs = list(prim)
-        cs[0] = cs[0] + c
-        pieces.append(expr_from_poly(cs))
+        c = consts[i] + eval_exact(prims[i], b) - eval_exact(prims[i + 1], b)
+        consts.append(c + jumps.get(b, CR_ZERO))
+    pieces = [sum_of(prim, Const(c)) for prim, c in zip(prims, consts)]
     atoms = [type(a)(a.w, a.k - 1, a.coeff) for a in F.all_atoms if a.k >= 1]
     return _assemble(F.breakpoints, pieces, atoms)
 

@@ -1,28 +1,43 @@
 """Symbolic one-variable smooth expressions.
 
-The node set {constant, x, sum, product, integer power, quotient, exp, sin,
-cos} is closed under differentiation and products, which is all the rest of
-the package needs.  Constructors (``sum_of``, ``product_of``, ...) do light
-canonicalization: constant folding, like-term collection, power grouping,
-and a deterministic factor order.  They never attempt general
-simplification; equality beyond the polynomial subset is a semi-decision
-(see ``expr_equal``).
+The node set {constant, x, polynomial, sum, product, integer power,
+quotient, exp, sin, cos} is closed under differentiation and products, which
+is all the rest of the package needs.  Constructors (``sum_of``,
+``product_of``, ...) do light canonicalization: constant folding, like-term
+collection, power grouping, and a deterministic factor order.  They never
+attempt general simplification; equality beyond the polynomials is a
+semi-decision (see ``expr_equal``).
 
 Coefficients are exact ``ComplexRational`` values.  Floating point enters
 only through ``eval_expr`` / ``eval_num``; numpy is imported there and in
 the sampling tail of ``expr_equal``, never by the exact paths.
 
-Polynomial normal form.  Internally a polynomial is a triple
-``(den, re, im)``: ascending integer numerators of the real and imaginary
-parts over one positive common denominator, each tuple trimmed of trailing
-zeros and the whole content-reduced (``gcd(den, *re, *im) == 1``), so two
-polynomials are equal exactly when their triples are.  A ``ComplexRational``
-has the same layout for one number, so at the boundary to coefficient lists
-integers only move: numerators go over the common denominator, and back.
+Polynomials.  A polynomial is stored as one canonical leaf: ``Const`` for a
+constant, ``X`` for x itself, and otherwise a ``Poly`` node holding the
+kernel ``(den, re, im)``: ascending integer numerators of the real and
+imaginary parts over one positive common denominator, each tuple trimmed of
+trailing zeros and the whole content-reduced (``gcd(den, *re, *im) == 1``).
+So two polynomial leaves are equal exactly when ``==`` says so, and their
+hash is a tuple hash.  A ``ComplexRational`` has the same layout for one
+number, so at the boundary to coefficient lists integers only move.  The
+constructors, ``diff_expr`` and ``subst`` keep polynomials on these leaves
+and compute on kernels; they build a ``Sum``, ``Product`` or ``Power`` only
+when exp, sin, cos or a quotient with a non-constant denominator takes part
+(or when handed nodes that a caller built directly).  In such a sum the
+polynomial terms are the terms of their expanded tree (``_poly_tree``,
+which is also what ``fmt`` prints for a ``Poly``); in such a product the
+polynomial factors multiply into one, split as a scalar c times a
+primitive polynomial q (``_primitive``), so that c is the product's one
+leading constant however it was reached, and like terms collect.  A
+quotient stays a tree even when it divides exactly, so that
+``eval_exact`` still refuses its pole.  A ``Poly`` evaluates in floats by
+Horner, and exactly at the float point where Horner's error bound is too
+wide (``_poly_num``).
 
-Memos.  Each node stores, on first use, its hash, its order key and its
-normal form (or that it is not a polynomial).  They live on the node and
-die with it; no module-level cache holds a node.
+Memos.  Each node stores, on first use, its hash and its order key; a tree
+node also stores its normal form (or that it is not a polynomial), which
+the quotient path and equality read.  They live on the node and die with
+it; no module-level cache holds a node.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
@@ -71,6 +86,13 @@ class Var:
 
 
 @_node
+class Poly:
+    """A polynomial of degree >= 1 other than x, by its canonical kernel;
+    the constructors build it, and a constant or x is never one."""
+    k: "Kernel"
+
+
+@_node
 class Sum:
     terms: Tuple["SmoothExpr", ...]
 
@@ -107,11 +129,13 @@ class Cos:
     arg: "SmoothExpr"
 
 
-SmoothExpr = Union[Const, Var, Sum, Product, Power, Quotient, Exp, Sin, Cos]
+SmoothExpr = Union[Const, Var, Poly, Sum, Product, Power, Quotient, Exp, Sin,
+                   Cos]
 
 X = Var()
 ZERO = Const(CR_ZERO)
 ONE = Const(CR_ONE)
+_LEAVES = (Const, Var, Poly)  # the canonical polynomial nodes
 
 
 def const(v: ScalarLike) -> Const:
@@ -138,6 +162,8 @@ def _ser_node(e: SmoothExpr) -> str:
         return f"C[{e.value}]"
     if isinstance(e, Var):
         return "x"
+    if isinstance(e, Poly):  # ordered as its expanded tree was
+        return _ser(_poly_tree(e))
     if isinstance(e, Sum):
         return "S(" + ",".join(_ser(t) for t in e.terms) + ")"
     if isinstance(e, Product):
@@ -166,8 +192,6 @@ def _order_key(e: SmoothExpr):
 
 def _coeff_core(e: SmoothExpr) -> Tuple[ComplexRational, SmoothExpr]:
     """Split e into (constant coefficient, remaining factor)."""
-    if isinstance(e, Const):
-        return e.value, ONE
     if isinstance(e, Product) and isinstance(e.factors[0], Const):
         rest = e.factors[1:]
         core = rest[0] if len(rest) == 1 else Product(rest)
@@ -176,10 +200,6 @@ def _coeff_core(e: SmoothExpr) -> Tuple[ComplexRational, SmoothExpr]:
 
 
 def _with_coeff(c: ComplexRational, core: SmoothExpr) -> SmoothExpr:
-    if c.is_zero:
-        return ZERO
-    if isinstance(core, Const):  # only ONE reaches here
-        return Const(c * core.value)
     if c == CR_ONE:
         return core
     if isinstance(core, Product):
@@ -187,35 +207,68 @@ def _with_coeff(c: ComplexRational, core: SmoothExpr) -> SmoothExpr:
     return Product((Const(c), core))
 
 
-def sum_of(*terms: SmoothExpr) -> SmoothExpr:
-    """Sum with flattening, constant folding and like-term collection."""
-    flat: list[SmoothExpr] = []
-    stack = list(reversed(terms))
+def _flat(items: Sequence[SmoothExpr], cls) -> list:
+    """The operands of an n-ary sum or product, nested ones spliced in."""
+    out: list[SmoothExpr] = []
+    stack = list(reversed(items))
     while stack:
         t = stack.pop()
-        if isinstance(t, Sum):
-            stack.extend(reversed(t.terms))
+        if t.__class__ is cls:
+            stack.extend(reversed(t.terms if cls is Sum else t.factors))
         else:
-            flat.append(t)
+            out.append(t)
+    return out
+
+
+def sum_of(*terms: SmoothExpr) -> SmoothExpr:
+    """Sum with flattening, constant folding and like-term collection.
+    Constants add as scalars and the other polynomial leaves as kernels;
+    any other term sends the whole sum to ``_tree_sum``."""
+    flat = _flat(terms, Sum)
+    acc = None  # the sum of the constants
+    k = None  # the sum of the kernels of X and Poly terms
+    for t in flat:
+        cls = t.__class__
+        if cls is Const:
+            acc = t.value if acc is None else acc + t.value
+        elif cls is Poly or cls is Var:
+            tk = t.k if cls is Poly else _K_X
+            k = tk if k is None else _poly_add(k, tk)
+        else:
+            return _tree_sum(flat)
+    if k is None:
+        return ZERO if acc is None else Const(acc)
+    if acc is not None:
+        k = _poly_add(k, _kernel_of_value(acc))
+    return _leaf(k)
+
+
+def _tree_sum(flat: list) -> SmoothExpr:
+    """A sum that a term other than a polynomial leaf takes part in.  Each
+    Poly term enters as the terms of its expanded tree, and terms collect
+    by their core.  When only constants and monomials c*x^i are left, the
+    sum is a polynomial leaf after all."""
     acc = CR_ZERO
     by_core: dict[SmoothExpr, ComplexRational] = {}
-    order: list[SmoothExpr] = []
-    for t in flat:
-        c, core = _coeff_core(t)
-        if isinstance(core, Const):
-            acc = acc + c * core.value
+    for t in _flat([_poly_tree(t) if t.__class__ is Poly else t
+                    for t in flat], Sum):
+        if t.__class__ is Const:
+            acc = acc + t.value
             continue
+        c, core = _coeff_core(t)
         if core not in by_core:
             by_core[core] = c
-            order.append(core)
         else:
             by_core[core] = by_core[core] + c
-    out = [_with_coeff(by_core[core], core) for core in sorted(order, key=_order_key)
-           if not by_core[core].is_zero]
+    live = [core for core, c in by_core.items() if not c.is_zero]
+    if all(_base_exp(core)[0] == X for core in live):  # only c*x^i are left
+        return sum_of(Const(acc), *(product_of(Const(by_core[core]),
+                                               power_of(X, _base_exp(core)[1]))
+                                    for core in live))
+    out = [_with_coeff(by_core[core], core)
+           for core in sorted(live, key=_order_key)]
     if not acc.is_zero:
         out.insert(0, Const(acc))
-    if not out:
-        return ZERO
     if len(out) == 1:
         return out[0]
     return Sum(tuple(out))
@@ -228,33 +281,56 @@ def _base_exp(e: SmoothExpr) -> Tuple[SmoothExpr, int]:
 
 
 def product_of(*factors: SmoothExpr) -> SmoothExpr:
-    """Product with flattening, constant folding and power grouping."""
-    flat: list[SmoothExpr] = []
-    stack = list(reversed(factors))
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Product):
-            stack.extend(reversed(f.factors))
-        else:
-            flat.append(f)
-    coeff = None  # the product of the constant factors, once there is one
-    by_base: dict[SmoothExpr, int] = {}
-    order: list[SmoothExpr] = []
+    """Product with flattening, constant folding and power grouping.
+    Constants multiply as scalars and the other polynomial leaves as
+    kernels; any other factor sends the whole product to
+    ``_tree_product``."""
+    flat = _flat(factors, Product)
+    coeff = None  # the product of the constants
+    k = None  # the product of the kernels of X and Poly factors
     for f in flat:
-        if isinstance(f, Const):
+        cls = f.__class__
+        if cls is Const:
             if f.value.is_zero:
                 return ZERO
             coeff = f.value if coeff is None else coeff * f.value
+        elif cls is Poly or cls is Var:
+            fk = f.k if cls is Poly else _K_X
+            k = fk if k is None else _poly_mul(k, fk)
+        else:
+            return _tree_product(flat)
+    if k is None:
+        return ONE if coeff is None else Const(coeff)
+    if coeff is not None:
+        k = _poly_mul(_kernel_of_value(coeff), k)
+    return _leaf(k)
+
+
+def _tree_product(flat: list) -> SmoothExpr:
+    """A product that a factor other than a polynomial leaf takes part in.
+    The polynomial leaves multiply into one, c times a primitive q (see
+    ``_primitive``), so the product depends neither on the order its
+    factors came in nor on where a scalar sat: c is the coefficient and q
+    one base (x with exponent n when q is x^n)."""
+    p = product_of(*(f for f in flat if isinstance(f, _LEAVES)))
+    if p == ZERO:
+        return ZERO
+    by_base: dict[SmoothExpr, int] = {}
+    if isinstance(p, Const):
+        coeff = p.value
+    else:
+        coeff, q = _primitive(_normal_form(p))
+        if q[2] or any(q[1][:-1]):
+            by_base[_leaf(q)] = 1
+        else:  # x^n, ordered by its base as a power of x
+            by_base[X] = len(q[1]) - 1
+    for f in flat:
+        if isinstance(f, _LEAVES):
             continue
         base, n = _base_exp(f)
-        if base not in by_base:
-            by_base[base] = n
-            order.append(base)
-        else:
-            by_base[base] += n
-    coeff = CR_ONE if coeff is None else coeff
+        by_base[base] = by_base.get(base, 0) + n
     out: list[SmoothExpr] = []
-    for base in sorted(order, key=_order_key):
+    for base in sorted(by_base, key=_order_key):
         n = by_base[base]
         if n == 0:
             continue
@@ -281,6 +357,14 @@ def power_of(base: SmoothExpr, n: int) -> SmoothExpr:
         return quotient_of(ONE, power_of(base, -n))
     if isinstance(base, Const):
         return Const(base.value ** n)
+    if isinstance(base, (Var, Poly)):  # by squaring, so x^n costs O(n)
+        k, b = _K_ONE, _normal_form(base)
+        while n:
+            if n & 1:
+                k = _poly_mul(k, b)
+            n >>= 1
+            b = _poly_mul(b, b) if n else b
+        return _leaf(k)
     if isinstance(base, Power):
         return power_of(base.base, base.n * n)
     if isinstance(base, Product):
@@ -289,6 +373,8 @@ def power_of(base: SmoothExpr, n: int) -> SmoothExpr:
 
 
 def quotient_of(num: SmoothExpr, den: SmoothExpr) -> SmoothExpr:
+    """num/den; a quotient by a non-constant stays a Quotient node, even
+    when it divides exactly."""
     if isinstance(den, Const):
         if den.value.is_zero:
             raise ZeroDivisionError("zero denominator in quotient")
@@ -344,6 +430,8 @@ def diff_expr(e: SmoothExpr) -> SmoothExpr:
         return ZERO
     if isinstance(e, Var):
         return ONE
+    if isinstance(e, Poly):
+        return _leaf(_poly_diff(e.k))
     if isinstance(e, Sum):
         return sum_of(*(diff_expr(t) for t in e.terms))
     if isinstance(e, Product):
@@ -397,6 +485,8 @@ def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
             return np.full(xa.shape, complex(e.value)) if not scalar else complex(e.value)
         if isinstance(e, Var):
             return xa
+        if isinstance(e, Poly):
+            return _poly_num(e.k, xa)
         if isinstance(e, Sum):
             out = rec(e.terms[0])
             for t in e.terms[1:]:
@@ -429,6 +519,70 @@ def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
     return np.asarray(out, dtype=complex)
 
 
+_HORNER_RTOL = 1e-10
+
+
+def _poly_num(k: Kernel, xa):
+    """The polynomial k at the points xa to a relative error of about
+    ``_HORNER_RTOL``: float Horner where its error bound, a few units of
+    round-off times sum |c_i||x|^i, allows that, and elsewhere (cancellation
+    near a root, or coefficients beyond float range) the exact value at the
+    float point, rounded once.  The bound is taken pointwise only when its
+    value at max |x| does not already clear every point."""
+    import numpy as np
+    den, re, im = k
+    n = max(len(re), len(im))
+    re, im = re + (0,) * (n - len(re)), im + (0,) * (n - len(im))
+    xs = xa if xa.ndim else xa.reshape(1)  # complex, as eval_num makes it
+    try:
+        cs = [complex(r / den, i / den) for r, i in zip(re, im)]
+    except OverflowError:
+        out = np.full(xs.shape, np.inf + 0j)
+        exact = np.ones(xs.shape, dtype=bool)
+    else:
+        out = xs * cs[-1]
+        out += cs[-2]
+        for c in reversed(cs[:-2]):
+            out *= xs
+            out += c
+        tol = 4 * n * 2.0 ** -53 / _HORNER_RTOL
+        ax, av = abs(xs), abs(out)
+        size, r = 0.0, float(ax.max(initial=0.0))
+        for c in reversed(cs):
+            size = size * r + abs(c)
+        if tol * size <= av.min(initial=np.inf):
+            return out if xa.ndim else out[0]
+        size = abs(cs[-1])
+        for c in reversed(cs[:-1]):
+            size = size * ax + abs(c)
+        exact = ~(tol * size <= av)
+    for i in np.flatnonzero(exact):
+        z = complex(xs[i])
+        if isfinite(z.real) and isfinite(z.imag):
+            out[i] = _poly_at_float(den, re, im, z)
+    return out if xa.ndim else out[0]
+
+
+def _poly_at_float(den: int, re: tuple, im: tuple, z: complex) -> complex:
+    """Horner in Gaussian integers at z = (a + b*i)/d, d a power of two,
+    and one correctly rounded division per part."""
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)
+    a, b = a * (d // da), b * (d // db)
+    vr, vi, pw = re[-1], im[-1], 1
+    for r, i in zip(reversed(re[:-1]), reversed(im[:-1])):
+        pw *= d
+        vr, vi = vr * a - vi * b + r * pw, vr * b + vi * a + i * pw
+    scale = den * pw
+    parts = []
+    for v in (vr, vi):
+        try:
+            parts.append(v / scale)
+        except OverflowError:
+            parts.append(float("inf") if v > 0 else float("-inf"))
+    return complex(*parts)
+
+
 def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
     """Exact evaluation when the value is provably a complex rational.
 
@@ -443,6 +597,8 @@ def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
             return e.value
         if isinstance(e, Var):
             return xv
+        if isinstance(e, Poly):
+            return poly_eval(_coeffs_of_kernel(e.k), xv)
         if isinstance(e, Sum):
             acc = CR_ZERO
             for t in e.terms:
@@ -485,16 +641,16 @@ def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
 
 
 def eval_expr(e: SmoothExpr, x0) -> complex:
-    """Evaluate at a real point, exactly on polynomial input, numerically
-    otherwise.  The result is a complex float either way."""
-    p = poly_normal_form(e)
-    if p is not None and not isinstance(x0, complex):
+    """Evaluate at a real point: exactly when e is a polynomial leaf (Const,
+    X or Poly) and x0 is rational, numerically otherwise.  The result is a
+    complex float either way."""
+    if isinstance(e, _LEAVES) and not isinstance(x0, complex):
         try:
             xf = as_fraction(x0)
         except (TypeError, ValueError):
             xf = None
         if xf is not None:
-            return complex(poly_eval(p, xf))
+            return complex(eval_exact(e, xf))
     return eval_num(e, x0)
 
 
@@ -596,6 +752,59 @@ def _coeffs_of_kernel(k: Kernel) -> PolyCoeffs:
     return tuple(cr_of_ints(r, i, den) for r, i in zip(re, im))
 
 
+def _kernel_of_value(v: ComplexRational) -> Kernel:
+    return (v.den, (v.re_num,) if v.re_num else (),
+            (v.im_num,) if v.im_num else ())
+
+
+def _poly_diff(k: Kernel) -> Kernel:
+    den, re, im = k
+    return _kernel(den, [i * c for i, c in enumerate(re)][1:],
+                   [i * c for i, c in enumerate(im)][1:])
+
+
+def _primitive(k: Kernel) -> Tuple[ComplexRational, Kernel]:
+    """Split a nonzero polynomial into c*q with q the same for all its
+    nonzero scalar multiples: q has integer coefficients of content 1 and a
+    positive leading one when the polynomial is real up to a scalar, and is
+    monic otherwise."""
+    den, re, im = k
+    n = max(len(re), len(im)) - 1
+    lead = cr_of_ints(re[n] if len(re) > n else 0, im[n] if len(im) > n else 0,
+                      den)
+    qden, qre, qim = _poly_mul(_kernel_of_value(CR_ONE / lead), k)
+    if qim:
+        return lead, (qden, qre, qim)
+    g = gcd(*qre)  # qre[-1] == qden > 0
+    return lead * cr_of_ints(g, 0, qden), (1, tuple(c // g for c in qre), ())
+
+
+def _leaf(k: Kernel) -> SmoothExpr:
+    """The canonical node of a polynomial: Const, X or Poly."""
+    den, re, im = k
+    if len(re) > 1 or len(im) > 1:
+        return X if k == _K_X else Poly(k)
+    if not re and not im:
+        return ZERO
+    return Const(cr_of_ints(re[0] if re else 0, im[0] if im else 0, den))
+
+
+def _poly_tree(e: Poly) -> SmoothExpr:
+    """The tree of e's expanded form, which ``fmt`` prints and a mixed sum
+    holds: the constant term, then c*x^i for each other nonzero
+    coefficient c (just x^i when c is 1), in the order of the serialized
+    cores 'W(x,i)' and 'x' that like-term collection gives."""
+    cs = _coeffs_of_kernel(e.k)
+    terms = [Const(cs[0])] if not cs[0].is_zero else []
+    for i in sorted(range(1, len(cs)), key=lambda i: (i == 1, str(i))):
+        c = cs[i]
+        if c.is_zero:
+            continue
+        core = X if i == 1 else Power(X, i)
+        terms.append(core if c == CR_ONE else Product((Const(c), core)))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
 def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
     """Exact division with remainder; b must be nonzero."""
     rem = list(a)
@@ -655,8 +864,15 @@ def real_root_count(coeffs: Sequence[ComplexRational], lo: Fraction,
 
 
 def _normal_form(e: SmoothExpr) -> Optional[Kernel]:
-    """Kernel normal form, None when e is not provably a polynomial;
-    memoized on the node."""
+    """Kernel normal form, None when e is not provably a polynomial: read
+    off a polynomial leaf, memoized on a tree node."""
+    cls = e.__class__
+    if cls is Poly:
+        return e.k
+    if cls is Const:
+        return _kernel_of_value(e.value)
+    if cls is Var:
+        return _K_X
     try:
         k = e._nf_memo
     except AttributeError:
@@ -668,10 +884,8 @@ def _normal_form(e: SmoothExpr) -> Optional[Kernel]:
 
 
 def _normal_form_node(e: SmoothExpr):
-    if isinstance(e, Const):
-        return _kernel_of_coeffs((e.value,))
-    if isinstance(e, Var):
-        return _K_X
+    """The normal form of a tree: Sum, Product, Power or Quotient nodes
+    over polynomials, else False."""
     if isinstance(e, Sum):
         out = _K_ZERO
         for t in e.terms:
@@ -694,10 +908,7 @@ def _normal_form_node(e: SmoothExpr):
         p = _normal_form(e.base)
         if p is None:
             return False
-        out = _K_ONE
-        for _ in range(e.n):
-            out = _poly_mul(out, p)
-        return out
+        return _normal_form(power_of(_leaf(p), e.n))
     if isinstance(e, Quotient):
         dp = _normal_form(e.den)
         if dp is None:
@@ -719,10 +930,6 @@ def _normal_form_node(e: SmoothExpr):
 def poly_normal_form(e: SmoothExpr) -> Optional[PolyCoeffs]:
     """Dense ascending coefficients when e is (provably) a polynomial with
     exact coefficients; None otherwise.  The zero polynomial is ()."""
-    if isinstance(e, Const):
-        return () if e.value.is_zero else (e.value,)
-    if isinstance(e, Var):
-        return (CR_ZERO, CR_ONE)
     k = _normal_form(e)
     return None if k is None else _coeffs_of_kernel(k)
 
@@ -732,10 +939,27 @@ def is_polynomial(e: SmoothExpr) -> bool:
     return _normal_form(e) is not None
 
 
+def leaf_kernel(e: SmoothExpr) -> Optional[Kernel]:
+    """The kernel (den, re, im) of a polynomial leaf (Const, X or Poly);
+    None for a tree, even one whose normal form is a polynomial."""
+    return _normal_form(e) if isinstance(e, _LEAVES) else None
+
+
+def poly_antiderivative(e: SmoothExpr) -> Optional[SmoothExpr]:
+    """The antiderivative with constant term zero of e, as a leaf; None
+    when e is not provably a polynomial."""
+    k = _normal_form(e)
+    if k is None:
+        return None
+    den, re, im = k
+    m = lcm(*range(1, max(len(re), len(im)) + 1))
+    return _leaf(_kernel(den * m, [0] + [c * m // i for i, c in enumerate(re, 1)],
+                         [0] + [c * m // i for i, c in enumerate(im, 1)]))
+
+
 def expr_from_poly(coeffs: Sequence[ScalarLike]) -> SmoothExpr:
-    """Build the expression sum_i coeffs[i]·x^i."""
-    return sum_of(*(product_of(const(c), power_of(X, i))
-                    for i, c in enumerate(coeffs)))
+    """The polynomial leaf of sum_i coeffs[i]·x^i."""
+    return _leaf(_kernel_of_coeffs([ComplexRational.of(c) for c in coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +1025,8 @@ def _term_magnitude(e: SmoothExpr, xs: np.ndarray,
     can evaluate to a tiny value with only round-off accuracy, so separation
     must be judged against the terms, not the cancelled result."""
     import numpy as np
+    if isinstance(e, Poly):
+        e = _poly_tree(e)
     if not isinstance(e, Sum):
         return np.abs(values)
     total = np.zeros(xs.shape)
@@ -814,9 +1040,12 @@ def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
                samples: int = 32, rtol: float = 1e-9) -> Verdict:
     """Equal iff proven (structural match or polynomial normal forms agree);
     Unequal iff a sample point on the interval separates the two beyond
-    tolerance; Unknown otherwise."""
+    tolerance; Unknown otherwise.  Two polynomial leaves are canonical, so
+    ``==`` decides them."""
     if e1 == e2:
         return Verdict.EQUAL
+    if isinstance(e1, _LEAVES) and isinstance(e2, _LEAVES):
+        return Verdict.UNEQUAL
     try:
         k1 = _normal_form(e1)
         k2 = _normal_form(e2) if k1 is not None else None
@@ -856,6 +1085,10 @@ def subst(e: SmoothExpr, r: SmoothExpr) -> SmoothExpr:
         return e
     if isinstance(e, Var):
         return r
+    if isinstance(e, Poly):
+        return sum_of(*(product_of(Const(c), power_of(r, i))
+                        for i, c in enumerate(_coeffs_of_kernel(e.k))
+                        if not c.is_zero))
     if isinstance(e, Sum):
         return sum_of(*(subst(t, r) for t in e.terms))
     if isinstance(e, Product):

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
-from .expr import (Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, Var,
-                   SmoothExpr, ONE, ZERO)
+from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
+                   Var, SmoothExpr, ONE, ZERO, _poly_tree)
 from .scalars import CR_ONE, ComplexRational, frac_str
 
 if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
@@ -130,6 +130,8 @@ def _render(e: SmoothExpr, st: _Style) -> tuple:
         return _const(e.value, st)
     if isinstance(e, Var):
         return "x", 4
+    if isinstance(e, Poly):  # printed expanded, as its tree
+        return _render(_poly_tree(e), st)
     if isinstance(e, Sum):
         parts = [_group(e.terms[0], 1, st)]
         for t in e.terms[1:]:

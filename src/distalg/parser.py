@@ -55,7 +55,7 @@ from .dist import (Atom, DeltaAtom, GenDist, InexactAtom, PiecewiseSmooth,
                    _assemble, _merge_atoms, _scaled_atoms, add, scale,
                    smooth_mul, smooth_times_atom)
 from .errors import DomainError, ParseError, SemanticsError
-from .expr import (SmoothExpr, X, ZERO, ONE, _K_ZERO, _normal_form, Const,
+from .expr import (SmoothExpr, X, ZERO, ONE, leaf_kernel, poly_normal_form,
                    const, cos_of, exp_of, neg, power_of, product_of,
                    quotient_of, sin_of, sum_of)
 from .scalars import ComplexRational, as_fraction
@@ -87,11 +87,14 @@ def _number(text: str) -> Union[int, Fraction]:
 
 def _proven_zero(g: SmoothExpr) -> bool:
     """Whether assembly joins g to a zero neighbour: ``expr_equal`` proves
-    g equal to 0 exactly when g is 0 or its polynomial normal form is."""
-    if isinstance(g, Const):
-        return g.value.is_zero
+    g equal to 0 exactly when g is 0 or its polynomial normal form is.  A
+    polynomial leaf is zero only as the constant 0; a tree can be zero by
+    its normal form only through a quotient that divides exactly, such as
+    x^2/x - x, since quotients stay trees."""
+    if leaf_kernel(g) is not None:
+        return g == ZERO
     try:
-        return _normal_form(g) == _K_ZERO
+        return poly_normal_form(g) == ()
     except DomainError:
         return False
 

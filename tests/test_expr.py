@@ -348,6 +348,11 @@ def _sympy_of(e, sp, x):
                 + sp.I * sp.Rational(v.im.numerator, v.im.denominator))
     if isinstance(e, d.Var):
         return x
+    if isinstance(e, d.Poly):
+        den, re, im = e.k
+        return (sp.Add(*(sp.Integer(c) * x ** i for i, c in enumerate(re)))
+                + sp.I * sp.Add(*(sp.Integer(c) * x ** i
+                                  for i, c in enumerate(im)))) / den
     if isinstance(e, d.Sum):
         return sp.Add(*(_sympy_of(t, sp, x) for t in e.terms))
     if isinstance(e, d.Product):
@@ -438,3 +443,216 @@ def test_equal_needs_cancellation_across_nonpolynomial_terms():
     assert d.expr_equal(e1, e2) is Verdict.EQUAL
     assert d.expr_equal(e1, d.sum_of(d.exp_of(d.X), poly(1, 2, 2))) \
         is Verdict.UNEQUAL
+
+
+# ---------------------------------------------------------------------------
+# polynomial leaves
+
+
+def test_constant_terms_add_without_multiplying(monkeypatch):
+    """Constant terms are added as they are, on the scalar path of sum_of
+    and on its tree path alike: no ComplexRational is multiplied."""
+    cs = [d.const(Fraction(k, k + 1)) for k in range(1, 20)]
+    calls = []
+    mul = d.ComplexRational.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(d.ComplexRational, "__mul__", counted)
+    monkeypatch.setattr(d.ComplexRational, "__rmul__", counted)
+    E = d.exp_of(d.X)
+    calls.clear()
+    constants = d.sum_of(*cs)
+    mixed = d.sum_of(cs[0], E, *cs[1:])
+    with_x = d.sum_of(*cs, d.X)
+    assert calls == []
+    total = d.const(sum(Fraction(k, k + 1) for k in range(1, 20)))
+    assert constants == total
+    assert mixed == d.Sum((total, E))
+    assert with_x == d.expr_from_poly([total.value, 1])
+
+
+def _coeff_lists(rng, big):
+    """A sparse polynomial as a coefficient list and as the sum of its
+    monomials: conftest draws, or coefficients with numerators and
+    denominators up to 10^30."""
+    cs = [d.ComplexRational(0)] * 4
+    for _ in range(rng.randint(1, 3)):
+        if big:
+            c = d.ComplexRational(
+                Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                         rng.randint(1, 10 ** 30)),
+                Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                         rng.randint(1, 10 ** 30)) * rng.randint(0, 1))
+        else:
+            c = rational_scalar(rng)
+        cs[rng.randint(0, 3)] += c
+    e = d.sum_of(d.ZERO, *(d.product_of(d.Const(c), d.power_of(d.X, i))
+                           for i, c in enumerate(cs)))
+    return cs, e
+
+
+def _convolve(p, q):
+    out = [d.ComplexRational(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans(),
+       st.sampled_from(["expanded", "perturbed", "other"]))
+def test_leaf_equality_is_expr_equal(seed, big, twin):
+    """A factored product or power and the leaf of its expanded
+    coefficients are one node: p == q holds exactly when expr_equal
+    proves them Equal, and equal leaves hash alike."""
+    rng = random.Random(seed)
+    (a, ea), (b, eb) = _coeff_lists(rng, big), _coeff_lists(rng, big)
+    n = rng.randint(2, 3)
+    if rng.random() < 0.5:
+        p, want = d.product_of(ea, eb), _convolve(a, b)
+    else:
+        p, want = d.power_of(ea, n), a
+        for _ in range(n - 1):
+            want = _convolve(want, a)
+    if twin == "perturbed":
+        i = rng.randrange(len(want))
+        want[i] = want[i] + d.ComplexRational(Fraction(1, 10 ** 30))
+    q = (d.product_of(eb, d.sum_of(ea, ea)) if twin == "other"
+         else d.expr_from_poly(want))
+    verdict = d.expr_equal(p, q)
+    assert (p == q) is (verdict is Verdict.EQUAL)
+    if twin != "other":
+        assert (twin == "expanded") is (p == q)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert isinstance(p, (d.Const, d.Var, d.Poly))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_mixed_product_does_not_depend_on_order_or_grouping(seed):
+    """Polynomial factors multiply into one leaf even when exp, sin or a
+    quotient takes part, so (1+x)*exp(x)*(1+x) and (1+x)*(1+x)*exp(x)
+    are one node."""
+    rng = random.Random(seed)
+    others = [d.exp_of(d.X), d.sin_of(d.product_of(d.const(2), d.X)),
+              d.quotient_of(d.ONE, d.sum_of(d.ONE, d.power_of(d.X, 2)))]
+    factors = ([random_poly(rng) for _ in range(rng.randint(1, 3))]
+               + rng.sample(others, rng.randint(1, 3)))
+    rng.shuffle(factors)
+    a = d.product_of(*factors)
+    rng.shuffle(factors)
+    k = rng.randint(1, len(factors))
+    b = d.product_of(d.product_of(*factors[:k]), *factors[k:])
+    assert a == b
+    assert d.expr_equal(a, b) is Verdict.EQUAL
+
+
+_TRANSCENDENTAL = [d.exp_of(d.X), d.sin_of(d.X), d.cos_of(d.neg(d.X)),
+                   d.product_of(d.exp_of(d.X), d.sin_of(d.X))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_mixed_product_keeps_its_scalar_in_one_place(seed):
+    """A scalar of a mixed product sits in one place, however the product
+    was reached, so like terms collect: A - A is 0 and A + A is 2*A for
+    A = p*exp(x), p*sin(x), ..."""
+    rng = random.Random(seed)
+    p = random_poly(rng)
+    t = rng.choice(_TRANSCENDENTAL)
+    c = rational_scalar(rng)
+    a = d.product_of(p, t)
+    assert d.sub_expr(a, a) == d.ZERO
+    assert d.sum_of(a, a) == d.product_of(d.const(2), a)
+    assert d.product_of(d.Const(c), a) == d.product_of(
+        d.product_of(d.Const(c), p), t)
+    assert d.sum_of(a, d.product_of(d.Const(c), a)) == d.product_of(
+        d.Const(c + 1), a)
+    assert d.expr_equal(d.sum_of(a, a), d.product_of(d.const(2), a)) \
+        is Verdict.EQUAL
+
+
+def test_mixed_product_scalar_examples():
+    x = d.X
+    for p in (d.sum_of(d.ONE, x), d.sum_of(d.power_of(x, 2), d.const(3)),
+              d.sum_of(d.const(2), d.product_of(d.const(4), x)),
+              d.sum_of(d.Const(d.ComplexRational(0, 1)), x)):
+        for t in _TRANSCENDENTAL:
+            a = d.product_of(p, t)
+            assert d.sub_expr(a, a) == d.ZERO
+            assert d.sum_of(a, a) == d.product_of(d.const(2), a)
+            assert d.neg(d.neg(a)) == a
+
+
+def test_poly_evaluates_accurately_near_a_root_and_beyond_float_range():
+    """An expanded power evaluates as accurately as the power itself: near
+    a root, where the float Horner sum cancels, and where coefficients
+    such as C(1100, 550) ~ 1e329 do not fit in a float."""
+    p20 = d.power_of(d.sum_of(d.X, d.const(-1)), 20)
+    xs = np.array([0.999, 1 + 1e-3, 1 + 1e-6, 0.5, 2.0, 1.0])
+    want = (xs - 1) ** 20
+    got = d.eval_num(p20, xs)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert d.eval_num(p20, 1.0001) == pytest.approx(1e-80, rel=1e-12)
+    assert d.eval_num(p20, np.array([])).shape == (0,)
+    p1100 = d.power_of(d.sum_of(d.X, d.const(-1)), 1100)
+    xs = np.array([0.5, 1.5, 1.9, 2.5])
+    got = d.eval_num(p1100, xs)
+    assert np.all(np.abs(got - (xs - 1) ** 1100)
+                  <= 1e-12 * np.abs((xs - 1) ** 1100))
+    F = d.smooth_mul(p1100, d.heaviside(0))
+    t = d.make_bump(Fraction(1, 2), Fraction(5, 2))
+    direct = d.action(d.smooth_mul(d.Power(d.sum_of(d.X, d.const(-1)), 1100),
+                                   d.heaviside(0)), t)
+    assert d.action(F, t) == pytest.approx(direct, rel=1e-9)
+    q = d.power_of(d.sum_of(d.X, d.Const(d.ComplexRational(0, 1))), 3)
+    assert d.eval_num(q, 0.5 + 0.25j) == pytest.approx((0.5 + 1.25j) ** 3)
+
+
+def test_star_on_acceptance_triples_builds_no_trees(monkeypatch):
+    """On 30 polynomial triples of acceptance 02, both bracketings of star
+    compute on polynomial leaves: no Sum, Product or Power node is built
+    and no tree normal form is computed."""
+    from conftest import random_corpus
+    fs, gs, js = (random_corpus(seed, 30) for seed in (11, 12, 13))
+    built = []
+
+    def counted(name, f):
+        def wrapper(*args, **kw):
+            built.append(name)
+            return f(*args, **kw)
+        return wrapper
+
+    for cls in (d.Sum, d.Product, d.Power):
+        monkeypatch.setattr(cls, "__init__",
+                            counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(expr_mod, "_normal_form_node",
+                        counted("_normal_form_node",
+                                expr_mod._normal_form_node))
+    for F, G, J in zip(fs, gs, js):
+        d.star(d.star(F, G), J)
+        d.star(F, d.star(G, J))
+    assert built == []
+
+
+def test_a_power_of_x_takes_logarithmically_many_products(monkeypatch):
+    """x^n is raised by squaring, in a constructor and in a tree's normal
+    form: parsing x^20000 times a step makes about 2 log2(n) kernel
+    products, not n."""
+    calls = []
+    mul = expr_mod._poly_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(expr_mod, "_poly_mul", counted)
+    F = d.parse_dist("x^20000*H(x)")
+    assert d.format_dist(F) == "x^20000*H(x)"
+    assert d.poly_normal_form(d.Power(d.X, 20000))[-1] == d.ComplexRational(1)
+    assert len(calls) <= 4 * (20000).bit_length()

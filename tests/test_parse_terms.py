@@ -219,6 +219,31 @@ def test_trap_term_vanishes_with_its_breakpoints():
     assert repr(F) == repr(d.parse_dist("H(x-1)"))
 
 
+def test_a_term_zero_by_its_expansion_is_dropped():
+    """A polynomial piece that expands to zero is the constant 0, so its
+    term leaves nothing behind, with or without a left bound."""
+    F = d.parse_dist(f"H(3-x)*{TRAP} + H(x-1)")
+    assert d.format_dist(F) == "H(x-1)"
+    G = d.parse_dist(f"H(3-x)*{TRAP}*exp(x)")
+    assert d.format_dist(G) == "0"
+    assert d.equal_dist(G, d.zero_dist()) is d.Verdict.EQUAL
+
+
+def test_like_mixed_terms_cancel_and_collect():
+    """Terms with exp or sin pieces collect like polynomial ones: F - F is
+    zero, and the text of a collected sum is a fixed point."""
+    for text in ("(1+x)*exp(x)*H(x)", "sin(x)*(x^2+3)*H(1-x) + delta(x)",
+                 "(2+4*x)*exp(-x)*H(x-1)*H(3-x) + x*cos(x)"):
+        F = d.parse_dist(text)
+        assert d.is_zero_dist(d.sub(F, F))
+        assert d.format_dist(d.parse_dist(f"{text} - ({text})")) == "0"
+        s = d.format_dist(d.add(F, F))
+        assert d.format_dist(d.parse_dist(s)) == s
+        assert d.parse_dist(s) == d.scale(2, F)
+    assert d.format_dist(d.parse_dist(
+        "(1+x)*exp(x) + (1+x)*exp(x)")) == "2*(1 + x)*exp(x)"
+
+
 def test_empty_interval_is_the_zero_term():
     assert d.parse_dist("H(x-2)*H(1-x)") == d.zero_dist()
     assert d.parse_dist("H(x-1)*H(1-x)") == d.zero_dist()
