@@ -80,7 +80,7 @@ def _quad_config(args):
     if sched is not None:
         try:
             eps = tuple(parse_rational(p) for p in sched.split(","))
-        except (ParseError, ValueError):
+        except ParseError:
             raise _UsageError(f"bad --eps-schedule {sched!r}")
         if not eps or any(e <= 0 for e in eps):
             raise _UsageError("--eps-schedule needs positive rationals")

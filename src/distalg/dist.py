@@ -8,6 +8,13 @@ list of delta atoms C·delta^(k)(x - w).  Every atom location is also a
 breakpoint, at most one atom exists per (location, order), and normalization
 removes breakpoints that carry no atom and join provably equal pieces.
 
+Breakpoints and atom locations are ``scalars.Rat`` values: ``_assemble``
+and ``_merge_atoms`` pass each one through ``as_fraction``, so the sorts,
+``bisect`` calls, sets and dict keys of assembly, alignment and ``star``
+compare and hash integers.  Operations that build a ``GenDist`` directly
+(``align``, the parser's light shapes) take their locations from values
+made that way.
+
 Coefficients stay exact.  When an operation needs a pointwise value that has
 no exact form (say exp(1)), the resulting atom is an ``InexactAtom`` with a
 floating coefficient; exact-equality verdicts refuse to say Equal in its
@@ -105,7 +112,7 @@ def _merge_atoms(atoms: Iterable[Atom]) -> List[Atom]:
     acc: dict[Tuple[bool, Fraction, int], Union[ComplexRational, complex]] = {}
     for a in atoms:
         inexact = isinstance(a, InexactAtom)
-        key = (inexact, a.w, a.k)
+        key = (inexact, as_fraction(a.w), a.k)
         if inexact:
             acc[key] = acc.get(key, 0j) + complex(a.coeff)
         else:

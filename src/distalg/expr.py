@@ -36,7 +36,8 @@ wide (``_poly_num``).
 
 Memos.  Each node stores, on first use, its hash and its order key; a tree
 node also stores its normal form (or that it is not a polynomial), which
-the quotient path and equality read.  They live on the node and die with
+the quotient path and equality read, and a ``Poly`` its expanded tree,
+which ``fmt`` prints.  They live on the node and die with
 it; no module-level cache holds a node.
 """
 
@@ -90,6 +91,7 @@ class Poly:
     """A polynomial of degree >= 1 other than x, by its canonical kernel;
     the constructors build it, and a constant or x is never one."""
     k: "Kernel"
+    _tree_memo = None  # its expanded tree, once ``_poly_tree`` builds it
 
 
 @_node
@@ -647,7 +649,7 @@ def eval_expr(e: SmoothExpr, x0) -> complex:
     if isinstance(e, _LEAVES) and not isinstance(x0, complex):
         try:
             xf = as_fraction(x0)
-        except (TypeError, ValueError):
+        except (TypeError, DomainError):
             xf = None
         if xf is not None:
             return complex(eval_exact(e, xf))
@@ -793,7 +795,10 @@ def _poly_tree(e: Poly) -> SmoothExpr:
     """The tree of e's expanded form, which ``fmt`` prints and a mixed sum
     holds: the constant term, then c*x^i for each other nonzero
     coefficient c (just x^i when c is 1), in the order of the serialized
-    cores 'W(x,i)' and 'x' that like-term collection gives."""
+    cores 'W(x,i)' and 'x' that like-term collection gives.  Built once
+    per node and kept in its ``_tree_memo``."""
+    if e._tree_memo is not None:
+        return e._tree_memo
     cs = _coeffs_of_kernel(e.k)
     terms = [Const(cs[0])] if not cs[0].is_zero else []
     for i in sorted(range(1, len(cs)), key=lambda i: (i == 1, str(i))):
@@ -802,7 +807,9 @@ def _poly_tree(e: Poly) -> SmoothExpr:
             continue
         core = X if i == 1 else Power(X, i)
         terms.append(core if c == CR_ONE else Product((Const(c), core)))
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    t = terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    object.__setattr__(e, "_tree_memo", t)
+    return t
 
 
 def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:

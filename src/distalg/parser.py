@@ -370,7 +370,7 @@ class _Parser:
                 raise ParseError("expected x after the constant",
                                  self.peek()[2])
             self.next()
-            return r, True
+            return as_fraction(r), True
         reflected = False
         if self.at_op("+", "-"):
             reflected = self.next()[1] == "-"
@@ -382,7 +382,7 @@ class _Parser:
             sgn = 1 if self.next()[1] == "+" else -1
             q = sgn * self.rational()
         # unreflected: x + q  ->  w = -q ; reflected: -x + q  ->  w = q
-        return (q if reflected else -q), reflected
+        return as_fraction(q if reflected else -q), reflected
 
 
 def _parse(text: str, dist_names: bool) -> _Value:
@@ -405,15 +405,15 @@ def parse_dist(text: str) -> GenDist:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'p/q', decimal, or scientific notation."""
-    text = text.strip()
+    """Exact rational from a decimal or scientific number, or from 'p/q'
+    where p and q are each one; a zero q raises ``ParseError``."""
+    num, slash, den = text.strip().partition("/")
     try:
-        return Fraction(text)
+        if "/" not in den:
+            q = Fraction(den.strip()) if slash else 1
+            return Fraction(num.strip()) / q
     except (ValueError, ZeroDivisionError):
         pass
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(num.strip()) / Fraction(den.strip())
     raise ParseError(f"not a rational: {text!r}", 0)
 
 

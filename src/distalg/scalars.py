@@ -1,14 +1,25 @@
 """Exact scalar arithmetic: rationals and complex rationals.
 
-Rationals are plain ``fractions.Fraction`` (arbitrary precision, always
-reduced, positive denominator).  A ``ComplexRational`` is two integer
-numerators over one positive denominator, ``(re_num + im_num*i) / den``
-with ``gcd(re_num, im_num, den) == 1``: the layout of ``expr``'s polynomial
-kernel, and of FLINT's ``fmpq`` for one rational.  Each of ``+``, ``-``,
-``*`` and ``/`` is one integer formula and one ``math.gcd``, whether an
-operand is complex, real, an ``int`` or a ``Fraction``.  The parts ``re``
-and ``im`` read as ``Fraction`` values, built on each read, so a caller
-that needs a part more than once reads it once.
+Rationals are ``fractions.Fraction`` values (arbitrary precision, always
+reduced, positive denominator).  Every breakpoint and atom location is a
+``Rat``: a ``Fraction`` that stores its hash, computed once by
+``Fraction``'s own formula, and compares with another ``Rat`` by integers
+alone (``==`` on the two pairs, each ordering by one cross-multiply).  Sorts,
+``bisect``, sets and dict keys on breakpoints then never reach ``Fraction``'s
+generic comparison or its hash, which runs ``pow(den, -1, 2**61 - 1)`` on
+every call.  Any other operand goes to ``Fraction``'s methods, arithmetic
+returns plain ``Fraction`` values, and ``repr`` reads ``Fraction(n, d)``, so
+a ``Rat`` prints, compares and hashes as the ``Fraction`` it equals.
+``as_fraction`` is the one coercion, and returns a ``Rat``.
+
+A ``ComplexRational`` is two integer numerators over one positive
+denominator, ``(re_num + im_num*i) / den`` with ``gcd(re_num, im_num, den)
+== 1``: the layout of ``expr``'s polynomial kernel, and of FLINT's
+``fmpq`` for one rational.  Each of ``+``, ``-``, ``*`` and ``/`` is one
+integer formula and one ``math.gcd``, whether an operand is complex, real,
+an ``int`` or a ``Fraction``.  The parts ``re`` and ``im`` read as plain
+``Fraction`` values, built on each read, so a caller that needs a part
+more than once reads it once.
 
 Every coefficient in the package stays exact until a caller explicitly asks
 for a float; a value beyond the float range then raises ``DomainError``.
@@ -16,28 +27,101 @@ for a float; a value beyond the float range then raises ``DomainError``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "ComplexRational"]
 
 
-def as_fraction(x: RationalLike | str | float) -> Fraction:
-    """Coerce to an exact Fraction.  Strings may be 'p/q' or decimal digits;
-    floats are converted through their shortest repr so '0.1' means 1/10."""
-    if isinstance(x, Fraction):
+class Rat(Fraction):
+    """A ``Fraction`` with its hash stored and integer compares; the type of
+    every breakpoint and atom location.  ``as_fraction`` makes one."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        f = Fraction(numerator, denominator)
+        return _rat(f._numerator, f._denominator)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is Rat:
+            return (self._numerator == other._numerator
+                    and self._denominator == other._denominator)
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if other.__class__ is Rat:
+            return (self._numerator * other._denominator
+                    < other._numerator * self._denominator)
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        if other.__class__ is Rat:
+            return (self._numerator * other._denominator
+                    <= other._numerator * self._denominator)
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        if other.__class__ is Rat:
+            return (self._numerator * other._denominator
+                    > other._numerator * self._denominator)
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        if other.__class__ is Rat:
+            return (self._numerator * other._denominator
+                    >= other._numerator * self._denominator)
+        return Fraction.__ge__(self, other)
+
+    def __repr__(self) -> str:
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rat(n: int, d: int) -> Rat:
+    """n/d for coprime integers with d > 0, its hash computed as
+    ``Fraction.__hash__`` computes it."""
+    r = object.__new__(Rat)
+    r._numerator = n
+    r._denominator = d
+    h = (hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+         if d % _HASH_MODULUS else sys.hash_info.inf)
+    # hash() reads a returned -1 as -2, as Fraction.__hash__ gives it
+    r._hash = h if n >= 0 else -h
+    return r
+
+
+def as_fraction(x: RationalLike | str | float) -> Rat:
+    """Coerce to an exact ``Rat``.  Strings may be 'p/q' or decimal digits;
+    floats are converted through their shortest repr so '0.1' means 1/10.
+    A string that is no rational raises ``ParseError``, and an infinite or
+    nan float ``DomainError``."""
+    if x.__class__ is Rat:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return _rat(x.numerator, x.denominator)
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(float(x)))
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+        try:
+            f = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"not a rational: {x!r}", 0) from None
+    elif isinstance(x, float):
+        if not isfinite(x):
+            raise DomainError(f"{x!r} is not a finite rational")
+        f = Fraction(repr(float(x)))
+    else:
+        raise TypeError(f"cannot interpret {x!r} as a rational")
+    return _rat(f._numerator, f._denominator)
 
 
 def frac_str(x: Fraction) -> str:

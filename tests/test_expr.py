@@ -295,10 +295,19 @@ def test_no_module_cache_retains_trees():
         d.expr_equal(a, d.sum_of(d.power_of(d.X, 2), d.const(k)))
         d.poly_normal_form(p)
         d.poly_normal_form(d.power_of(a, 3))
+        d.format_expr(a), d.format_expr(b)  # memoizes a's expanded tree
         refs += [weakref.ref(t) for t in (a, b, c, p)]
     del a, b, c, p
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_poly_expanded_tree_is_built_once():
+    p = d.parse_smooth_expr("3 + x^2 - 1/2*x^3")
+    text = d.format_expr(p)
+    tree = p._tree_memo
+    assert tree is not None and expr_mod._poly_tree(p) is tree
+    assert d.format_expr(p) == text == "3 + x^2 - 1/2*x^3"
 
 
 _fracs = st.one_of(

@@ -173,6 +173,30 @@ class TestRational:
         with pytest.raises(ParseError):
             d.parse_rational("abc")
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "1/2/3", "1/", "/2",
+                                      "1/0.0", "inf", "nan"])
+    def test_rejects_zero_denominator_and_extra_slash(self, text):
+        with pytest.raises(ParseError):
+            d.parse_rational(text)
+
+    def test_scientific_and_spaced_parts(self):
+        assert d.parse_rational("1e3/2") == 500
+        assert d.parse_rational(" 1 / 2.5 ") == Fraction(2, 5)
+        assert d.parse_rational("-1/-2") == Fraction(1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["action", "H(x)", "--bump", "0,1/0"],
+        ["action", "H(x)", "--bump", "0,1/2/3"],
+        ["oracle", "delta(x)", "H(x)", "--bump", "-1,1",
+         "--eps-schedule", "1/0"],
+        ["verify", "--ode", "1,1;0", "--interval=1/0", "exp(-x)"],
+        ["residual", "--ode", "1,1;0", "--interval=0,1/2/3", "H(x)"],
+    ])
+    def test_cli_bad_rational_is_a_usage_error(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "Traceback" not in err
+
 
 class TestLinearArguments:
     @pytest.mark.parametrize("text,w,k,coeff", [

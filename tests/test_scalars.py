@@ -1,10 +1,12 @@
 """Exact scalars: ComplexRational agrees with the general formula, with the
 dataclass of two Fractions it replaced, and keeps Fraction arithmetic off
-the exact path of star."""
+the exact path of star; Rat agrees with Fraction, and keeps Fraction's
+hash and comparisons off star, bracket and equal_dist."""
 
 import copy
 import operator
 import pickle
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distalg as d
-from distalg import ComplexRational, DomainError, as_fraction
+from distalg import ComplexRational, DistAlgError, DomainError, as_fraction
+from distalg.scalars import Rat
 
 from conftest import random_corpus
 
@@ -311,11 +314,8 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
                         "__rtruediv__", "__neg__")
 
 
-def test_star_on_acceptance_triples_does_no_fraction_arithmetic(monkeypatch):
-    """The exact path of star, on 30 polynomial triples of acceptance 02,
-    computes with integers: no Fraction is added, subtracted, multiplied,
-    divided or negated."""
-    fs, gs, js = (random_corpus(seed, 30) for seed in (11, 12, 13))
+def _count_fraction_calls(monkeypatch, names):
+    """A list that gets the name of each call of these Fraction methods."""
     calls = []
 
     def counted(name, f):
@@ -324,10 +324,156 @@ def test_star_on_acceptance_triples_does_no_fraction_arithmetic(monkeypatch):
             return f(*args)
         return wrapper
 
-    for name in _FRACTION_ARITHMETIC:
+    for name in names:
         monkeypatch.setattr(Fraction, name,
                             counted(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_star_on_acceptance_triples_does_no_fraction_arithmetic(monkeypatch):
+    """The exact path of star, on 30 polynomial triples of acceptance 02,
+    computes with integers: no Fraction is added, subtracted, multiplied,
+    divided or negated."""
+    fs, gs, js = (random_corpus(seed, 30) for seed in (11, 12, 13))
+    calls = _count_fraction_calls(monkeypatch, _FRACTION_ARITHMETIC)
     for F, G, J in zip(fs, gs, js):
         d.star(d.star(F, G), J)
         d.star(F, d.star(G, J))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Rat: breakpoints and atom locations
+
+
+_small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_huge = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                  st.integers(1, 10 ** 40))
+_rationals = st.one_of(_small, _huge)
+
+
+@st.composite
+def _rational_pairs(draw):
+    """Two rationals, often equal or nearly equal (p/q against
+    p/q + 10^-30), as a Rat's value and its other operand's."""
+    a = draw(_rationals)
+    b = draw(st.one_of(_rationals, st.just(a),
+                       st.builds(lambda s: a + Fraction(s, 10 ** 30),
+                                 st.sampled_from([1, -1]))))
+    return a, b
+
+
+def _as_kind(x: Fraction, kind: str):
+    if kind == "Rat":
+        return as_fraction(x)
+    if kind == "int":
+        return x.numerator // x.denominator
+    if kind == "float":
+        return float(x)
+    return x
+
+
+_COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+                operator.gt, operator.ge)
+
+
+def _same_value(r, f: Fraction):
+    assert type(r) is Rat and isinstance(r, Fraction)
+    assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
+    assert hash(r) == hash(f)
+    assert repr(r) == repr(f) and str(r) == str(f)
+    assert bool(r) == bool(f) and d.frac_str(r) == d.frac_str(f)
+    assert float(r) == float(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_pairs(), st.sampled_from(["Rat", "Fraction", "int",
+                                           "float"]),
+       st.one_of(st.none(), st.sampled_from([float("inf"), float("-inf"),
+                                             float("nan")])))
+def test_rat_matches_fraction(pair, kind, special):
+    a, b = pair
+    r = as_fraction(a)
+    _same_value(r, a)
+    other = special if special is not None else _as_kind(b, kind)
+    plain = Fraction(other) if type(other) is Rat else other
+    for op in _COMPARISONS:
+        assert op(r, other) is op(a, plain), (op, r, other)
+        assert op(other, r) is op(plain, a), (op, other, r)
+    for copied in (copy.copy(r), copy.deepcopy(r),
+                   pickle.loads(pickle.dumps(r))):
+        _same_value(copied, a)
+        assert copied == r
+
+
+@given(_rationals)
+def test_rat_arithmetic_and_parts_stay_plain(a):
+    r = as_fraction(a)
+    assert as_fraction(r) is r
+    for v in (r + 1, r - r, r * r, r / 3, -r, abs(r), +r, r + a,
+              Fraction(r)):
+        assert type(v) is Fraction
+    assert r - a == 0 and r + r == 2 * a
+    z = ComplexRational(r, r)
+    assert type(z.re) is type(z.im) is Fraction
+
+
+def test_rat_constructor_and_coercions():
+    assert type(Rat(6, 4)) is Rat and Rat(6, 4) == Fraction(3, 2)
+    assert hash(Rat("-1/3")) == hash(Fraction(-1, 3))
+    assert repr(Rat(-1)) == "Fraction(-1, 1)" and hash(Rat(-1)) == -2
+    for x in (3, True, Fraction(2, 3), "5/7", " -7/2 ", 0.1, -2.5):
+        r = as_fraction(x)
+        assert type(r) is Rat and hash(r) == hash(Fraction(r))
+    assert as_fraction(0.1) == Fraction(1, 10)
+    assert repr(as_fraction(True)) == "Fraction(1, 1)"
+    # a denominator that is a multiple of the hash modulus has no inverse,
+    # and -(m + 2)/2 would hash to -1, which Python reserves
+    m = sys.hash_info.modulus
+    for f in (Fraction(1, m), Fraction(-5, 3 * m), Fraction(-(m + 2), 2)):
+        assert hash(as_fraction(f)) == hash(f)
+    assert hash(Fraction(-(m + 2), 2)) == -2
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "0/0", "1/2/3", "", "inf",
+                                 float("inf"), float("-inf"), float("nan")])
+def test_as_fraction_raises_a_typed_error(bad):
+    with pytest.raises(DistAlgError):
+        as_fraction(bad)
+
+
+def test_json_and_constructors_raise_typed_errors():
+    with pytest.raises(d.ParseError):
+        d.parse_dist_json('{"breakpoints": ["1/0"], "pieces": ["0", "1"]}')
+    with pytest.raises(d.ParseError):
+        d.parse_dist_json('{"atoms": [{"w": "x", "k": 0, "re": "1", '
+                          '"im": "0"}]}')
+    with pytest.raises(DomainError):
+        d.heaviside(float("inf"))
+    with pytest.raises(DomainError):
+        d.delta_dist(float("nan"))
+
+
+def _locations(F):
+    return list(F.breakpoints) + [a.w for a in F.all_atoms]
+
+
+def test_star_and_equal_dist_on_acceptance_triples_do_no_fraction_compare(
+        monkeypatch):
+    """On 30 triples of acceptance 02, both bracketings of star, bracket
+    and equal_dist neither hash nor compare a plain Fraction: every
+    breakpoint and atom location is a Rat, compared by integers."""
+    fs, gs, js = (random_corpus(seed, 30) for seed in (11, 12, 13))
+    calls = _count_fraction_calls(monkeypatch,
+                                  ("__hash__", "__eq__", "_richcmp"))
+    results = []
+    for F, G, J in zip(fs, gs, js):
+        L, R = d.star(d.star(F, G), J), d.star(F, d.star(G, J))
+        B, B2 = d.bracket(F, G), d.bracket(G, F)
+        assert d.equal_dist(L, R) is d.Verdict.EQUAL
+        assert d.equal_dist(B, d.scale(-1, B2)) is d.Verdict.EQUAL
+        results += [L, R, B, B2]
+    monkeypatch.undo()
+    assert calls == []
+    for F in fs + gs + js + results:
+        assert all(type(w) is Rat for w in _locations(F))

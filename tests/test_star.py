@@ -1,14 +1,18 @@
-"""One-sided products, variants, bracket, and the disjoint-support product."""
+"""One-sided products, variants, bracket, and the disjoint-support product;
+the algebra laws also as Hypothesis properties on huge, tiny and nearly
+equal breakpoints."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distalg as d
 from distalg import Verdict, VariantTag
 from distalg.dist import _assemble
 from distalg.errors import OverlapError
+from distalg.scalars import Rat
 
 from conftest import LOCS, random_dist, random_poly
 
@@ -251,3 +255,79 @@ class TestHormander:
                                 d.hormander(F, G)) is Verdict.EQUAL
             assert d.equal_dist(d.star(G, F),
                                 d.hormander(G, F)) is Verdict.EQUAL
+
+
+# ---------------------------------------------------------------------------
+# the laws on huge, tiny and nearly equal locations
+
+_EPS = Fraction(1, 10 ** 30)
+_location = st.one_of(
+    st.integers(-2, 2).map(Fraction),
+    st.builds(lambda s, n: s * 10 ** 30 + n, st.sampled_from([1, -1]),
+              st.integers(-2, 2)).map(Fraction),
+    st.integers(-3, 3).map(lambda n: n * _EPS),
+    st.builds(lambda p, q, n: Fraction(p, q) + n * _EPS,
+              st.integers(-7, 7), st.integers(1, 5), st.integers(-1, 1)))
+_scalar = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+def _as_kind(w: Fraction, kind: str):
+    """w as an int (when it is one), a Fraction or a Rat."""
+    if kind == "int" and w.denominator == 1:
+        return int(w)
+    return Rat(w) if kind == "Rat" else w
+
+
+@st.composite
+def _dists(draw, pool, n):
+    """n distributions with polynomial pieces, whose breakpoints and atoms
+    sit on the locations in pool, each passed as an int, Fraction or Rat."""
+    out = []
+    for _ in range(n):
+        def loc():
+            return _as_kind(draw(st.sampled_from(pool)), draw(
+                st.sampled_from(["int", "Fraction", "Rat"])))
+        bks = sorted({loc() for _ in range(draw(st.integers(0, 3)))})
+        pieces = [d.sum_of(*(d.product_of(d.const(c), d.power_of(d.X, i))
+                             for i, c in enumerate(draw(
+                                 st.lists(_scalar, max_size=3)))))
+                  for _ in range(len(bks) + 1)]
+        atoms = [d.delta_dist(loc(), draw(st.integers(0, 2)),
+                              d.ComplexRational(draw(_scalar),
+                                                draw(_scalar)))
+                 for _ in range(draw(st.integers(0, 2)))]
+        out.append(d.add(d.make_piecewise(bks, pieces), *atoms))
+    return out
+
+
+_triples = st.lists(_location, min_size=1, max_size=4, unique=True).flatmap(
+    lambda pool: _dists(pool, 3))
+
+
+def _equal(A, B):
+    for w in list(A.breakpoints) + [a.w for a in A.all_atoms]:
+        assert type(w) is Rat
+    return d.equal_dist(A, B) is Verdict.EQUAL
+
+
+class TestLawProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_triples)
+    def test_associative(self, fgj):
+        F, G, J = fgj
+        assert _equal(d.star(d.star(F, G), J), d.star(F, d.star(G, J)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_triples)
+    def test_bracket_antisymmetric(self, fgj):
+        F, G, _ = fgj
+        assert _equal(d.bracket(F, G), d.scale(-1, d.bracket(G, F)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_triples)
+    def test_distributive_over_add(self, fgj):
+        F, G, J = fgj
+        assert _equal(d.star(F, d.add(G, J)),
+                      d.add(d.star(F, G), d.star(F, J)))
+        assert _equal(d.star(d.add(F, G), J),
+                      d.add(d.star(F, J), d.star(G, J)))
