@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .dist import (Atom, DeltaAtom, GenDist, InexactAtom, PiecewiseSmooth,
@@ -58,24 +59,37 @@ from .errors import DomainError, ParseError, SemanticsError
 from .expr import (SmoothExpr, X, ZERO, ONE, leaf_kernel, poly_normal_form,
                    const, cos_of, exp_of, neg, power_of, product_of,
                    quotient_of, sin_of, sum_of)
-from .scalars import ComplexRational, as_fraction
+from .scalars import ComplexRational, Rat, _rat, as_fraction
 from .star import star
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<id>[A-Za-z_]+)"
-                       r"|(?P<op>[-+*/^()\[\],;])|(?P<bad>\S))")
+# One match per token: its leading whitespace, then exactly one of a
+# number, a name, an operator or any other (bad) character.
+_TOKEN_RE = re.compile(r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z_]+)"
+                       r"|([-+*/^()\[\],;])|(\S))")
 
 # A token is a (kind, text, position) triple; kind is num, id, op or end.
 _Tok = Tuple[str, str, int]
 
 
 def _tokenize(text: str) -> List[_Tok]:
+    """The tokens of text.  Every character but whitespace starts a match,
+    so the matches tile the text up to trailing whitespace, and a token's
+    position is the running sum of the lengths before it."""
     out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}",
-                             m.start(kind))
-        out.append((kind, m.group(kind), m.start(kind)))
+    pos = 0
+    for space, num, name, op, bad in _TOKEN_RE.findall(text):
+        pos += len(space)
+        if num:
+            out.append(("num", num, pos))
+            pos += len(num)
+        elif name:
+            out.append(("id", name, pos))
+            pos += len(name)
+        elif op:
+            out.append(("op", op, pos))
+            pos += 1
+        else:
+            raise ParseError(f"unexpected character {bad!r}", pos)
     out.append(("end", "", len(text)))
     return out
 
@@ -83,6 +97,18 @@ def _tokenize(text: str) -> List[_Tok]:
 def _number(text: str) -> Union[int, Fraction]:
     """The exact value of a numeric literal: an int unless it has a point."""
     return Fraction(text) if "." in text else int(text)
+
+
+def _ratio(text: str) -> Tuple[int, int]:
+    """A numeric literal as an integer over a power of ten, not reduced."""
+    whole, _, frac = text.partition(".")
+    return int(whole + frac), 10 ** len(frac)
+
+
+def _location(n: int, d: int) -> Rat:
+    """The breakpoint n/d, for integers n and d > 0, reduced once."""
+    g = gcd(n, d)
+    return _rat(n // g, d // g)
 
 
 def _proven_zero(g: SmoothExpr) -> bool:
@@ -245,19 +271,21 @@ class _Parser:
         self.next()
         return int(text)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Tuple[int, int]:
+        """A literal p or p/q as integers (n, d) with n/d its value and
+        d > 0, not reduced."""
         kind, text, pos = self.peek()
         if kind != "num":
             raise ParseError("expected a number", pos)
         self.next()
-        val = Fraction(_number(text))
+        n, d = _ratio(text)
         if self.at_op("/") and self.toks[self.i + 1][0] == "num":
             self.next()
-            q = _number(self.next()[1])
-            if q == 0:
+            qn, qd = _ratio(self.next()[1])
+            if qn == 0:
                 raise ParseError("zero denominator", pos)
-            val = val / q
-        return val
+            n, d = n * qd, d * qn
+        return n, d
 
     # -- the grammar ------------------------------------------------------
 
@@ -360,29 +388,31 @@ class _Parser:
             return _Atoms(w, (DeltaAtom(w, k, c),))
         return _Piece(ONE, None, w) if reflected else _Piece(ONE, w, None)
 
-    def linarg(self) -> Tuple[Fraction, bool]:
+    def linarg(self) -> Tuple[Rat, bool]:
         """Linear argument of H or delta: returns (w, reflected) meaning
         x - w, or w - x when reflected."""
         if self.peek()[0] == "num":
-            r = self.rational()
+            n, d = self.rational()
             self.expect_op("-")
             if not self.at_x():
                 raise ParseError("expected x after the constant",
                                  self.peek()[2])
             self.next()
-            return as_fraction(r), True
+            return _location(n, d), True
         reflected = False
         if self.at_op("+", "-"):
             reflected = self.next()[1] == "-"
         if not self.at_x():
             raise ParseError("expected x in linear argument", self.peek()[2])
         self.next()
-        q = Fraction(0)
+        n, d = 0, 1
         if self.at_op("+", "-"):
-            sgn = 1 if self.next()[1] == "+" else -1
-            q = sgn * self.rational()
-        # unreflected: x + q  ->  w = -q ; reflected: -x + q  ->  w = q
-        return as_fraction(q if reflected else -q), reflected
+            plus = self.next()[1] == "+"
+            n, d = self.rational()
+            # unreflected: x + q  ->  w = -q ; reflected: -x + q  ->  w = q
+            if plus != reflected:
+                n = -n
+        return _location(n, d), reflected
 
 
 def _parse(text: str, dist_names: bool) -> _Value:

@@ -5,8 +5,9 @@ limit of F(x)·G(x+eps) for eps -> 0+.  Its closed form multiplies aligned
 regular parts pointwise and pairs each atom with a one-sided piece of the
 other factor: F's atoms see G's piece just RIGHT of the atom location, G's
 atoms see F's piece just LEFT of it.  That one-sided selection is the entire
-asymmetry and lives in ``star`` alone; the product variants are that
-product with its arguments swapped, so they share one audited site.
+asymmetry and lives in ``_atom_terms`` alone, which ``star`` and
+``bracket`` share; the product variants are that product with its
+arguments swapped, so they share the same audited site.
 
 ``hormander`` is the classical product for disjoint singular supports; it is
 implemented independently (covering pieces instead of one-sided pieces) so
@@ -18,11 +19,17 @@ from __future__ import annotations
 import bisect
 import enum
 from fractions import Fraction
+from typing import List
 
-from .dist import (GenDist, _assemble, align, normalize_dist, add, scale, sub,
-                   singular_support, smooth_times_atom)
+from .dist import (Atom, GenDist, _assemble, _merge_atoms, _scaled_atoms,
+                   align, normalize_dist, add, scale, singular_support,
+                   smooth_times_atom)
 from .errors import OverlapError
-from .expr import product_of
+from .expr import ZERO, product_of
+from .scalars import ComplexRational
+
+
+_MINUS_ONE = ComplexRational.of(-1)
 
 
 class VariantTag(enum.Enum):
@@ -33,22 +40,29 @@ class VariantTag(enum.Enum):
     STAR5 = "star5"
 
 
-def star(F: GenDist, G: GenDist) -> GenDist:
-    """The noncommutative product; associative, distributive, and equal to
-    the pointwise product whenever either factor is smooth."""
-    Fa, Ga = align(F, G)
+def _atom_terms(Fa: GenDist, Ga: GenDist) -> List[Atom]:
+    """The unmerged atom terms of star(F, G) from the aligned factors:
+    each F atom times G's piece just right of it, then each G atom times
+    F's piece just left of it.  Every atom location is a breakpoint; per
+    (location, order) the F-atom terms are summed before the G-atom
+    terms."""
     breaks = Fa.breakpoints
-    pieces = tuple(product_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
-    atoms = []
-    # every atom location is a breakpoint; per (location, order) the
-    # F-atom terms are summed before the G-atom terms
+    atoms: List[Atom] = []
     for a in Fa.all_atoms:
         j = bisect.bisect_left(breaks, a.w)
         atoms += smooth_times_atom(Ga.pieces[j + 1], a)
     for a in Ga.all_atoms:
         j = bisect.bisect_left(breaks, a.w)
         atoms += smooth_times_atom(Fa.pieces[j], a)
-    return _assemble(breaks, pieces, atoms)
+    return atoms
+
+
+def star(F: GenDist, G: GenDist) -> GenDist:
+    """The noncommutative product; associative, distributive, and equal to
+    the pointwise product whenever either factor is smooth."""
+    Fa, Ga = align(F, G)
+    pieces = tuple(product_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
+    return _assemble(Fa.breakpoints, pieces, _atom_terms(Fa, Ga))
 
 
 def star_variant(F: GenDist, G: GenDist, tag: VariantTag) -> GenDist:
@@ -67,8 +81,22 @@ def star_variant(F: GenDist, G: GenDist, tag: VariantTag) -> GenDist:
 
 def bracket(F: GenDist, G: GenDist) -> GenDist:
     """Lie bracket star(F,G) - star(G,F); always atom-only, supported on the
-    union of the two singular supports."""
-    return sub(star(F, G), star(G, F))
+    union of the two singular supports.
+
+    Both products multiply the same aligned pieces pointwise, and the
+    canonical ``product_of`` does not depend on its factors' order, so
+    the two regular parts are the same trees and their difference is 0;
+    only the atom terms differ.  The bracket therefore computes no piece
+    product: it merges each order's atom terms as its ``star`` would,
+    negates the second, and assembles their sum once, so every
+    coefficient, exact or float, is the one ``sub(star(F, G), star(G,
+    F))`` gives.  That difference can leave a piece as a tree that is
+    zero without being 0, such as -2*x^2 + 2*x^2; here it is 0."""
+    Fa, Ga = align(F, G)
+    fg = _merge_atoms(_atom_terms(Fa, Ga))
+    gf = _merge_atoms(_atom_terms(Ga, Fa))
+    neg_gf = _scaled_atoms(_MINUS_ONE, gf)
+    return _assemble((), (ZERO,), fg + neg_gf)
 
 
 def hormander(F: GenDist, G: GenDist) -> GenDist:

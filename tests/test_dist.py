@@ -12,7 +12,8 @@ from distalg import Verdict
 from distalg.dist import _assemble
 from distalg.errors import DomainError, ShapeError, UnsupportedPiece
 
-from conftest import random_corpus, random_dist, random_poly
+from conftest import (law_dists, random_corpus, random_dist, random_poly,
+                      wide_location)
 
 
 def CR(*a):
@@ -458,3 +459,37 @@ class TestEqualDist:
         assert d.equal_dist(F, G) is Verdict.UNKNOWN
         H = _assemble((), (d.ZERO,), [d.InexactAtom(Fraction(0), 0, 2.0)])
         assert d.equal_dist(F, H) is Verdict.UNEQUAL
+
+
+# ---------------------------------------------------------------------------
+# the calculus laws and the round trips on huge, tiny and nearly equal
+# locations
+
+_pairs = st.lists(wide_location, min_size=1, max_size=4,
+                  unique=True).flatmap(lambda pool: law_dists(pool, 2))
+
+
+def _equal(A, B):
+    return d.equal_dist(A, B) is Verdict.EQUAL
+
+
+class TestLawProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_pairs)
+    def test_derivative_of_a_sum(self, fg):
+        F, G = fg
+        assert _equal(d.differentiate(d.add(F, G)),
+                      d.add(d.differentiate(F), d.differentiate(G)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pairs)
+    def test_derivative_of_the_antiderivative(self, fg):
+        for F in fg:
+            assert _equal(d.differentiate(d.antiderivative(F)), F)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pairs)
+    def test_text_and_json_round_trips(self, fg):
+        for F in fg:
+            assert _equal(d.parse_dist(d.format_dist(F)), F)
+            assert _equal(d.parse_dist_json(d.format_dist(F, "json")), F)

@@ -1,10 +1,12 @@
 """The distribution parser's term route: the same values as folding the
 text through the public operations, the same errors, and one assembly per
-sum."""
+sum; tokens as the match-object tokenizer read them, and locations read
+without Fractions."""
 
 import importlib
 import importlib.util
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 import distalg as d
 from distalg import dist as dist_mod, parser as parser_mod
 from distalg.errors import DistAlgError, ParseError, SemanticsError
+
+from conftest import random_corpus
 
 # the module; the package's attribute `star` is the function
 star_mod = importlib.import_module("distalg.star")
@@ -331,3 +335,82 @@ def test_a_sum_is_assembled_once(monkeypatch, text):
                                     counted(name, getattr(mod, name)))
     d.parse_dist(text)
     assert calls == Counter({"_assemble": 1})
+
+
+# -- tokens and locations ----------------------------------------------------
+
+_OLD_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<id>[A-Za-z_]+)"
+                           r"|(?P<op>[-+*/^()\[\],;])|(?P<bad>\S))")
+
+
+def _reference_tokenize(text):
+    """The tokenizer as it read one match object per token."""
+    out = []
+    for m in _OLD_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             m.start(kind))
+        out.append((kind, m.group(kind), m.start(kind)))
+    out.append(("end", "", len(text)))
+    return out
+
+
+def _token_corpus():
+    """Acceptance 12's texts, the textio benchmark's families and a few
+    spaced, decimal and reflected forms."""
+    texts = [d.format_dist(F) for F in random_corpus(23, 200)]
+    gen = _bench_gen()
+    rng = random.Random(21)
+    for n in (10, 50, 100):
+        texts.append(d.format_dist(gen.build_dist(d, gen.long_sum(rng, n))))
+    for _ in range(40):
+        F, G = (gen.build_dist(d, gen.wide_dist(rng)) for _ in range(2))
+        texts.append(d.format_dist(d.star(F, G)))
+    texts += ["", "   ", " H( x - 1.25 ) *delta[2](3/4-x)\t", "x^2\n+ 1 ",
+              "exp(-x/2)*H(-x+0.5) - i*x"]
+    return texts
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return type(e), str(e)
+
+
+def test_tokens_match_the_reference_tokenizer():
+    for text in _token_corpus():
+        assert parser_mod._tokenize(text) == _reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", ["x $ 1", "H(x-1)#", "  @", "H(x-1.)",
+                                  "delta(x) + é", "1,2;3"])
+def test_bad_character_matches_the_reference_tokenizer(text):
+    assert (_outcome(parser_mod._tokenize, text)
+            == _outcome(_reference_tokenize, text))
+
+
+def test_locations_are_read_without_fractions(monkeypatch):
+    """A text of H and delta factors only, with rational and decimal
+    locations, reads each location from integers and builds no
+    Fraction."""
+    text = ("H(x-1/3)*H(-x+2.5) + delta(x-0.25) - delta[1](7/2-x) "
+            "+ H(x+12.125) + delta[2](x+10/4) - H(1.5/3-x) + H(-x-0.75)")
+    want = d.parse_dist(text)
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kw):
+        calls.append(args)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got = d.parse_dist(text)
+    monkeypatch.undo()
+    assert calls == []
+    assert repr(got) == repr(want)
+    assert d.format_dist(got) == (
+        "H(x+97/8)*H(-x-5/2) + H(x+5/2)*H(-x-3/4) + H(x-1/3)*H(-x+1/2) "
+        "+ 2*H(x-1/2)*H(-x+5/2) + H(x-5/2)*H(-x+7/2) + H(x-7/2) "
+        "+ delta[2](x+5/2) + delta(x-1/4) + delta[1](x-7/2)")

@@ -2,6 +2,7 @@
 the algebra laws also as Hypothesis properties on huge, tiny and nearly
 equal breakpoints."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -9,12 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distalg as d
-from distalg import Verdict, VariantTag
+from distalg import Verdict, VariantTag, dist as dist_mod, expr as expr_mod
 from distalg.dist import _assemble
 from distalg.errors import OverlapError
 from distalg.scalars import Rat
 
-from conftest import LOCS, random_dist, random_poly
+from conftest import (LOCS, law_dists, law_poly, random_corpus, random_dist,
+                      random_poly, wide_location)
+
+# the module; the package's attribute `star` is the function
+star_mod = importlib.import_module("distalg.star")
 
 
 def CR(x):
@@ -260,48 +265,8 @@ class TestHormander:
 # ---------------------------------------------------------------------------
 # the laws on huge, tiny and nearly equal locations
 
-_EPS = Fraction(1, 10 ** 30)
-_location = st.one_of(
-    st.integers(-2, 2).map(Fraction),
-    st.builds(lambda s, n: s * 10 ** 30 + n, st.sampled_from([1, -1]),
-              st.integers(-2, 2)).map(Fraction),
-    st.integers(-3, 3).map(lambda n: n * _EPS),
-    st.builds(lambda p, q, n: Fraction(p, q) + n * _EPS,
-              st.integers(-7, 7), st.integers(1, 5), st.integers(-1, 1)))
-_scalar = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
-
-
-def _as_kind(w: Fraction, kind: str):
-    """w as an int (when it is one), a Fraction or a Rat."""
-    if kind == "int" and w.denominator == 1:
-        return int(w)
-    return Rat(w) if kind == "Rat" else w
-
-
-@st.composite
-def _dists(draw, pool, n):
-    """n distributions with polynomial pieces, whose breakpoints and atoms
-    sit on the locations in pool, each passed as an int, Fraction or Rat."""
-    out = []
-    for _ in range(n):
-        def loc():
-            return _as_kind(draw(st.sampled_from(pool)), draw(
-                st.sampled_from(["int", "Fraction", "Rat"])))
-        bks = sorted({loc() for _ in range(draw(st.integers(0, 3)))})
-        pieces = [d.sum_of(*(d.product_of(d.const(c), d.power_of(d.X, i))
-                             for i, c in enumerate(draw(
-                                 st.lists(_scalar, max_size=3)))))
-                  for _ in range(len(bks) + 1)]
-        atoms = [d.delta_dist(loc(), draw(st.integers(0, 2)),
-                              d.ComplexRational(draw(_scalar),
-                                                draw(_scalar)))
-                 for _ in range(draw(st.integers(0, 2)))]
-        out.append(d.add(d.make_piecewise(bks, pieces), *atoms))
-    return out
-
-
-_triples = st.lists(_location, min_size=1, max_size=4, unique=True).flatmap(
-    lambda pool: _dists(pool, 3))
+_triples = st.lists(wide_location, min_size=1, max_size=4,
+                    unique=True).flatmap(lambda pool: law_dists(pool, 3))
 
 
 def _equal(A, B):
@@ -331,3 +296,112 @@ class TestLawProperties:
                       d.add(d.star(F, G), d.star(F, J)))
         assert _equal(d.star(d.add(F, G), J),
                       d.add(d.star(F, J), d.star(G, J)))
+
+
+# ---------------------------------------------------------------------------
+# bracket against its defining formula
+
+_TREES = [d.parse_smooth_expr(t) for t in (
+    "exp(x)", "sin(x)", "cos(x)", "exp(-x)", "sin(x^2)", "1/(x-3)",
+    "x/(x^2+1)", "1/x", "exp(x)*sin(x)", "2/3*x^2 + exp(-x) - 3*x",
+    "(1/3-i)*(x+2)/(x-3) + 5*x^2")]
+_tree_piece = st.one_of(
+    law_poly,
+    st.sampled_from(_TREES),
+    st.builds(d.product_of, law_poly, st.sampled_from(_TREES)),
+    st.builds(d.sum_of, law_poly, st.sampled_from(_TREES)))
+
+
+@st.composite
+def _tree_pair(draw):
+    """F and G with tree pieces on huge, tiny, nearly equal or grid
+    locations; each is differentiated half the time, so that the jumps of
+    its exp, sin and cos pieces become inexact atoms."""
+    pool = draw(st.lists(st.one_of(wide_location, st.sampled_from(LOCS)),
+                         min_size=1, max_size=4, unique=True))
+    out = []
+    for F in draw(law_dists(pool, 2, piece=_tree_piece)):
+        if draw(st.booleans()):
+            try:
+                F = d.differentiate(F)
+            except d.DistAlgError:
+                pass
+        out.append(F)
+    return out
+
+
+_conftest_pair = st.integers(0, 2 ** 32).map(random.Random).map(
+    lambda rng: [random_dist(rng), random_dist(rng)])
+
+
+def _bracket_reference(F, G):
+    """star(F, G) - star(G, F) with its regular part written as 0.  The
+    difference can leave a piece as a tree that is zero without being the
+    constant 0, such as -2*x^2 + 2*x^2 (``sum_of`` keeps x^2 as a Poly and
+    as a power apart); such a piece must be proven zero, and a breakpoint
+    that carries no atom must sit between two of them."""
+    R = d.sub(d.star(F, G), d.star(G, F))
+    bks = R.breakpoints
+    for i, p in enumerate(R.pieces):
+        lo = bks[i - 1] if i else None
+        hi = bks[i] if i < len(bks) else None
+        assert d.expr_equal(p, d.ZERO, (lo, hi)) is Verdict.EQUAL
+    locs = tuple(w for w in bks if any(a.w == w for a in R.all_atoms))
+    return d.GenDist(d.PiecewiseSmooth(locs, (d.ZERO,) * (len(locs) + 1)),
+                     R.all_atoms)
+
+
+def _outputs(op, F, G):
+    """repr, text, LaTeX and JSON of op(F, G), or its error's type and
+    message."""
+    try:
+        B = op(F, G)
+    except d.DistAlgError as e:
+        return type(e), str(e)
+    return (repr(B),) + tuple(d.format_dist(B, m)
+                              for m in ("text", "latex", "json"))
+
+
+class TestBracketFormula:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_conftest_pair, _tree_pair()))
+    def test_bracket_is_the_difference_of_the_two_products(self, fg):
+        F, G = fg
+        for A, B in ((F, G), (G, F)):
+            assert _outputs(d.bracket, A, B) == _outputs(_bracket_reference,
+                                                         A, B)
+
+    def test_a_difference_left_as_a_tree_reads_zero(self):
+        """At this pair the difference of the two products keeps the piece
+        -2*x^2 + 2*x^2; the bracket's regular part is 0, and its atom, whose
+        coefficient -2*exp(1) is inexact, is the difference's."""
+        F = d.parse_dist("(2/3*x^2 + exp(-x) - 3*x)*H(x+1)")
+        G = d.parse_dist("2*delta(x+1) - 3*H(x+1)")
+        atom = "(-7188812915856991/562949953421312)*delta(x+1)"
+        diff = d.sub(d.star(F, G), d.star(G, F))
+        assert d.format_dist(diff) == f"(-2*x^2 + 2*x^2)*H(x+1) + {atom}"
+        assert d.format_dist(d.bracket(F, G)) == atom
+        assert _outputs(d.bracket, F, G) == _outputs(_bracket_reference, F, G)
+
+    def test_builds_no_piece_product_and_assembles_once(self, monkeypatch):
+        """On 30 acceptance triples, each pair in both orders, a bracket
+        multiplies, adds and compares no pieces, and assembles once."""
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kw):
+                calls.append(name)
+                return f(*args, **kw)
+            return wrapper
+
+        for mod in (expr_mod, dist_mod, star_mod):
+            for name in ("product_of", "sum_of", "expr_equal", "_assemble"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        counted(name, getattr(mod, name)))
+        fs, gs, js = (random_corpus(seed, 30) for seed in (11, 12, 13))
+        for F, G, J in zip(fs, gs, js):
+            for A, B in ((F, G), (G, F), (G, J), (J, G), (F, J), (J, F)):
+                calls.clear()
+                d.bracket(A, B)
+                assert calls == ["_assemble"]
