@@ -343,6 +343,10 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
                 out.append(DeltaAtom(a.w, a.k - j, coeff))
         else:
             vn = complex(v) if v is not None else eval_expr(d, a.w)
+            if not cmath.isfinite(vn):
+                raise DomainError(f"derivative {j} of the smooth factor "
+                                  f"overflows a float at {a.w}, so the "
+                                  f"atom coefficient is not finite")
             cn = complex(a.coeff) * vn * factor
             if cn != 0:
                 out.append(InexactAtom(a.w, a.k - j, cn))

@@ -13,6 +13,18 @@ small circle, which needs only function values).  ``star_oracle`` drives it
 along a shrinking eps schedule and extrapolates, giving an independent check
 of the symbolic product.
 
+Both evaluate in one numpy pass.  They first collect rows: a panel row is
+a panel's float ends and its factors, each a (piece, shift) pair standing
+for piece(x + shift); an atom row of the eps-actions is a location, an
+order, a circle radius and one factor.  The exact checks run while the
+rows are collected.
+``_quadrature`` then evaluates each distinct factor once over all the
+Gauss nodes of the rows it covers, and the bump once over all nodes;
+``_cauchy`` does the same on the atoms' circles.  ``star_oracle`` sends the
+rows of its whole eps schedule through one call of each, and each eps
+value is summed in the order of the per-panel loop it replaces, so every
+value is unchanged.
+
 Neither integrates across a pole: a piece with a polynomial denominator,
 in lowest terms, that has a real root on the segment being integrated
 raises DomainError, the roots counted exactly (``_refuse_pole``).
@@ -148,15 +160,42 @@ def _gauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_integral(fn: Callable[[np.ndarray], np.ndarray],
-                    lo: float, hi: float, nodes: int) -> complex:
+def _quadrature(t: TestFunction, panels: Sequence[tuple],
+                cfg: QuadratureConfig) -> list:
+    """Gauss-Legendre quadrature of factors·t over each panel row
+    (fs, fe, factors), where each factor (piece, shift) stands for
+    piece(x + shift).  The node matrix is built once; each distinct factor
+    is evaluated once on the rows it covers and multiplied in, in the rows'
+    factor order, then t once over all nodes.  One value per row."""
     import numpy as np
-    if hi <= lo:
-        return 0j
-    x, w = _gauss(nodes)
+    if not panels:
+        return []
+    x, w = _gauss(cfg.nodes)
+    lo = np.array([p[0] for p in panels])
+    hi = np.array([p[1] for p in panels])
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    vals = np.asarray(fn(mid + half * x), dtype=complex)
-    return complex(half * np.sum(w * vals))
+    xs = mid[:, None] + half[:, None] * x
+    cols = list(zip(*(p[2] for p in panels)))
+    vals = _factor_values(xs, cols[0])
+    for col in cols[1:]:
+        vals *= _factor_values(xs, col)
+    vals *= bump_values(t, xs.ravel(), cfg.guard).reshape(xs.shape)
+    sums = (w * vals).sum(axis=1)
+    return [complex(h * v) for h, v in zip(half.tolist(), sums)]
+
+
+def _factor_values(zs: np.ndarray, factors: Sequence[tuple]) -> np.ndarray:
+    """piece(zs[i] + shift) for the factor (piece, shift) of each row i;
+    each distinct factor is evaluated once, over all of its rows."""
+    import numpy as np
+    rows = {}
+    for i, f in enumerate(factors):
+        rows.setdefault(f, []).append(i)
+    out = np.empty(zs.shape, dtype=complex)
+    for (piece, shift), ix in rows.items():
+        z = zs[ix].ravel()
+        out[ix] = eval_num(piece, z + shift if shift else z).reshape(len(ix), -1)
+    return out
 
 
 def _segments(t: TestFunction, cuts: Sequence[Fraction], guard: float) -> list:
@@ -271,25 +310,29 @@ def _piece_finder(F: GenDist) -> Callable[[float], SmoothExpr]:
 def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
            ) -> complex:
     """<F, t>: quadrature of the regular part over supp t plus
-    coeff·(-1)^k·t^(k)(w) for every atom."""
+    coeff·(-1)^k·t^(k)(w) for every atom, t^(k) evaluated once per order k
+    over all of its atoms."""
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
-    total = 0j
     piece_at = _piece_finder(F)
+    panels = []
     for s, e, fs, fe in _segments(t, F.breakpoints, cfg.guard):
         piece = piece_at((fs + fe) / 2.0)
         if piece == const(0):
             continue
         _refuse_pole(piece, s, e, t)
-        total += _panel_integral(
-            lambda xs: eval_num(piece, xs) * bump_values(t, xs, cfg.guard),
-            fs, fe, cfg.nodes)
-    for a in F.all_atoms:
-        w = float(a.w)
-        if not (lo < w < hi):
-            continue
-        tk = bump_deriv_values(t, a.k, w, cfg.guard)
-        total += complex(a.coeff) * (-1) ** a.k * tk
+        panels.append((fs, fe, ((piece, 0.0),)))
+    total = 0j
+    for v in _quadrature(t, panels, cfg):
+        total += v
+    atoms = [a for a in F.all_atoms if lo < float(a.w) < hi]
+    by_k = {}
+    for a in atoms:
+        by_k.setdefault(a.k, []).append(float(a.w))
+    tks = {k: iter(bump_deriv_values(t, k, ws, cfg.guard))
+           for k, ws in by_k.items()}
+    for a in atoms:
+        total += complex(a.coeff) * (-1) ** a.k * complex(next(tks[a.k]))
     return total
 
 
@@ -297,22 +340,100 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
 # the translation-limit oracle
 
 
-def _cauchy_deriv(fn: Callable[[np.ndarray], np.ndarray], w: float, k: int,
-                  r: float, nodes: int = 64) -> complex:
-    """k-th derivative at w of an analytic function from values on a circle
-    of radius r (trapezoidal Cauchy integral; spectrally accurate)."""
+def _cauchy(t: TestFunction, atoms: Sequence[tuple], nodes: int = 64
+            ) -> list:
+    """For each atom row (w, k, r, factor), the k-th derivative at w of
+    factor·t, from values on the circle of radius r about w (trapezoidal
+    Cauchy integral; spectrally accurate).  Each distinct factor and the
+    bump's analytic branch are evaluated once over all circles."""
     import numpy as np
+    if not atoms:
+        return []
     th = 2.0 * np.pi * np.arange(nodes) / nodes
-    z = w + r * np.exp(1j * th)
-    vals = np.asarray(fn(z), dtype=complex)
-    if k == 0:
-        return complex(np.mean(vals))
-    return complex(math.factorial(k) / (nodes * r ** k)
-                   * np.sum(vals * np.exp(-1j * k * th)))
+    circle = np.exp(1j * th)
+    zs = np.array([w + r * circle for w, _, r, _ in atoms])
+    vals = _factor_values(zs, [a[3] for a in atoms])
+    vals *= bump_analytic(t, zs.ravel()).reshape(zs.shape)
+    out = []
+    for (_, k, r, _), v in zip(atoms, vals):
+        if k == 0:
+            out.append(complex(np.mean(v)))
+        else:
+            out.append(complex(math.factorial(k) / (nodes * r ** k)
+                               * np.sum(v * np.exp(-1j * k * th))))
+    return out
 
 
 def _atom_radius(w: float, lo: float, hi: float) -> float:
     return min(0.35 * (w - lo), 0.35 * (hi - w), 0.1)
+
+
+def _eps_rows(Fn: GenDist, Gn: GenDist, sf: set, sg: Sequence[Fraction],
+              t: TestFunction, epsf: Fraction, cfg: QuadratureConfig
+              ) -> Tuple[list, list]:
+    """The panel rows of <Fn·Gn^eps, t> for ``_quadrature`` and its atom
+    terms (c, row), c = coeff·(-1)^k and row for ``_cauchy``, after the
+    exact checks: the singular supports sf of Fn and sg of Gn, shifted by
+    eps, are disjoint, zero pieces are skipped, and no integrated piece
+    has a pole."""
+    sg_shift = {v - epsf for v in sg}
+    if sf & sg_shift:
+        raise EpsilonTooLarge(f"eps={epsf} collides singular supports at "
+                              f"{sorted(sf & sg_shift)}")
+    eps_float = float(epsf)
+    lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
+    f_at, g_at = _piece_finder(Fn), _piece_finder(Gn)
+    panels = []
+    cuts = list(Fn.breakpoints) + [b - epsf for b in Gn.breakpoints]
+    for s, e, fs, fe in _segments(t, cuts, cfg.guard):
+        mid = (fs + fe) / 2.0
+        fp = f_at(mid)
+        gp = g_at(mid + eps_float)
+        if fp == const(0) or gp == const(0):
+            continue
+        _refuse_pole(fp, s, e, t)
+        _refuse_pole(gp, s, e, t, epsf)
+        panels.append((fs, fe, ((fp, 0.0), (gp, eps_float))))
+    atoms = []
+    for a in Fn.all_atoms:
+        w = float(a.w)
+        if lo < w < hi:
+            atoms.append((a, w, (g_at(float(a.w + epsf)), eps_float)))
+    for a in Gn.all_atoms:
+        w = float(a.w - epsf)
+        if lo < w < hi:
+            atoms.append((a, w, (f_at(w), 0.0)))
+    ta, tb = float(t.a), float(t.b)
+    return panels, [(complex(a.coeff) * (-1) ** a.k,
+                     (w, a.k, _atom_radius(w, ta, tb), factor))
+                    for a, w, factor in atoms]
+
+
+def _normal_pair(F: GenDist, G: GenDist) -> tuple:
+    """(Fn, Gn, sf, sg): F and G normalized, and their singular supports."""
+    Fn, Gn = normalize_dist(F), normalize_dist(G)
+    return Fn, Gn, singular_support(Fn), singular_support(Gn)
+
+
+def _eps_actions(pair: tuple, t: TestFunction, eps_values,
+                 cfg: QuadratureConfig) -> list:
+    """<Fn·Gn^eps, t> for each eps, pair = ``_normal_pair(F, G)``: the rows
+    of every eps go through one ``_quadrature`` and one ``_cauchy`` call,
+    and each eps's terms are added back in row order, panels first."""
+    Fn, Gn, sf, sg = pair
+    parts = [_eps_rows(Fn, Gn, set(sf), sg, t, as_fraction(e), cfg)
+             for e in eps_values]
+    panel_vals = iter(_quadrature(t, [p for ps, _ in parts for p in ps], cfg))
+    atom_vals = iter(_cauchy(t, [row for _, ats in parts for _, row in ats]))
+    out = []
+    for panels, atoms in parts:
+        total = 0j
+        for _ in panels:
+            total += next(panel_vals)
+        for c, _ in atoms:
+            total += c * next(atom_vals)
+        out.append(total)
+    return out
 
 
 def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
@@ -327,50 +448,28 @@ def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
     complex function values.  Requires the shifted singular supports to be
     exactly disjoint.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    epsf = as_fraction(eps)
-    Fn = normalize_dist(F)
-    Gn = normalize_dist(G)
-    sf = set(singular_support(Fn))
-    sg_shift = {v - epsf for v in singular_support(Gn)}
-    if sf & sg_shift:
-        raise EpsilonTooLarge(f"eps={epsf} collides singular supports at "
-                              f"{sorted(sf & sg_shift)}")
-    eps_float = float(epsf)
-    lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
-    total = 0j
-    f_at, g_at = _piece_finder(Fn), _piece_finder(Gn)
-    cuts = list(Fn.breakpoints) + [b - epsf for b in Gn.breakpoints]
-    for s, e, fs, fe in _segments(t, cuts, cfg.guard):
-        mid = (fs + fe) / 2.0
-        fp = f_at(mid)
-        gp = g_at(mid + eps_float)
-        if fp == const(0) or gp == const(0):
-            continue
-        _refuse_pole(fp, s, e, t)
-        _refuse_pole(gp, s, e, t, epsf)
-        total += _panel_integral(
-            lambda xs: (eval_num(fp, xs) * eval_num(gp, xs + eps_float)
-                        * bump_values(t, xs, cfg.guard)),
-            fs, fe, cfg.nodes)
-    for a in Fn.all_atoms:
-        w = float(a.w)
-        if not (lo < w < hi):
-            continue
-        gp = g_at(float(a.w + epsf))
-        fn = lambda z: eval_num(gp, z + eps_float) * bump_analytic(t, z)
-        d = _cauchy_deriv(fn, w, a.k, _atom_radius(w, float(t.a), float(t.b)))
-        total += complex(a.coeff) * (-1) ** a.k * d
-    for a in Gn.all_atoms:
-        wv = a.w - epsf
-        w = float(wv)
-        if not (lo < w < hi):
-            continue
-        fp = f_at(w)
-        fn = lambda z: eval_num(fp, z) * bump_analytic(t, z)
-        d = _cauchy_deriv(fn, w, a.k, _atom_radius(w, float(t.a), float(t.b)))
-        total += complex(a.coeff) * (-1) ** a.k * d
-    return total
+    return _eps_actions(_normal_pair(F, G), t, [eps],
+                        cfg or DEFAULT_CONFIG)[0]
+
+
+def _neville(hs: Sequence[float], vals: Sequence[complex]) -> complex:
+    """The value at 0 of the polynomial through the points (hs[i], vals[i]).
+    Column m of Neville's table holds the values at 0 of the polynomials
+    through m + 1 consecutive points; two points give
+    (h0·v1 - h1·v0)/(h0 - h1)."""
+    col = list(vals)
+    for m in range(1, len(col)):
+        col = [(hs[i] * col[i + 1] - hs[i + m] * col[i]) / (hs[i] - hs[i + m])
+               for i in range(len(col) - 1)]
+    return col[0]
+
+
+def _smallest_gap(sf: Sequence[Fraction], sg: Sequence[Fraction]):
+    """The smallest nonzero distance between a point of sf and one of sg
+    (inf when there is none): no |eps| below it moves a singular point of
+    the shifted G onto one of F."""
+    return min((abs(v - u) for u in sf for v in sg if v != u),
+               default=math.inf)
 
 
 def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
@@ -379,15 +478,24 @@ def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
     """Extrapolated eps -> 0 limit of <F·G^eps, t> along cfg.eps_schedule.
 
     direction=-1 translates the other way; its limit is star(G, F).
-    The default Richardson step assumes the leading error is linear in eps
-    and combines the last two schedule values.
+    The actions at every eps of the schedule come from one quadrature pass.
+    Below the smallest nonzero gap between the singular points of F and of
+    G the action is smooth in eps; at a larger eps a shifted singular point
+    of G may have crossed one of F, leaving a kink or a jump between the
+    schedule's values.  So the default Richardson mode extrapolates with a
+    Neville table over the schedule's values below that gap: n values
+    cancel the error terms up to eps^(n-1), at no extra quadrature
+    (Richardson 1911; Sidi, *Practical Extrapolation Methods*, 2003,
+    ch. 1).  With fewer than two values below the gap it takes the last
+    two, the linear step (e1·v2 - e2·v1)/(e1 - e2).  "last-value" returns
+    the action at the smallest eps.
     """
     cfg = cfg or DEFAULT_CONFIG
-    vals = [epsilon_product_action(F, G, t, direction * e, cfg)
-            for e in cfg.eps_schedule]
-    if cfg.extrapolation == "last-value" or len(vals) < 2:
+    pair = _normal_pair(F, G)
+    hs = [direction * e for e in cfg.eps_schedule]
+    vals = _eps_actions(pair, t, hs, cfg)
+    if cfg.extrapolation == "last-value":
         return vals[-1]
-    e1, e2 = (float(direction * cfg.eps_schedule[-2]),
-              float(direction * cfg.eps_schedule[-1]))
-    v1, v2 = vals[-2], vals[-1]
-    return (e1 * v2 - e2 * v1) / (e1 - e2)
+    gap = _smallest_gap(pair[2], pair[3])
+    n = max(2, sum(e < gap for e in cfg.eps_schedule))
+    return _neville([float(h) for h in hs[-n:]], vals[-n:])

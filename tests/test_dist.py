@@ -189,6 +189,13 @@ class TestSmoothTimesAtom:
         assert isinstance(a, d.InexactAtom)
         assert abs(a.coeff - 2.718281828459045) < 1e-12
 
+    def test_overflowing_value_names_the_overflow(self):
+        with pytest.raises(DomainError, match="overflows a float at 1000"):
+            d.parse_dist("exp(x)*delta(x-1000)")
+        with pytest.raises(DomainError, match="overflows a float at 1000"):
+            d.smooth_times_atom(d.exp_of(d.X),
+                                d.DeltaAtom(Fraction(1000), 1, CR(1)))
+
     def test_action_contract(self):
         # <g*atom, t> must equal <atom, g*t>; checked through the quadrature
         rng = random.Random(14)

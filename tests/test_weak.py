@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,11 @@ from scipy.integrate import quad
 import distalg as d
 from distalg import QuadratureConfig, VariantTag
 from distalg.errors import DomainError, EpsilonTooLarge, ShapeError
-from distalg.weak import bump_values, bump_deriv_values
+from distalg import weak
+from distalg.weak import DEFAULT_CONFIG, bump_values, bump_deriv_values
 
-from conftest import random_dist, random_poly
+import weak_reference as ref
+from conftest import LOCS, random_corpus, random_dist, random_poly
 
 
 H = d.heaviside(0)
@@ -188,31 +191,36 @@ def quad_action(text, t):
     return total
 
 
+POLE_CASES = [
+    ("1/(x-1)*H(x)", -1, 2),          # rational root inside a piece
+    ("1/(x^2-2)*H(x)", -1, 2),        # irrational root sqrt(2)
+    ("1/x*H(x)", -1, 1),              # root at a breakpoint
+    ("exp(x)/(x-1/3)*H(x-1/3)", 0, 1),
+    ("1/((x-1)*(x+i))", 0, 2),        # complex coefficients, real root
+    ("1/(x^5-3*x+1)*H(x)", -1, 1),    # irrational root near 0.34
+    ("(x-1)/(x-1)^2*H(x)", -1, 2),    # a factor cancels the pole once
+]
+
+NO_POLE_CASES = [
+    ("1/(x^2-2)*H(x)", -1, 1),        # sqrt(2) outside the support
+    ("1/x*H(x)", 0, 1),               # pole at a support end
+    ("1/(x-1)^2*H(x-1)", 1, 3),
+    ("1/(x^2+1)", -1, 1),             # no real root
+    ("exp(x)/(x-2)*H(x)", -1, 1),
+    ("1/((x-1)^3*(x^2-3))*H(x-2)", 0, 3),  # repeated and irrational roots
+]
+
+
 class TestPoles:
     """A quotient pole where a piece is integrated is a DomainError, never a
     number."""
 
-    @pytest.mark.parametrize("text, a, b", [
-        ("1/(x-1)*H(x)", -1, 2),          # rational root inside a piece
-        ("1/(x^2-2)*H(x)", -1, 2),        # irrational root sqrt(2)
-        ("1/x*H(x)", -1, 1),              # root at a breakpoint
-        ("exp(x)/(x-1/3)*H(x-1/3)", 0, 1),
-        ("1/((x-1)*(x+i))", 0, 2),        # complex coefficients, real root
-        ("1/(x^5-3*x+1)*H(x)", -1, 1),    # irrational root near 0.34
-        ("(x-1)/(x-1)^2*H(x)", -1, 2),    # a factor cancels the pole once
-    ])
+    @pytest.mark.parametrize("text, a, b", POLE_CASES)
     def test_action_refuses_a_pole(self, text, a, b):
         with pytest.raises(DomainError):
             d.action(d.parse_dist(text), d.make_bump(a, b))
 
-    @pytest.mark.parametrize("text, a, b", [
-        ("1/(x^2-2)*H(x)", -1, 1),        # sqrt(2) outside the support
-        ("1/x*H(x)", 0, 1),               # pole at a support end
-        ("1/(x-1)^2*H(x-1)", 1, 3),
-        ("1/(x^2+1)", -1, 1),             # no real root
-        ("exp(x)/(x-2)*H(x)", -1, 1),
-        ("1/((x-1)^3*(x^2-3))*H(x-2)", 0, 3),  # repeated and irrational roots
-    ])
+    @pytest.mark.parametrize("text, a, b", NO_POLE_CASES)
     def test_action_integrates_where_no_pole_is(self, text, a, b):
         t = d.make_bump(a, b)
         assert d.action(d.parse_dist(text), t).real == pytest.approx(
@@ -261,3 +269,164 @@ class TestConfigValidation:
     def test_nodes_positive(self):
         with pytest.raises(ShapeError):
             QuadratureConfig(nodes=0)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass evaluation against the per-panel loop
+
+LAST = QuadratureConfig(extrapolation="last-value")
+TWO = QuadratureConfig(eps_schedule=(Fraction(1, 100), Fraction(1, 1000)))
+ACCEPTANCE_06_BUMPS = [d.make_bump(-4, 4),
+                       d.make_bump(Fraction(-7, 2), Fraction(9, 2)),
+                       d.make_bump(-5, 3)]
+
+
+def acceptance_06_cases():
+    return [(F, G, t)
+            for F, G in zip(random_corpus(101, 50), random_corpus(102, 50))
+            for t in ACCEPTANCE_06_BUMPS]
+
+
+def oracle_test_pairs():
+    """TestOracle's random pairs, in both directions."""
+    t = d.make_bump(-4, 4)
+    out = []
+    for seed, n in ((36, 15), (37, 10)):
+        rng = random.Random(seed)
+        for _ in range(n):
+            F, G = random_dist(rng), random_dist(rng)
+            out += [(F, G, t), (G, F, t)]
+    return out
+
+
+def derivative_atom_pairs():
+    """Pairs whose atoms are all of order 1 or 2, several per side."""
+    rng = random.Random(38)
+    out = []
+    for _ in range(20):
+        F, G = (d.add(random_dist(rng, max_atoms=0),
+                      *(d.delta_dist(rng.choice(LOCS), rng.randint(1, 2))
+                        for _ in range(rng.randint(1, 3))))
+                for _ in range(2))
+        out.append((F, G, d.make_bump(-3, Fraction(7, 2))))
+    return out
+
+
+def outcome(fn, *args, **kw):
+    """fn's value, or the type and message of the DistAlgError it raises."""
+    try:
+        return fn(*args, **kw)
+    except d.DistAlgError as e:
+        return type(e), str(e)
+
+
+class TestOnePass:
+    """``weak`` evaluates every panel and atom circle of all eps values in
+    one numpy pass; each value is the per-panel loop's, bit for bit."""
+
+    @pytest.mark.parametrize("cases", [acceptance_06_cases, oracle_test_pairs,
+                                       derivative_atom_pairs],
+                             ids=["acceptance_06", "random_pairs",
+                                  "derivative_atoms"])
+    def test_equals_the_per_panel_loop(self, cases):
+        for F, G, t in cases():
+            assert d.action(F, t) == ref.action(F, t)
+            for direction in (1, -1):
+                for e in DEFAULT_CONFIG.eps_schedule:
+                    assert (d.epsilon_product_action(F, G, t, direction * e)
+                            == ref.epsilon_product_action(F, G, t,
+                                                          direction * e))
+                for cfg in (LAST, TWO):
+                    assert (d.star_oracle(F, G, t, cfg, direction)
+                            == ref.star_oracle(F, G, t, cfg, direction))
+
+    def test_same_errors_as_the_per_panel_loop(self):
+        fails = 0
+        for text, a, b in POLE_CASES + NO_POLE_CASES:
+            F, t = d.parse_dist(text), d.make_bump(a, b)
+            got = outcome(d.action, F, t)
+            assert got == outcome(ref.action, F, t)
+            fails += isinstance(got, tuple)
+        P, H1 = d.parse_dist("1/(x-1)*H(x)"), d.parse_dist("H(x)")
+        pairs = [(P, H1, d.make_bump(-1, 3)), (H1, P, d.make_bump(-1, 3)),
+                 (d.heaviside(2), d.parse_dist("1/(x-1)"), d.make_bump(-1, 3))]
+        for F, G, t in pairs:
+            got = outcome(d.star_oracle, F, G, t, LAST)
+            assert got == outcome(ref.star_oracle, F, G, t, LAST)
+            fails += isinstance(got, tuple)
+        E = Fraction(1, 100)
+        for F, G, eps in ((DELTA, d.delta_dist(E), E), (DELTA, DELTA, 0),
+                          (d.delta_dist(E), P, Fraction(-1, 100))):
+            got = outcome(d.epsilon_product_action, F, G, T, eps)
+            assert got == outcome(ref.epsilon_product_action, F, G, T, eps)
+            fails += isinstance(got, tuple)
+        assert fails == len(POLE_CASES) + 2 + 3
+
+    def test_one_oracle_call_evaluates_each_factor_once(self, monkeypatch):
+        """The bump is evaluated once on the panels and once on the atom
+        circles, and each piece once per shift it is evaluated at."""
+        F, G = d.parse_dist(KNOWN_F), d.parse_dist(KNOWN_G)
+        t = d.make_bump(-5, 3)
+        calls = Counter()
+        eval_num = weak.eval_num
+
+        def counting(e, x, *args):
+            calls[e, np.iscomplexobj(x)] += 1
+            return eval_num(e, x, *args)
+
+        monkeypatch.setattr(weak, "eval_num", counting)
+        d.star_oracle(F, G, t)
+        n = len(DEFAULT_CONFIG.eps_schedule)
+        pf = set(d.normalize_dist(F).pieces)
+        pg = set(d.normalize_dist(G).pieces)
+        assert calls[t.body, False] == calls[t.body, True] == 1
+        for (e, on_circle), count in calls.items():
+            if e != t.body:
+                assert count <= (e in pf) + n * (e in pg), (e, on_circle)
+
+
+# acceptance 06's known miss at the two-point step, from bench/defects.py
+KNOWN_F = ("(3-i)*x*H(x+1)*H(-x) + (1 + (-3-2*i)*x^2)*H(x)*H(-x+2)"
+           " + (1 + (-3-2*i)*x^2)*H(x-2) + 4*delta[1](x)"
+           " + (-5/2-3/2*i)*delta[2](x-2)")
+KNOWN_G = ("(-4-i)*x^2*H(-x-1) + (-4 + (-1-2/3*i)*x)*H(x+1)*H(-x)"
+           " + (2 + (-4+i)*x^3)*H(x)*H(-x+1) + (-5/2-i)*x^3*H(x-1)")
+
+
+def oracle_rel_err(F, G, t):
+    ref_value = d.action(d.star(F, G), t)
+    return abs(d.star_oracle(F, G, t) - ref_value) / (1 + abs(ref_value))
+
+
+class TestRichardsonTable:
+    """The default mode extrapolates with a Neville table over the whole
+    schedule."""
+
+    def test_known_case_within_acceptance_tolerance(self):
+        F, G = d.parse_dist(KNOWN_F), d.parse_dist(KNOWN_G)
+        assert oracle_rel_err(F, G, d.make_bump(-5, 3)) < 1e-6
+
+    def test_acceptance_06_cases_within_1e_8(self):
+        worst = max(oracle_rel_err(F, G, t)
+                    for F, G, t in acceptance_06_cases())
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_gap_inside_the_schedule(self, direction, swap):
+        """H(x) and delta(x-1/200): one way or the other, the shifted atom
+        crosses H's breakpoint at |eps| = 1/200, between the schedule's
+        first and second values, so the table uses only the values below
+        that gap."""
+        F, G = H, d.delta_dist(Fraction(1, 200))
+        if swap:
+            F, G = G, F
+        P = d.star(F, G) if direction == 1 else d.star(G, F)
+        ref_value = d.action(P, T)
+        got = d.star_oracle(F, G, T, direction=direction)
+        assert abs(got - ref_value) / (1 + abs(ref_value)) < 1e-6
+
+    def test_three_values_cancel_a_quadratic(self):
+        hs = [0.01, 0.001, 0.0001]
+        vals = [complex(2 - 3 * h + 5 * h * h, h) for h in hs]
+        assert abs(weak._neville(hs, vals) - 2) < 1e-14
