@@ -4,16 +4,21 @@ delta combinations, with their distributional calculus.
 A ``GenDist`` is a regular part (strictly ascending rational breakpoints
 x_1 < ... < x_N with N+1 smooth pieces, piece k governing the open interval
 ]x_k, x_{k+1}[ where x_0 = -inf and x_{N+1} = +inf) together with a finite
-list of delta atoms C·delta^(k)(x - w).  Every atom location is also a
-breakpoint, at most one atom exists per (location, order), and normalization
-removes breakpoints that carry no atom and join provably equal pieces.
+list of delta atoms C·delta^(k)(x - w), each of order >= 0 at a
+breakpoint.  This whole shape is checked where a GenDist is made.
+
+It is canonical when at most one atom exists per (kind, location, order)
+and no breakpoint without an atom joins two provably equal pieces.  Every
+operation returns it so: ``_assemble`` makes it, and the only other direct
+builds are ``align``'s outputs, deliberately not canonical, and the
+parser's light shapes, canonical as built.  No operation normalizes its
+inputs, and ``normalize_dist`` is for a GenDist built by hand.
 
 Breakpoints and atom locations are ``scalars.Rat`` values: ``_assemble``
 and ``_merge_atoms`` pass each one through ``as_fraction``, so the sorts,
 ``bisect`` calls, sets and dict keys of assembly, alignment and ``star``
-compare and hash integers.  Operations that build a ``GenDist`` directly
-(``align``, the parser's light shapes) take their locations from values
-made that way.
+compare and hash integers.  ``align`` and the parser take their locations
+from values made that way.
 
 Coefficients stay exact.  When an operation needs a pointwise value that has
 no exact form (say exp(1)), the resulting atom is an ``InexactAtom`` with a
@@ -27,6 +32,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -76,6 +82,17 @@ class PiecewiseSmooth:
     breakpoints: Tuple[Fraction, ...]
     pieces: Tuple[SmoothExpr, ...]
 
+    def __post_init__(self):
+        _check_shape(self.breakpoints, self.pieces)
+
+
+def _check_shape(bs: Sequence[Fraction], pieces: Sequence) -> None:
+    if len(pieces) != len(bs) + 1:
+        raise ShapeError(f"{len(bs)} breakpoints require {len(bs) + 1} "
+                         f"pieces, got {len(pieces)}")
+    if len(bs) > 1 and not all(map(operator.lt, bs, bs[1:])):
+        raise ShapeError("breakpoints must be strictly ascending")
+
 
 Atom = Union[DeltaAtom, InexactAtom]
 
@@ -84,6 +101,14 @@ Atom = Union[DeltaAtom, InexactAtom]
 class GenDist:
     regular: PiecewiseSmooth
     all_atoms: Tuple[Atom, ...]
+
+    def __post_init__(self):
+        locs = set(self.regular.breakpoints) if self.all_atoms else ()
+        for a in self.all_atoms:
+            if a.k < 0:
+                raise ShapeError("atom order must be >= 0")
+            if a.w not in locs:
+                raise ShapeError(f"atom location {a.w} is not a breakpoint")
 
     @property
     def atoms(self) -> Tuple[DeltaAtom, ...]:
@@ -130,17 +155,13 @@ def _piece_interval(breaks: Sequence[Fraction], i: int
 
 
 def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
-              atoms: Iterable[Atom] = (), normalize: bool = True) -> GenDist:
+              atoms: Iterable[Atom] = ()) -> GenDist:
+    """The canonical GenDist of a shape: atoms merged, each atom location
+    made a breakpoint, and provably equal pieces joined, the left one kept."""
     breaks = [as_fraction(b) for b in breakpoints]
     ps = [as_expr(p) for p in pieces]
-    if len(ps) != len(breaks) + 1:
-        raise ShapeError(f"{len(breaks)} breakpoints require {len(breaks)+1} "
-                         f"pieces, got {len(ps)}")
-    if any(breaks[i] >= breaks[i + 1] for i in range(len(breaks) - 1)):
-        raise ShapeError("breakpoints must be strictly ascending")
+    _check_shape(breaks, ps)
     atoms = _merge_atoms(atoms)
-    if any(a.k < 0 for a in atoms):
-        raise ShapeError("atom order must be >= 0")
     atom_locs = {a.w for a in atoms}
     # every atom location must be a breakpoint; pad by duplicating the piece
     for w in sorted(atom_locs):
@@ -148,27 +169,27 @@ def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
         if pos == len(breaks) or breaks[pos] != w:
             breaks.insert(pos, w)
             ps.insert(pos, ps[pos])
-    if normalize:
-        i = 0
-        while i < len(breaks):
-            if breaks[i] in atom_locs:
-                i += 1
-                continue
-            if ps[i] == ps[i + 1]:
-                merged = True
-            else:
-                lo = _piece_interval(breaks, i)[0]
-                hi = _piece_interval(breaks, i + 1)[1]
-                merged = expr_equal(ps[i], ps[i + 1], (lo, hi)) is Verdict.EQUAL
-            if merged:
-                del breaks[i]
-                del ps[i + 1]
-            else:
-                i += 1
+    i = 0
+    while i < len(breaks):
+        if breaks[i] in atom_locs:
+            i += 1
+            continue
+        if ps[i] == ps[i + 1]:
+            merged = True
+        else:
+            lo = _piece_interval(breaks, i)[0]
+            hi = _piece_interval(breaks, i + 1)[1]
+            merged = expr_equal(ps[i], ps[i + 1], (lo, hi)) is Verdict.EQUAL
+        if merged:
+            del breaks[i]
+            del ps[i + 1]
+        else:
+            i += 1
     return GenDist(PiecewiseSmooth(tuple(breaks), tuple(ps)), tuple(atoms))
 
 
 def normalize_dist(F: GenDist) -> GenDist:
+    """The canonical form of a GenDist built by hand; results already are."""
     return _assemble(F.breakpoints, F.pieces, F.all_atoms)
 
 
@@ -222,13 +243,12 @@ def _repiece(ps: PiecewiseSmooth, newbreaks: Sequence[Fraction]
 
 def align(F: GenDist, G: GenDist) -> Tuple[GenDist, GenDist]:
     """Rewrite both on the union of their breakpoints (pieces duplicated,
-    atoms untouched).  Results are valid but deliberately not normalized."""
-    union = sorted(set(F.breakpoints) | set(G.breakpoints))
-    Fa = GenDist(PiecewiseSmooth(tuple(union), _repiece(F.regular, union)),
-                 F.all_atoms)
-    Ga = GenDist(PiecewiseSmooth(tuple(union), _repiece(G.regular, union)),
-                 G.all_atoms)
-    return Fa, Ga
+    atoms untouched; one already on it is returned as it is).  Results are
+    valid but deliberately not normalized."""
+    union = tuple(sorted(set(F.breakpoints) | set(G.breakpoints)))
+    return tuple(H if len(H.breakpoints) == len(union) else GenDist(
+        PiecewiseSmooth(union, _repiece(H.regular, union)), H.all_atoms)
+        for H in (F, G))
 
 
 def add(*terms: GenDist) -> GenDist:
@@ -437,22 +457,19 @@ def translate(F: GenDist, h) -> GenDist:
     breaks = tuple(b - hf for b in F.breakpoints)
     pieces = tuple(shift_expr(p, hf) for p in F.pieces)
     atoms = [type(a)(a.w - hf, a.k, a.coeff) for a in F.all_atoms]
-    return _assemble(breaks, pieces, atoms, normalize=False)
+    return _assemble(breaks, pieces, atoms)
 
 
 # ---------------------------------------------------------------------------
 # structure queries
 
 
-def _has_atom_at(F: GenDist, w: Fraction) -> bool:
-    return any(a.w == w for a in F.all_atoms)
-
-
 def singular_support(F: GenDist) -> List[Fraction]:
-    """Breakpoints carrying an atom or a non-provably-smooth piece junction."""
+    """Breakpoints carrying nonzero atoms or a non-provably-smooth junction."""
+    atom_locs = {a.w for a in _merge_atoms(F.all_atoms)}
     out = []
     for i, w in enumerate(F.breakpoints):
-        if _has_atom_at(F, w):
+        if w in atom_locs:
             out.append(w)
             continue
         lo = _piece_interval(F.breakpoints, i)[0]
@@ -468,20 +485,23 @@ _INEXACT_RTOL = 1e-9
 def _atom_sums(F: GenDist) -> dict:
     """(w, k) -> total coefficient; a float wherever an inexact atom sits."""
     out: dict = {}
-    for a in F.all_atoms:  # exact atoms come first
+    for a in F.all_atoms:
         key = (a.w, a.k)
-        if isinstance(a, InexactAtom):
-            out[key] = complex(out.get(key, 0j)) + a.coeff
+        prev = out.get(key, CR_ZERO)
+        if isinstance(a, InexactAtom) or isinstance(prev, complex):
+            out[key] = complex(prev) + complex(a.coeff)
         else:
-            out[key] = a.coeff
+            out[key] = prev + a.coeff
     return out
 
 
 def equal_dist(F: GenDist, G: GenDist) -> Verdict:
-    """Compare after normalization and alignment: atoms exactly, pieces by
-    expr_equal on their interval; the worst verdict wins.  Inexact atoms can
-    at best leave the verdict Unknown."""
-    Fa, Ga = align(normalize_dist(F), normalize_dist(G))
+    """Compare on the union of the breakpoints: atoms by their summed
+    coefficient per (location, order), exactly, and pieces by expr_equal on
+    each interval; the worst verdict wins.  Inexact atoms can at best leave
+    the verdict Unknown.  Nothing is normalized first: on a hand-built
+    value the sums stand in for merging."""
+    Fa, Ga = align(F, G)
     verdict = Verdict.EQUAL
     fs, gs = _atom_sums(Fa), _atom_sums(Ga)
     for key in fs.keys() | gs.keys():

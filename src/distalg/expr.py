@@ -23,22 +23,23 @@ number, so at the boundary to coefficient lists integers only move.  The
 constructors, ``diff_expr`` and ``subst`` keep polynomials on these leaves
 and compute on kernels; they build a ``Sum``, ``Product`` or ``Power`` only
 when exp, sin, cos or a quotient with a non-constant denominator takes part
-(or when handed nodes that a caller built directly).  In such a sum the
-polynomial terms are the terms of their expanded tree (``_poly_tree``,
-which is also what ``fmt`` prints for a ``Poly``); in such a product the
-polynomial factors multiply into one, split as a scalar c times a
-primitive polynomial q (``_primitive``), so that c is the product's one
-leading constant however it was reached, and like terms collect.  A
-quotient stays a tree even when it divides exactly, so that
-``eval_exact`` still refuses its pole.  A ``Poly`` evaluates in floats by
-Horner, and exactly at the float point where Horner's error bound is too
-wide (``_poly_num``).
+(or when handed nodes that a caller built directly).  Such a tree has one
+spelling.  A product's polynomial factors multiply into one leaf, split as
+a scalar c times a primitive polynomial q (``_primitive``), so that c is
+its one leading constant however it was reached; x^n is the leaf
+``Poly``, never ``Power(X, n)``.  A sum's term is a polynomial leaf times a
+core without one (``_split``), and the terms that share a core add their
+kernels: the polynomial terms into one leaf, which comes first, and
+(1+x)*exp(x) - x*exp(x) into exp(x).  A quotient stays a tree even when it
+divides exactly, so that ``eval_exact`` still refuses its pole.  A ``Poly``
+prints from its coefficients, evaluates in floats by Horner, and exactly at
+the float point where Horner's error bound is too wide (``_poly_num``).
 
-Memos.  Each node stores, on first use, its hash and its order key; a tree
-node also stores its normal form (or that it is not a polynomial), which
-the quotient path and equality read, and a ``Poly`` its expanded tree,
-which ``fmt`` prints.  They live on the node and die with
-it; no module-level cache holds a node.
+Memos.  Each node stores, on first use, its hash and its serialized form,
+which orders factors and terms; a tree node also stores its normal form
+(or that it is not a polynomial), which the quotient path and equality
+read.  They live on the node and die with it; no module-level cache holds
+a node.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class Poly:
     """A polynomial of degree >= 1 other than x, by its canonical kernel;
     the constructors build it, and a constant or x is never one."""
     k: "Kernel"
-    _tree_memo = None  # its expanded tree, once ``_poly_tree`` builds it
 
 
 @_node
@@ -161,52 +161,39 @@ def _ser(e: SmoothExpr) -> str:
 
 def _ser_node(e: SmoothExpr) -> str:
     if isinstance(e, Const):
-        return f"C[{e.value}]"
+        return _ser_const(e.value)
     if isinstance(e, Var):
         return "x"
-    if isinstance(e, Poly):  # ordered as its expanded tree was
-        return _ser(_poly_tree(e))
+    if isinstance(e, Poly):  # as the sum of c*x^i that it prints as
+        parts = []
+        for i, c in _poly_terms(e.k):
+            xi = "x" if i == 1 else _ser_call("W", "x", str(i))
+            parts.append(_ser_const(c) if i == 0 else xi if c == CR_ONE
+                         else _ser_call("P", _ser_const(c), xi))
+        return parts[0] if len(parts) == 1 else _ser_call("S", *parts)
     if isinstance(e, Sum):
-        return "S(" + ",".join(_ser(t) for t in e.terms) + ")"
+        return _ser_call("S", *map(_ser, e.terms))
     if isinstance(e, Product):
-        return "P(" + ",".join(_ser(f) for f in e.factors) + ")"
+        return _ser_call("P", *map(_ser, e.factors))
     if isinstance(e, Power):
-        return f"W({_ser(e.base)},{e.n})"
+        return _ser_call("W", _ser(e.base), str(e.n))
     if isinstance(e, Quotient):
-        return f"Q({_ser(e.num)},{_ser(e.den)})"
-    if isinstance(e, Exp):
-        return f"exp({_ser(e.arg)})"
-    if isinstance(e, Sin):
-        return f"sin({_ser(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({_ser(e.arg)})"
+        return _ser_call("Q", _ser(e.num), _ser(e.den))
+    if isinstance(e, (Exp, Sin, Cos)):
+        return _ser_call(e.__class__.__name__.lower(), _ser(e.arg))
     raise TypeError(f"not a SmoothExpr: {e!r}")
 
 
-def _order_key(e: SmoothExpr):
-    # constants first, everything else by serialized form
-    return (0 if isinstance(e, Const) else 1, _ser(e))
+def _ser_const(v: ComplexRational) -> str:
+    return f"C[{v}]"
+
+
+def _ser_call(tag: str, *args: str) -> str:
+    return tag + "(" + ",".join(args) + ")"
 
 
 # ---------------------------------------------------------------------------
 # smart constructors
-
-
-def _coeff_core(e: SmoothExpr) -> Tuple[ComplexRational, SmoothExpr]:
-    """Split e into (constant coefficient, remaining factor)."""
-    if isinstance(e, Product) and isinstance(e.factors[0], Const):
-        rest = e.factors[1:]
-        core = rest[0] if len(rest) == 1 else Product(rest)
-        return e.factors[0].value, core
-    return CR_ONE, e
-
-
-def _with_coeff(c: ComplexRational, core: SmoothExpr) -> SmoothExpr:
-    if c == CR_ONE:
-        return core
-    if isinstance(core, Product):
-        return Product((Const(c),) + core.factors)
-    return Product((Const(c), core))
 
 
 def _flat(items: Sequence[SmoothExpr], cls) -> list:
@@ -223,63 +210,50 @@ def _flat(items: Sequence[SmoothExpr], cls) -> list:
 
 
 def sum_of(*terms: SmoothExpr) -> SmoothExpr:
-    """Sum with flattening, constant folding and like-term collection.
-    Constants add as scalars and the other polynomial leaves as kernels;
-    any other term sends the whole sum to ``_tree_sum``."""
-    flat = _flat(terms, Sum)
-    acc = None  # the sum of the constants
-    k = None  # the sum of the kernels of X and Poly terms
-    for t in flat:
-        cls = t.__class__
-        if cls is Const:
-            acc = t.value if acc is None else acc + t.value
-        elif cls is Poly or cls is Var:
-            tk = t.k if cls is Poly else _K_X
-            k = tk if k is None else _poly_add(k, tk)
+    """Sum with flattening and like-term collection.  Each term is a
+    polynomial leaf times a core (``_split``), and the kernels of the terms
+    that share a core add up: those of core 1 into one leaf, which comes
+    first, and the others into one term per core, ordered by core.  A term
+    whose core no other term shares is kept as it came."""
+    poly = _K_ZERO
+    groups: dict[SmoothExpr, list] = {}  # core -> [summed kernel, term]
+    for t in _flat(terms, Sum):
+        k, core = _split(t)
+        if core is ONE:
+            poly = _poly_add(poly, k)
+        elif core in groups:
+            groups[core] = [_poly_add(groups[core][0], k), None]
         else:
-            return _tree_sum(flat)
-    if k is None:
-        return ZERO if acc is None else Const(acc)
-    if acc is not None:
-        k = _poly_add(k, _kernel_of_value(acc))
-    return _leaf(k)
+            groups[core] = [k, t]
+    out = [_leaf(poly)] if poly != _K_ZERO else []
+    for core in sorted(groups, key=_ser):
+        k, t = groups[core]
+        if t is not None:
+            out.append(t)
+        elif k != _K_ZERO:
+            out.append(product_of(_leaf(k), core))
+    if any(t.__class__ is Sum for t in out):  # a core that is a sum
+        return sum_of(*out)
+    return Sum(tuple(out)) if len(out) > 1 else out[0] if out else ZERO
 
 
-def _tree_sum(flat: list) -> SmoothExpr:
-    """A sum that a term other than a polynomial leaf takes part in.  Each
-    Poly term enters as the terms of its expanded tree, and terms collect
-    by their core.  When only constants and monomials c*x^i are left, the
-    sum is a polynomial leaf after all."""
-    acc = CR_ZERO
-    by_core: dict[SmoothExpr, ComplexRational] = {}
-    for t in _flat([_poly_tree(t) if t.__class__ is Poly else t
-                    for t in flat], Sum):
-        if t.__class__ is Const:
-            acc = acc + t.value
-            continue
-        c, core = _coeff_core(t)
-        if core not in by_core:
-            by_core[core] = c
+def _split(t: SmoothExpr) -> Tuple[Kernel, SmoothExpr]:
+    """A term as (kernel, core): the product of its polynomial leaf
+    factors, and of the rest, which is ``ONE`` when there is none."""
+    cls = t.__class__
+    if cls is Const or cls is Var or cls is Poly:
+        return _normal_form(t), ONE
+    fs = t.factors if cls is Product else (t,)
+    k, rest = _K_ONE, []
+    for f in fs:
+        if isinstance(f, _LEAVES):
+            k = _poly_mul(k, _normal_form(f))
         else:
-            by_core[core] = by_core[core] + c
-    live = [core for core, c in by_core.items() if not c.is_zero]
-    if all(_base_exp(core)[0] == X for core in live):  # only c*x^i are left
-        return sum_of(Const(acc), *(product_of(Const(by_core[core]),
-                                               power_of(X, _base_exp(core)[1]))
-                                    for core in live))
-    out = [_with_coeff(by_core[core], core)
-           for core in sorted(live, key=_order_key)]
-    if not acc.is_zero:
-        out.insert(0, Const(acc))
-    if len(out) == 1:
-        return out[0]
-    return Sum(tuple(out))
-
-
-def _base_exp(e: SmoothExpr) -> Tuple[SmoothExpr, int]:
-    if isinstance(e, Power):
-        return e.base, e.n
-    return e, 1
+            rest.append(f)
+    if len(rest) == len(fs):
+        return k, t
+    return k, (Product(tuple(rest)) if len(rest) > 1 else rest[0] if rest
+               else ONE)
 
 
 def product_of(*factors: SmoothExpr) -> SmoothExpr:
@@ -329,25 +303,22 @@ def _tree_product(flat: list) -> SmoothExpr:
     for f in flat:
         if isinstance(f, _LEAVES):
             continue
-        base, n = _base_exp(f)
+        base, n = (f.base, f.n) if isinstance(f, Power) else (f, 1)
         by_base[base] = by_base.get(base, 0) + n
     out: list[SmoothExpr] = []
-    for base in sorted(by_base, key=_order_key):
+    for base in sorted(by_base, key=_ser):
         n = by_base[base]
         if n == 0:
             continue
         out.append(base if n == 1 else power_of(base, n))
     if not out:
         return Const(coeff)
-    if (len(out) == 1 and isinstance(out[0], Sum)
-            and coeff != CR_ONE):
+    if len(out) == 1 and isinstance(out[0], Sum) and coeff != CR_ONE:
         # scalar times sum distributes, so c*(a+b) and c*a + c*b coincide
         return sum_of(*(product_of(Const(coeff), t) for t in out[0].terms))
     if coeff != CR_ONE:
         out.insert(0, Const(coeff))
-    if len(out) == 1:
-        return out[0]
-    return Product(tuple(out))
+    return Product(tuple(out)) if len(out) > 1 else out[0]
 
 
 def power_of(base: SmoothExpr, n: int) -> SmoothExpr:
@@ -549,20 +520,23 @@ def _poly_num(k: Kernel, xa):
             out += c
         tol = 4 * n * 2.0 ** -53 / _HORNER_RTOL
         ax, av = abs(xs), abs(out)
-        size, r = 0.0, float(ax.max(initial=0.0))
-        for c in reversed(cs):
-            size = size * r + abs(c)
-        if tol * size <= av.min(initial=np.inf):
+        if tol * _abs_horner(cs, float(ax.max(initial=0.0))) <= av.min(
+                initial=np.inf):
             return out if xa.ndim else out[0]
-        size = abs(cs[-1])
-        for c in reversed(cs[:-1]):
-            size = size * ax + abs(c)
-        exact = ~(tol * size <= av)
+        exact = ~(tol * _abs_horner(cs, ax) <= av)
     for i in np.flatnonzero(exact):
         z = complex(xs[i])
         if isfinite(z.real) and isfinite(z.imag):
             out[i] = _poly_at_float(den, re, im, z)
     return out if xa.ndim else out[0]
+
+
+def _abs_horner(cs: Sequence[complex], ax):
+    """sum |cs[i]| ax^i by Horner, ax a float or an array."""
+    size = 0.0
+    for c in reversed(cs):
+        size = size * ax + abs(c)
+    return size
 
 
 def _poly_at_float(den: int, re: tuple, im: tuple, z: complex) -> complex:
@@ -791,25 +765,12 @@ def _leaf(k: Kernel) -> SmoothExpr:
     return Const(cr_of_ints(re[0] if re else 0, im[0] if im else 0, den))
 
 
-def _poly_tree(e: Poly) -> SmoothExpr:
-    """The tree of e's expanded form, which ``fmt`` prints and a mixed sum
-    holds: the constant term, then c*x^i for each other nonzero
-    coefficient c (just x^i when c is 1), in the order of the serialized
-    cores 'W(x,i)' and 'x' that like-term collection gives.  Built once
-    per node and kept in its ``_tree_memo``."""
-    if e._tree_memo is not None:
-        return e._tree_memo
-    cs = _coeffs_of_kernel(e.k)
-    terms = [Const(cs[0])] if not cs[0].is_zero else []
-    for i in sorted(range(1, len(cs)), key=lambda i: (i == 1, str(i))):
-        c = cs[i]
-        if c.is_zero:
-            continue
-        core = X if i == 1 else Power(X, i)
-        terms.append(core if c == CR_ONE else Product((Const(c), core)))
-    t = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    object.__setattr__(e, "_tree_memo", t)
-    return t
+def _poly_terms(k: Kernel) -> list:
+    """The nonzero terms (i, c_i) of a polynomial in its printing order:
+    the constant term, then each x^i by the string of i, x itself last."""
+    cs = _coeffs_of_kernel(k)
+    order = sorted(range(1, len(cs)), key=lambda i: (i == 1, str(i)))
+    return [(i, cs[i]) for i in [0] + order if not cs[i].is_zero]
 
 
 def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
@@ -1028,38 +989,38 @@ def _safe_values(e: SmoothExpr, xs: np.ndarray) -> np.ndarray:
 
 def _term_magnitude(e: SmoothExpr, xs: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
-    """Pointwise size of the largest intermediate term.  A sum of huge terms
-    can evaluate to a tiny value with only round-off accuracy, so separation
-    must be judged against the terms, not the cancelled result."""
+    """Pointwise size of the largest intermediate term: the sum of |t| over
+    the terms t of a sum, a polynomial counting as its terms, sum |c_i||x|^i.
+    A sum of huge terms can evaluate to a tiny value with only round-off
+    accuracy, so separation must be judged against the terms, not the
+    cancelled result."""
     import numpy as np
-    if isinstance(e, Poly):
-        e = _poly_tree(e)
-    if not isinstance(e, Sum):
+    if not isinstance(e, (Sum, Poly)):
         return np.abs(values)
     total = np.zeros(xs.shape)
-    for t in e.terms:
-        total = total + np.abs(_safe_values(t, xs))
+    for t in e.terms if isinstance(e, Sum) else (e,):
+        if not isinstance(t, Poly):
+            total = total + np.abs(_safe_values(t, xs))
+            continue
+        try:
+            cs = [complex(c) for c in _coeffs_of_kernel(t.k)]
+        except DomainError:  # beyond float range, like a Const's value
+            cs = [np.nan]
+        total = total + _abs_horner(cs, np.abs(xs))
     return np.where(np.isfinite(total), total, np.abs(values))
 
 
 def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
                interval: Tuple[Optional[Fraction], Optional[Fraction]] = (None, None),
                samples: int = 32, rtol: float = 1e-9) -> Verdict:
-    """Equal iff proven (structural match or polynomial normal forms agree);
-    Unequal iff a sample point on the interval separates the two beyond
-    tolerance; Unknown otherwise.  Two polynomial leaves are canonical, so
-    ``==`` decides them."""
+    """Proven Equal or Unequal when the two are one node or their difference
+    has a polynomial normal form (0 or not), two leaves deciding by ``==``;
+    else Unequal iff a sample point on the interval separates the two beyond
+    tolerance, and Unknown otherwise."""
     if e1 == e2:
         return Verdict.EQUAL
     if isinstance(e1, _LEAVES) and isinstance(e2, _LEAVES):
         return Verdict.UNEQUAL
-    try:
-        k1 = _normal_form(e1)
-        k2 = _normal_form(e2) if k1 is not None else None
-    except DomainError:
-        k2 = None
-    if k2 is not None:
-        return Verdict.EQUAL if k1 == k2 else Verdict.UNEQUAL
     try:
         p = poly_normal_form(sub_expr(e1, e2))
     except DomainError:

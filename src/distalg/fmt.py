@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
 from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
-                   Var, SmoothExpr, ONE, ZERO, _poly_tree)
+                   Var, SmoothExpr, ONE, ZERO, _poly_terms)
 from .scalars import CR_ONE, ComplexRational, frac_str
 
 if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
@@ -118,7 +118,11 @@ def _const(v: ComplexRational, st: _Style) -> tuple:
 
 
 def _group(e: SmoothExpr, prec: int, st: _Style) -> str:
-    s, level = _render(e, st)
+    return _paren(*_render(e, st), prec, st)
+
+
+def _paren(s: str, level: int, prec: int, st: _Style) -> str:
+    """s, in parentheses when its level is below prec."""
     if level < prec:
         return st.open + s + st.close
     return s
@@ -130,22 +134,19 @@ def _render(e: SmoothExpr, st: _Style) -> tuple:
         return _const(e.value, st)
     if isinstance(e, Var):
         return "x", 4
-    if isinstance(e, Poly):  # printed expanded, as its tree
-        return _render(_poly_tree(e), st)
+    if isinstance(e, Poly):  # from its coefficients, each c*x^i a product
+        terms = []
+        for i, c in _poly_terms(e.k):
+            xi = ("x", 4) if i == 1 else (st.power % ("x", i), 3)
+            terms.append(_const(c, st) if i == 0 else
+                         _product(None if c == CR_ONE else c, [xi], st))
+        return _sum(terms)
     if isinstance(e, Sum):
-        parts = [_group(e.terms[0], 1, st)]
-        for t in e.terms[1:]:
-            s = _group(t, 1, st)
-            parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
-        return "".join(parts), 1
+        return _sum([_render(t, st) for t in e.terms])
     if isinstance(e, Product):
         fs = e.factors
-        c = fs[0].value if isinstance(fs[0], Const) else None
-        if c is not None and c.is_real and c.re_num < 0:
-            rest = fs[1:] if c == -CR_ONE else (Const(-c),) + fs[1:]
-            body = rest[0] if len(rest) == 1 else Product(rest)
-            return "-" + _group(body, 2, st), 1
-        return st.mul.join(_group(f, 2, st) for f in fs), 2
+        c, fs = (fs[0].value, fs[1:]) if isinstance(fs[0], Const) else (None, fs)
+        return _product(c, [_render(f, st) for f in fs], st)
     if isinstance(e, Power):
         return st.power % (_group(e.base, 3, st), e.n), 3
     if isinstance(e, Quotient):
@@ -156,6 +157,31 @@ def _render(e: SmoothExpr, st: _Style) -> tuple:
     if name is None:
         raise TypeError(f"not a SmoothExpr: {e!r}")
     return st.func % (name, _group(e.arg, 0, st)), 4
+
+
+def _sum(terms: List[tuple]) -> tuple:
+    """(string, level) of rendered terms as a sum: ' + ' between them, or
+    ' - ' in place of a term's leading '-'.  No term is below level 1."""
+    if len(terms) == 1:
+        return terms[0]
+    out = [terms[0][0]]
+    for s, _ in terms[1:]:
+        out.append(" - " + s[1:] if s.startswith("-") else " + " + s)
+    return "".join(out), 1
+
+
+def _product(c: Optional[ComplexRational], fs: List[tuple], st: _Style
+             ) -> tuple:
+    """(string, level) of the scalar c (None for none) times the rendered
+    factors fs; a real negative c puts its sign in front."""
+    if c is not None and c.is_real and c.re_num < 0:
+        rest = _product(None if c == -CR_ONE else -c, fs, st)
+        return "-" + _paren(*rest, 2, st), 1
+    if c is not None:
+        fs = [_const(c, st)] + fs
+    if len(fs) == 1:
+        return fs[0]
+    return st.mul.join(_paren(s, level, 2, st) for s, level in fs), 2
 
 
 def format_expr(e: SmoothExpr) -> str:

@@ -24,8 +24,8 @@ from .dist import (GenDist, DeltaAtom, _assemble, add, delta_dist, equal_dist,
                    differentiate, heaviside, indicator, scale, smooth_mul,
                    smooth_times_atom, sub, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
-from .expr import (Quotient, SmoothExpr, Verdict, ZERO, _coeff_core,
-                   chebyshev_nodes, diff_expr, eval_num, poly_eval,
+from .expr import (Quotient, SmoothExpr, Verdict, ZERO, _coeffs_of_kernel,
+                   _split, chebyshev_nodes, diff_expr, eval_num, poly_eval,
                    poly_normal_form, product_of, real_root_count, sub_expr,
                    sum_of)
 from .dist import as_expr
@@ -109,9 +109,9 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     its samples would all be c, so the test is |c| > 1e-9.  A polynomial
     lead with a real root in the window fails without sampling, since the
     sample nodes need not hit the root; the Sturm count of
-    ``real_root_count`` finds it exactly.  So does a quotient of two
-    polynomials, or a constant times one, whose numerator or denominator
-    has a real root there: a root or a pole of the lead."""
+    ``real_root_count`` finds it exactly.  So does a polynomial (or constant)
+    times a quotient of two polynomials when any of the three has a real
+    root there: a root or a pole of the lead."""
     cs = tuple(as_expr(c) for c in coeffs)
     if len(cs) < 2:
         raise ShapeError("need order >= 1 (at least two coefficients)")
@@ -122,9 +122,10 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
                                            "expression")
     # the polynomials whose real roots are the roots and poles of the lead
     polys = [p]
-    core = _coeff_core(lead)[1]
+    k, core = _split(lead)
     if p is None and isinstance(core, Quotient):
-        polys = [poly_normal_form(core.num), poly_normal_form(core.den)]
+        polys = [_coeffs_of_kernel(k), poly_normal_form(core.num),
+                 poly_normal_form(core.den)]
     if p is not None and len(p) == 1:
         nonzero = abs(complex(p[0])) > 1e-9
     elif None not in polys and any(_has_root_in_window(q) for q in polys):

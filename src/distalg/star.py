@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List
 
 from .dist import (Atom, GenDist, _assemble, _merge_atoms, _scaled_atoms,
-                   align, normalize_dist, add, scale, singular_support,
+                   align, add, scale, singular_support,
                    smooth_times_atom)
 from .errors import OverlapError
 from .expr import ZERO, product_of
@@ -90,8 +90,7 @@ def bracket(F: GenDist, G: GenDist) -> GenDist:
     product: it merges each order's atom terms as its ``star`` would,
     negates the second, and assembles their sum once, so every
     coefficient, exact or float, is the one ``sub(star(F, G), star(G,
-    F))`` gives.  That difference can leave a piece as a tree that is
-    zero without being 0, such as -2*x^2 + 2*x^2; here it is 0."""
+    F))`` gives, as is the regular part, 0."""
     Fa, Ga = align(F, G)
     fg = _merge_atoms(_atom_terms(Fa, Ga))
     gf = _merge_atoms(_atom_terms(Ga, Fa))
@@ -103,21 +102,19 @@ def hormander(F: GenDist, G: GenDist) -> GenDist:
     """Product for disjoint singular supports: aligned pointwise piece
     product, each atom multiplied by the piece of the other factor whose
     interval covers the atom location."""
-    Fn = normalize_dist(F)
-    Gn = normalize_dist(G)
-    sf = set(singular_support(Fn))
-    sg = set(singular_support(Gn))
+    sf = set(singular_support(F))
+    sg = set(singular_support(G))
     if sf & sg:
         where = ", ".join(str(w) for w in sorted(sf & sg))
         raise OverlapError(f"singular supports intersect at {where}; "
                            f"use star instead")
-    Fa, Ga = align(Fn, Gn)
+    Fa, Ga = align(F, G)
     pieces = tuple(product_of(p, q) for p, q in zip(Fa.pieces, Ga.pieces))
     atoms = []
-    for a in Fn.all_atoms:
-        cover = Gn.pieces[bisect.bisect_right(Gn.breakpoints, a.w)]
+    for a in F.all_atoms:
+        cover = G.pieces[bisect.bisect_right(G.breakpoints, a.w)]
         atoms += smooth_times_atom(cover, a)
-    for a in Gn.all_atoms:
-        cover = Fn.pieces[bisect.bisect_right(Fn.breakpoints, a.w)]
+    for a in G.all_atoms:
+        cover = F.pieces[bisect.bisect_right(F.breakpoints, a.w)]
         atoms += smooth_times_atom(cover, a)
     return _assemble(Fa.breakpoints, pieces, atoms)

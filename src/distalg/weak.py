@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from .dist import GenDist, normalize_dist, singular_support
+from .dist import GenDist, singular_support
 from .errors import DomainError, EpsilonTooLarge, ShapeError
 from .expr import (Cos, Exp, Power, Product, Quotient, Sin, SmoothExpr, Sum,
                    X, const, diff_expr, eval_num, exp_of, is_polynomial,
@@ -368,12 +368,12 @@ def _atom_radius(w: float, lo: float, hi: float) -> float:
     return min(0.35 * (w - lo), 0.35 * (hi - w), 0.1)
 
 
-def _eps_rows(Fn: GenDist, Gn: GenDist, sf: set, sg: Sequence[Fraction],
+def _eps_rows(F: GenDist, G: GenDist, sf: set, sg: Sequence[Fraction],
               t: TestFunction, epsf: Fraction, cfg: QuadratureConfig
               ) -> Tuple[list, list]:
-    """The panel rows of <Fn·Gn^eps, t> for ``_quadrature`` and its atom
+    """The panel rows of <F·G^eps, t> for ``_quadrature`` and its atom
     terms (c, row), c = coeff·(-1)^k and row for ``_cauchy``, after the
-    exact checks: the singular supports sf of Fn and sg of Gn, shifted by
+    exact checks: the singular supports sf of F and sg of G, shifted by
     eps, are disjoint, zero pieces are skipped, and no integrated piece
     has a pole."""
     sg_shift = {v - epsf for v in sg}
@@ -382,9 +382,9 @@ def _eps_rows(Fn: GenDist, Gn: GenDist, sf: set, sg: Sequence[Fraction],
                               f"{sorted(sf & sg_shift)}")
     eps_float = float(epsf)
     lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
-    f_at, g_at = _piece_finder(Fn), _piece_finder(Gn)
+    f_at, g_at = _piece_finder(F), _piece_finder(G)
     panels = []
-    cuts = list(Fn.breakpoints) + [b - epsf for b in Gn.breakpoints]
+    cuts = list(F.breakpoints) + [b - epsf for b in G.breakpoints]
     for s, e, fs, fe in _segments(t, cuts, cfg.guard):
         mid = (fs + fe) / 2.0
         fp = f_at(mid)
@@ -395,11 +395,11 @@ def _eps_rows(Fn: GenDist, Gn: GenDist, sf: set, sg: Sequence[Fraction],
         _refuse_pole(gp, s, e, t, epsf)
         panels.append((fs, fe, ((fp, 0.0), (gp, eps_float))))
     atoms = []
-    for a in Fn.all_atoms:
+    for a in F.all_atoms:
         w = float(a.w)
         if lo < w < hi:
             atoms.append((a, w, (g_at(float(a.w + epsf)), eps_float)))
-    for a in Gn.all_atoms:
+    for a in G.all_atoms:
         w = float(a.w - epsf)
         if lo < w < hi:
             atoms.append((a, w, (f_at(w), 0.0)))
@@ -409,19 +409,13 @@ def _eps_rows(Fn: GenDist, Gn: GenDist, sf: set, sg: Sequence[Fraction],
                     for a, w, factor in atoms]
 
 
-def _normal_pair(F: GenDist, G: GenDist) -> tuple:
-    """(Fn, Gn, sf, sg): F and G normalized, and their singular supports."""
-    Fn, Gn = normalize_dist(F), normalize_dist(G)
-    return Fn, Gn, singular_support(Fn), singular_support(Gn)
-
-
-def _eps_actions(pair: tuple, t: TestFunction, eps_values,
+def _eps_actions(F: GenDist, G: GenDist, sf: Sequence[Fraction],
+                 sg: Sequence[Fraction], t: TestFunction, eps_values,
                  cfg: QuadratureConfig) -> list:
-    """<Fn·Gn^eps, t> for each eps, pair = ``_normal_pair(F, G)``: the rows
-    of every eps go through one ``_quadrature`` and one ``_cauchy`` call,
-    and each eps's terms are added back in row order, panels first."""
-    Fn, Gn, sf, sg = pair
-    parts = [_eps_rows(Fn, Gn, set(sf), sg, t, as_fraction(e), cfg)
+    """<F·G^eps, t> for each eps, given the singular supports sf and sg: the
+    rows of every eps go through one ``_quadrature`` and one ``_cauchy``
+    call, and each eps's terms are added back in row order, panels first."""
+    parts = [_eps_rows(F, G, set(sf), sg, t, as_fraction(e), cfg)
              for e in eps_values]
     panel_vals = iter(_quadrature(t, [p for ps, _ in parts for p in ps], cfg))
     atom_vals = iter(_cauchy(t, [row for _, ats in parts for _, row in ats]))
@@ -448,8 +442,8 @@ def epsilon_product_action(F: GenDist, G: GenDist, t: TestFunction, eps,
     complex function values.  Requires the shifted singular supports to be
     exactly disjoint.
     """
-    return _eps_actions(_normal_pair(F, G), t, [eps],
-                        cfg or DEFAULT_CONFIG)[0]
+    return _eps_actions(F, G, singular_support(F), singular_support(G), t,
+                        [eps], cfg or DEFAULT_CONFIG)[0]
 
 
 def _neville(hs: Sequence[float], vals: Sequence[complex]) -> complex:
@@ -491,11 +485,11 @@ def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
     the action at the smallest eps.
     """
     cfg = cfg or DEFAULT_CONFIG
-    pair = _normal_pair(F, G)
+    sf, sg = singular_support(F), singular_support(G)
     hs = [direction * e for e in cfg.eps_schedule]
-    vals = _eps_actions(pair, t, hs, cfg)
+    vals = _eps_actions(F, G, sf, sg, t, hs, cfg)
     if cfg.extrapolation == "last-value":
         return vals[-1]
-    gap = _smallest_gap(pair[2], pair[3])
+    gap = _smallest_gap(sf, sg)
     n = max(2, sum(e < gap for e in cfg.eps_schedule))
     return _neville([float(h) for h in hs[-n:]], vals[-n:])

@@ -469,6 +469,119 @@ class TestEqualDist:
 
 
 # ---------------------------------------------------------------------------
+# every GenDist the package returns is canonical; a hand-built one is checked
+# for its shape where it is made
+
+
+def _hand_built(breaks, pieces, atoms=()):
+    return d.GenDist(d.PiecewiseSmooth(tuple(breaks), tuple(pieces)),
+                     tuple(atoms))
+
+
+class TestShapeCheckedWhereMade:
+    def test_an_atom_off_the_breakpoints_never_reaches_star(self):
+        with pytest.raises(ShapeError, match="not a breakpoint"):
+            d.star(_hand_built((), (d.ONE,),
+                               [d.DeltaAtom(Fraction(1), 0, CR(1))]),
+                   d.heaviside(0))
+
+    @pytest.mark.parametrize("breaks, pieces, atoms", [
+        ((1, 0), (d.ZERO,) * 3, ()),
+        ((0, 0), (d.ZERO,) * 3, ()),
+        ((0,), (d.ZERO,), ()),
+        ((0,), (d.ZERO,) * 3, ()),
+        ((0,), (d.ZERO,) * 2, [d.DeltaAtom(Fraction(0), -1, CR(1))]),
+        ((0,), (d.ZERO,) * 2, [d.InexactAtom(Fraction(1), 0, 1.0)]),
+    ], ids=["descending", "repeated", "too-few-pieces", "too-many-pieces",
+            "negative-order", "inexact-off-breakpoint"])
+    def test_shape_errors(self, breaks, pieces, atoms):
+        with pytest.raises(ShapeError):
+            _hand_built([Fraction(b) for b in breaks], pieces, atoms)
+
+
+def _non_canonical(rng, n):
+    """(value, its normal form) for shape-valid values that ``_assemble``
+    would change: ``align`` outputs, whose breakpoints include the other
+    factor's, and the same with each atom split into two at its (w, k)
+    and a cancelling pair added at a breakpoint."""
+    out = []
+    for _ in range(n):
+        F = random_dist(rng)
+        Fa, _ = d.align(F, random_dist(rng, max_breaks=4))
+        split = [b for a in Fa.atoms
+                 for b in (d.DeltaAtom(a.w, a.k, a.coeff * 3),
+                           d.DeltaAtom(a.w, a.k, a.coeff * -2))]
+        if Fa.breakpoints:
+            w = rng.choice(Fa.breakpoints)
+            split += [d.DeltaAtom(w, 1, CR(2)), d.DeltaAtom(w, 1, CR(-2))]
+        S = d.GenDist(Fa.regular, tuple(split))
+        out += [(Fa, F), (S, d.normalize_dist(S))]
+    return out
+
+
+def _result(f, *args):
+    """f(*args), or the error it ends in."""
+    try:
+        return f(*args)
+    except d.DistAlgError as e:
+        return type(e), str(e)
+
+
+class TestCanonicalByConstruction:
+    def test_results_are_their_own_normal_form(self):
+        corpus = random_corpus(41, 40)
+        ceq = d.confine_interval(d.make_ode([d.ONE, d.X, d.ONE]), -1, 2)
+        g = d.exp_of(d.neg(d.X))
+        for F, G in zip(corpus, corpus[1:]):
+            results = [d.star(F, G), d.bracket(F, G), d.add(F, G),
+                       d.scale(CR(2, -1), F), d.smooth_mul(g, F),
+                       d.add(d.smooth_mul(g, F), d.smooth_mul(g, G)),
+                       d.differentiate(F), d.antiderivative(F),
+                       d.translate(F, Fraction(1, 3)),
+                       d.parse_dist(d.format_dist(F)), d.residual(ceq, F)]
+            for R in results:
+                assert d.normalize_dist(R) == R
+
+    def test_equal_dist_assembles_nothing(self, monkeypatch):
+        corpus = random_corpus(42, 30)
+        pairs = [(F, G) for F, G in zip(corpus, corpus[1:])]
+        pairs += [(d.star(F, G), d.star(G, F)) for F, G in pairs[:10]]
+        pairs += [(F, d.parse_dist(d.format_dist(F))) for F in corpus]
+        calls = []
+        assemble = dist_mod._assemble
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return assemble(*args, **kw)
+
+        monkeypatch.setattr(dist_mod, "_assemble", counting)
+        verdicts = [d.equal_dist(F, G) for F, G in pairs]
+        assert calls == []
+        assert Verdict.EQUAL in verdicts and Verdict.UNEQUAL in verdicts
+
+    def test_hand_built_values_act_as_their_normal_form(self):
+        """Unmerged atoms are summed and redundant breakpoints only split
+        an interval: equal_dist, hormander, action and star_oracle see a
+        hand-built value as its normal form, the floats to round-off."""
+        rng = random.Random(43)
+        values = _non_canonical(rng, 12)
+        assert any(V != N for V, N in values)
+        t = d.make_bump(-3, 3)
+        for (A, An), (B, Bn) in zip(values, values[1:] + values[:1]):
+            assert d.equal_dist(A, An) is Verdict.EQUAL
+            assert d.equal_dist(A, B) is d.equal_dist(An, Bn)
+            assert _result(d.hormander, A, B) == _result(d.hormander, An, Bn)
+            a1, a2 = d.action(A, t), d.action(An, t)
+            assert abs(a1 - a2) <= 1e-9 * (1 + abs(a1))
+            o1 = _result(d.star_oracle, A, B, t)
+            o2 = _result(d.star_oracle, An, Bn, t)
+            if isinstance(o1, complex):
+                assert abs(o1 - o2) <= 1e-9 * (1 + abs(o1))
+            else:
+                assert o1 == o2
+
+
+# ---------------------------------------------------------------------------
 # the calculus laws and the round trips on huge, tiny and nearly equal
 # locations
 

@@ -295,19 +295,21 @@ def test_no_module_cache_retains_trees():
         d.expr_equal(a, d.sum_of(d.power_of(d.X, 2), d.const(k)))
         d.poly_normal_form(p)
         d.poly_normal_form(d.power_of(a, 3))
-        d.format_expr(a), d.format_expr(b)  # memoizes a's expanded tree
+        d.format_expr(a), d.format_expr(b)
         refs += [weakref.ref(t) for t in (a, b, c, p)]
     del a, b, c, p
     gc.collect()
     assert [r for r in refs if r() is not None] == []
 
 
-def test_poly_expanded_tree_is_built_once():
+def test_poly_prints_from_its_coefficients():
+    """No tree is built or kept for printing: the node holds its kernel and
+    at most its hash and serialized form."""
     p = d.parse_smooth_expr("3 + x^2 - 1/2*x^3")
-    text = d.format_expr(p)
-    tree = p._tree_memo
-    assert tree is not None and expr_mod._poly_tree(p) is tree
-    assert d.format_expr(p) == text == "3 + x^2 - 1/2*x^3"
+    assert isinstance(p, d.Poly)
+    assert d.format_expr(p) == "3 + x^2 - 1/2*x^3"
+    assert d.format_expr_latex(p) == r"3 + x^{2} - \tfrac{1}{2}\,x^{3}"
+    assert set(vars(p)) <= {"k", "_hash_memo", "_ser_memo"}
 
 
 _fracs = st.one_of(
@@ -596,6 +598,66 @@ def test_mixed_product_scalar_examples():
             assert d.sub_expr(a, a) == d.ZERO
             assert d.sum_of(a, a) == d.product_of(d.const(2), a)
             assert d.neg(d.neg(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# one spelling of a polynomial factor: a tree term is a polynomial leaf times
+# a core without one, and the terms of a sum collect by core
+
+
+def test_a_polynomial_factor_has_one_spelling():
+    """-3 distributes over the sum; x^2 in its terms and in the negated
+    copy's is the same leaf, so P - P is 0."""
+    P = d.product_of(d.parse_smooth_expr("2/3*x^2 + exp(-x) - 3*x"),
+                     d.const(-3))
+    assert d.sub_expr(P, P) == d.ZERO
+    F = d.smooth_dist(P)
+    assert d.format_dist(d.sub(F, F)) == "0"
+    assert d.is_zero_dist(d.sub(F, F))
+
+
+def test_terms_collect_across_their_polynomial_factors():
+    parse = d.parse_smooth_expr
+    e = parse("(1+x)*exp(x) - x*exp(x)")
+    assert e == d.exp_of(d.X)
+    assert d.expr_equal(e, parse("exp(x)")) is Verdict.EQUAL
+    assert parse("x^2*sin(x) + x*sin(x) - (x^2+x)*sin(x)") == d.ZERO
+
+
+def test_a_mixed_sum_prints_its_polynomial_part_first():
+    e = d.parse_smooth_expr("2/3*x^2 + exp(-x) - 3*x")
+    assert e == d.Sum((poly(0, -3, (2, 3)), d.exp_of(d.neg(d.X))))
+    assert d.format_expr(e) == "2/3*x^2 - 3*x + exp(-x)"
+    assert d.format_expr(d.sum_of(e, d.neg(d.exp_of(d.neg(d.X))))) == \
+        "2/3*x^2 - 3*x"
+
+
+_small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
+    lambda cs: d.expr_from_poly(cs))
+_nonconstant_polys = _small_polys.filter(
+    lambda p: isinstance(p, (d.Var, d.Poly)))
+_mixed_trees = st.recursive(
+    st.one_of(_small_polys,
+              st.builds(lambda f, p: f(p),
+                        st.sampled_from([d.exp_of, d.sin_of, d.cos_of]),
+                        _small_polys)),
+    lambda kids: st.one_of(
+        st.builds(lambda ts: d.sum_of(*ts), st.lists(kids, min_size=2,
+                                                     max_size=3)),
+        st.builds(lambda fs: d.product_of(*fs), st.lists(kids, min_size=2,
+                                                         max_size=3)),
+        st.builds(d.power_of, kids, st.integers(2, 3)),
+        st.builds(d.quotient_of, kids, _nonconstant_polys)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_trees)
+def test_a_tree_minus_itself_is_zero(e):
+    """On trees the constructors build from polynomials, exp, sin, cos,
+    powers and quotients, e - e is 0 and e + e is 2*e, node for node."""
+    assert d.sub_expr(e, e) == d.ZERO
+    assert d.sum_of(e, e) == d.product_of(d.const(2), e)
 
 
 def test_poly_evaluates_accurately_near_a_root_and_beyond_float_range():

@@ -74,9 +74,9 @@ class TestConstantLeadShortcut:
 
 class TestPolynomialLeadRoots:
     """A polynomial lead with a real root in the sampled window [-10, 10]
-    is flagged, though no sample node hits the root, and so is a quotient
-    of two polynomials with a root or a pole there; otherwise the result
-    is what sampling gives."""
+    is flagged, though no sample node hits the root, and so is a
+    polynomial times a quotient of two polynomials with a root or a pole
+    there; otherwise the result is what sampling gives."""
 
     @pytest.mark.parametrize("lead", ["x", "(x-1/3)^2", "x^3-2", "i*x",
                                       "x+10", "x-10", "(x-2)*(x^2+1)"])
@@ -89,7 +89,8 @@ class TestPolynomialLeadRoots:
             assert ode_mod._sampled_nonvanishing(d.parse_smooth_expr(lead))
 
     @pytest.mark.parametrize("lead", ["x/(x-1)", "(x-1)/(x+20)", "1/(x-3)",
-                                      "-2*x/(x-1)", "1/(x+10)", "1/(x^2-2)"])
+                                      "-2*x/(x-1)", "1/(x+10)", "1/(x^2-2)",
+                                      "(x^2-2)*(1/(x+20))"])
     def test_rational_root_or_pole_in_window_flagged(self, lead):
         e = d.parse_smooth_expr(lead)
         assert ode_mod._sampled_nonvanishing(e)
@@ -98,7 +99,7 @@ class TestPolynomialLeadRoots:
     @pytest.mark.parametrize("lead", ["x-11", "x+21/2", "1+x^2",
                                       "(x-i)*(x+i)", "x^2+1/1000", "x+i",
                                       "1/(x+20)", "(x^2+1)/(x^2+2)",
-                                      "exp(x)/(x-1)"])
+                                      "exp(x)/(x-1)", "(x^2+1)*(1/(x+20))"])
     def test_no_root_in_window_agrees_with_sampling(self, lead):
         e = d.parse_smooth_expr(lead)
         assert (d.make_ode([d.ONE, e]).leading_sampled_nonzero
