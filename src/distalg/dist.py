@@ -346,6 +346,8 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     where that has no exact value.
     """
     g = as_expr(g)
+    if g.__class__ is Const and g.value.is_zero:
+        return []
     vals = _taylor_values(g, a.w, a.k)
     out: List[Atom] = []
     d = g
@@ -408,20 +410,28 @@ def _jump_value(left: SmoothExpr, right: SmoothExpr, w: Fraction
     return None if d == 0 else d
 
 
-def differentiate(F: GenDist) -> GenDist:
-    """Distributional derivative: pieces differentiate, each breakpoint with
-    a jump gains a delta, existing atoms move up one order."""
-    pieces = tuple(diff_expr(p) for p in F.pieces)
-    atoms = [type(a)(a.w, a.k + 1, a.coeff) for a in F.all_atoms]
-    for i, w in enumerate(F.breakpoints):
-        d = _jump_value(F.pieces[i], F.pieces[i + 1], w)
+def _derivative_parts(breaks: Sequence[Fraction],
+                      pieces: Sequence[SmoothExpr], atoms: Iterable[Atom]
+                      ) -> Tuple[Tuple[SmoothExpr, ...], List[Atom]]:
+    """The derivative of a shape, unassembled: the pieces differentiated;
+    the atoms one order up, then a delta at each jump in breakpoint order."""
+    out = [type(a)(a.w, a.k + 1, a.coeff) for a in atoms]
+    for i, w in enumerate(breaks):
+        d = _jump_value(pieces[i], pieces[i + 1], w)
         if d is None:
             continue
         if isinstance(d, ComplexRational):
-            atoms.append(DeltaAtom(w, 0, d))
+            out.append(DeltaAtom(w, 0, d))
         else:
-            atoms.append(InexactAtom(w, 0, d))
-    return _assemble(F.breakpoints, pieces, atoms)
+            out.append(InexactAtom(w, 0, d))
+    return tuple(diff_expr(p) for p in pieces), out
+
+
+def differentiate(F: GenDist) -> GenDist:
+    """Distributional derivative: pieces differentiate, each breakpoint with
+    a jump gains a delta, existing atoms move up one order."""
+    return _assemble(F.breakpoints,
+                     *_derivative_parts(F.breakpoints, F.pieces, F.all_atoms))
 
 
 def antiderivative(F: GenDist) -> GenDist:

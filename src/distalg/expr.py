@@ -197,13 +197,16 @@ def _ser_call(tag: str, *args: str) -> str:
 
 
 def _flat(items: Sequence[SmoothExpr], cls) -> list:
-    """The operands of an n-ary sum or product, nested ones spliced in."""
+    """The operands of an n-ary sum or product, nested ones spliced in, and
+    a power of a polynomial leaf built by hand as the leaf it stands for."""
     out: list[SmoothExpr] = []
     stack = list(reversed(items))
     while stack:
         t = stack.pop()
         if t.__class__ is cls:
             stack.extend(reversed(t.terms if cls is Sum else t.factors))
+        elif t.__class__ is Power and t.n >= 0 and isinstance(t.base, _LEAVES):
+            out.append(power_of(t.base, t.n))
         else:
             out.append(t)
     return out

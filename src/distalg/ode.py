@@ -10,7 +10,13 @@ an upper endpoint the factors swap to psi^(i-j) ⋆ delta^(j-1)(x-b), so psi
 is read from the left, with a minus sign because the indicator ends there.
 ``residual`` measures how far a candidate is from solving the confined
 equation; it is the zero distribution exactly when the candidate solves it.
-"""
+
+The residual is one piece list and one atom list, assembled once: the
+candidate's derivatives are raw pieces and atoms on the union of its
+breakpoints and the interval ends, and the corrections' atoms come through
+``star._atom_terms``.  Sums, products and atom merges run in the order
+that building each term as a whole distribution takes, so trees and float
+coefficients are the ones that route gives."""
 
 from __future__ import annotations
 
@@ -20,17 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .dist import (GenDist, DeltaAtom, _assemble, add, delta_dist, equal_dist,
-                   differentiate, heaviside, indicator, scale, smooth_mul,
-                   smooth_times_atom, sub, zero_dist)
+from .dist import (Atom, GenDist, DeltaAtom, PiecewiseSmooth, _assemble,
+                   _derivative_parts, _merge_atoms, _repiece, _scaled_atoms,
+                   as_expr, equal_dist, heaviside, indicator,
+                   smooth_times_atom, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
 from .expr import (Quotient, SmoothExpr, Verdict, ZERO, _coeffs_of_kernel,
-                   _split, chebyshev_nodes, diff_expr, eval_num, poly_eval,
-                   poly_normal_form, product_of, real_root_count, sub_expr,
-                   sum_of)
-from .dist import as_expr
-from .scalars import ComplexRational, ScalarLike, as_fraction
-from .star import star
+                   _sample_points, _split, chebyshev_nodes, eval_num, neg,
+                   poly_eval, poly_normal_form, product_of, real_root_count,
+                   sub_expr, sum_of)
+from .scalars import CR_ONE, ComplexRational, ScalarLike, as_fraction
+from .star import _atom_terms
 
 
 @dataclass(frozen=True)
@@ -85,20 +91,13 @@ class ConfinementReport:
     leading_sampled_nonzero: bool
 
 
-def _sampled_nonvanishing(e: SmoothExpr, lo: float = -10.0, hi: float = 10.0,
-                          n: int = 64, floor: float = 1e-9) -> bool:
+def _sampled_nonvanishing(e: SmoothExpr) -> bool:
     import numpy as np
     try:
-        vals = eval_num(e, chebyshev_nodes(lo, hi, n))
+        vals = eval_num(e, chebyshev_nodes(-10.0, 10.0, 64))
     except DomainError:
         return False
-    return bool(np.all(np.abs(vals) > floor) and np.all(np.isfinite(vals)))
-
-
-def _has_root_in_window(p: Sequence[ComplexRational]) -> bool:
-    """A real root of the polynomial p in [-10, 10]."""
-    return bool(real_root_count(p, Fraction(-10), Fraction(10))
-                or poly_eval(p, Fraction(-10)).is_zero)
+    return bool(np.all(np.abs(vals) > 1e-9) and np.all(np.isfinite(vals)))
 
 
 def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
@@ -128,7 +127,9 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
                  poly_normal_form(core.den)]
     if p is not None and len(p) == 1:
         nonzero = abs(complex(p[0])) > 1e-9
-    elif None not in polys and any(_has_root_in_window(q) for q in polys):
+    elif None not in polys and any(  # a real root in [-10, 10]
+            real_root_count(q, Fraction(-10), Fraction(10))
+            or poly_eval(q, Fraction(-10)).is_zero for q in polys):
         nonzero = False
     else:
         nonzero = _sampled_nonvanishing(lead)
@@ -136,19 +137,15 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
 
 
 def _records(ode: LinearODE, endpoint: str, sign: int) -> List[CorrectionTerm]:
-    out = []
-    for i in range(1, ode.n + 1):
-        if ode.coeffs[i] == ZERO:
-            continue
-        for j in range(1, i + 1):
-            out.append(CorrectionTerm(i, j, math.comb(i, j), endpoint, j, sign))
-    return out
+    return [CorrectionTerm(i, j, math.comb(i, j), endpoint, j, sign)
+            for i in range(1, ode.n + 1) if ode.coeffs[i] != ZERO
+            for j in range(1, i + 1)]
 
 
 def confine_halfline(ode: LinearODE, a) -> ConfinedEquation:
     """Equation whose solutions are H(x-a)·(solutions of the base ODE)."""
-    af = as_fraction(a)
-    return ConfinedEquation(ode, HalfLine(af), tuple(_records(ode, "lower", 1)))
+    return ConfinedEquation(ode, HalfLine(as_fraction(a)),
+                            tuple(_records(ode, "lower", 1)))
 
 
 def confine_interval(ode: LinearODE, a, b) -> ConfinedEquation:
@@ -174,45 +171,68 @@ def indicator_dist(ceq: ConfinedEquation) -> GenDist:
     return indicator(ceq.interval.a, ceq.interval.b)
 
 
-def _derivative_chain(psi: GenDist, n: int) -> List[GenDist]:
-    out = [psi]
-    for _ in range(n):
-        out.append(differentiate(out[-1]))
+def _chain(ceq: ConfinedEquation, chi: PiecewiseSmooth, psi: GenDist):
+    """The union of psi's breakpoints and the interval ends, chi's pieces on
+    it, and psi's derivatives 0..n on it as (pieces, atoms), the atoms of
+    each merged as ``differentiate`` merges them."""
+    union = tuple(sorted(set(psi.breakpoints) | set(chi.breakpoints)))
+    chain = [(_repiece(psi.regular, union), psi.all_atoms)]
+    for _ in range(ceq.base.n):
+        ps, ats = _derivative_parts(union, *chain[-1])
+        chain.append((ps, tuple(_merge_atoms(ats))))
+    return union, _repiece(chi, union), chain
+
+
+def _record_atoms(ceq: ConfinedEquation, union: Tuple[Fraction, ...],
+                  chain) -> List[List[Atom]]:
+    """Each correction record's atoms, sign and binomial included, merged
+    where the record's ``star`` and ``smooth_mul`` merge them.
+    ``star._atom_terms`` reads the one-sided piece from the record's delta
+    and the chain's derivative, both on the union."""
+    z = PiecewiseSmooth(union, (ZERO,) * (len(union) + 1))
+    derivs = [GenDist(PiecewiseSmooth(union, ps), a) for ps, a in chain[:-1]]
+    out = []
+    for r in ceq.corrections:
+        D = GenDist(z, (DeltaAtom(_endpoint_loc(ceq, r), r.j - 1, CR_ONE),))
+        P = derivs[r.i - r.j]
+        terms = _merge_atoms(_atom_terms(D, P) if r.endpoint == "lower"
+                             else _atom_terms(P, D))
+        atoms = _merge_atoms(b for a in terms for b in
+                             smooth_times_atom(ceq.base.coeffs[r.i], a))
+        out.append(_scaled_atoms(ComplexRational.of(r.sign * r.binomial),
+                                 atoms))
     return out
 
 
 def correction_values(ceq: ConfinedEquation, psi: GenDist) -> List[GenDist]:
     """The value of each correction record at the candidate, including sign
     and binomial factor, in record order."""
-    return _corrections(ceq, _derivative_chain(psi, ceq.base.n))
+    union, _, chain = _chain(ceq, indicator_dist(ceq).regular, psi)
+    return [_assemble((), (ZERO,), a)
+            for a in _record_atoms(ceq, union, chain)]
 
 
-def _corrections(ceq: ConfinedEquation, derivs: Sequence[GenDist]
-                 ) -> List[GenDist]:
-    """``correction_values`` from the candidate's derivatives 0..n."""
-    out = []
-    for rec in ceq.corrections:
-        loc = _endpoint_loc(ceq, rec)
-        D = delta_dist(loc, rec.j - 1)
-        if rec.endpoint == "lower":
-            term = star(D, derivs[rec.i - rec.j])
-        else:
-            term = star(derivs[rec.i - rec.j], D)
-        term = smooth_mul(ceq.base.coeffs[rec.i], term)
-        out.append(scale(rec.sign * rec.binomial, term))
-    return out
+def _residual(ceq: ConfinedEquation, chi: PiecewiseSmooth, psi: GenDist):
+    """The residual and psi's derivative chain: f·chi - sum a_i·psi^(i) on
+    each interval of the union, the records' atoms, then minus the
+    a_i·psi^(i) atoms merged per term and then together."""
+    union, chi_ps, chain = _chain(ceq, chi, psi)
+    terms = [(a, *c) for a, c in zip(ceq.base.coeffs, chain) if a != ZERO]
+    pieces = [sum_of(sum_of(product_of(ceq.base.rhs, c)), neg(sum_of(
+        *(product_of(a, ps[u]) for a, ps, _ in terms))))
+        for u, c in enumerate(chi_ps)]
+    lhs = _merge_atoms(b for a, _, ats in terms for b in _merge_atoms(
+        c for at in ats for c in smooth_times_atom(a, at)))
+    atoms = [a for recs in _record_atoms(ceq, union, chain) for a in recs]
+    return _assemble(union, pieces, atoms + _scaled_atoms(
+        ComplexRational.of(-1), lhs)), chain
 
 
 def residual(ceq: ConfinedEquation, psi: GenDist) -> GenDist:
     """Correction side minus derivative side of the confined equation,
     evaluated at the candidate; the zero distribution exactly when psi
     solves it."""
-    derivs = _derivative_chain(psi, ceq.base.n)
-    lhs = add(*(smooth_mul(a_i, derivs[i])
-                for i, a_i in enumerate(ceq.base.coeffs) if a_i != ZERO))
-    rhs = add(smooth_mul(ceq.base.rhs, indicator_dist(ceq)),
-              *_corrections(ceq, derivs))
-    return sub(rhs, lhs)
+    return _residual(ceq, indicator_dist(ceq).regular, psi)[0]
 
 
 def particular_rhs(ode: LinearODE, values: Sequence[ScalarLike], a) -> GenDist:
@@ -223,51 +243,31 @@ def particular_rhs(ode: LinearODE, values: Sequence[ScalarLike], a) -> GenDist:
     if len(values) != ode.n:
         raise ShapeError(f"need {ode.n} endpoint values, got {len(values)}")
     vals = [ComplexRational.of(v) for v in values]
-    atoms = []
-    for i in range(1, ode.n + 1):
-        if ode.coeffs[i] == ZERO:
-            continue
-        for k in range(i):
-            if vals[k].is_zero:
-                continue
-            base = DeltaAtom(af, i - 1 - k, vals[k])
-            atoms.extend(smooth_times_atom(ode.coeffs[i], base))
-    return _assemble((), (ZERO,), atoms)
-
-
-def _classical_residual_samples(ceq: ConfinedEquation, psi_u: SmoothExpr,
-                                n: int = 16) -> Tuple[Tuple[float, complex], ...]:
-    ode = ceq.base
-    terms = []
-    d = psi_u
-    for i, a_i in enumerate(ode.coeffs):
-        if i > 0:
-            d = diff_expr(d)
-        if a_i != ZERO:
-            terms.append(product_of(a_i, d))
-    r = sub_expr(sum_of(*terms), ode.rhs)
-    if isinstance(ceq.interval, HalfLine):
-        lo, hi = float(ceq.interval.a), float(ceq.interval.a) + 8.0
-    else:
-        lo, hi = float(ceq.interval.a), float(ceq.interval.b)
-    xs = chebyshev_nodes(lo, hi, n)
-    try:
-        vals = eval_num(r, xs)
-    except DomainError:
-        vals = [complex("nan")] * n
-    return tuple((float(x), complex(v)) for x, v in zip(xs, vals))
+    return _assemble((), (ZERO,), [
+        b for i in range(1, ode.n + 1) for k in range(i) if not vals[k].is_zero
+        for b in smooth_times_atom(ode.coeffs[i], DeltaAtom(af, i - 1 - k,
+                                                            vals[k]))])
 
 
 def verify_confinement(ceq: ConfinedEquation, psi_u) -> ConfinementReport:
     """Cut psi_u down to the interval, run the residual, and report the
     zero verdict together with sampled evidence that psi_u solves the base
-    ODE classically (reported, not enforced)."""
-    psi_u = as_expr(psi_u)
-    psi_c = smooth_mul(psi_u, indicator_dist(ceq))
-    res = residual(ceq, psi_c)
-    verdict = equal_dist(res, zero_dist())
-    samples = _classical_residual_samples(ceq, psi_u)
+    ODE classically (reported, not enforced).  The cut candidate is psi_u
+    times each indicator piece, and the samples read psi_u's derivatives
+    from its chain's inside piece."""
+    psi_u, ode = as_expr(psi_u), ceq.base
+    chi = indicator_dist(ceq).regular
+    res, chain = _residual(ceq, chi, GenDist(PiecewiseSmooth(
+        chi.breakpoints, tuple(product_of(psi_u, c) for c in chi.pieces)), ()))
+    r = sub_expr(sum_of(*(product_of(a, ps[1]) for a, (ps, _) in
+                          zip(ode.coeffs, chain) if a != ZERO)), ode.rhs)
+    xs = _sample_points(ceq.interval.a, getattr(ceq.interval, "b", None), 16)
+    try:
+        vals = eval_num(r, xs)
+    except DomainError:
+        vals = [complex("nan")] * len(xs)
+    samples = tuple((float(x), complex(v)) for x, v in zip(xs, vals))
     finite = [abs(v) for _, v in samples if cmath.isfinite(v)]
     cmax = max(finite) if finite else float("nan")
-    return ConfinementReport(verdict, res, samples, cmax,
-                             ceq.base.leading_sampled_nonzero)
+    return ConfinementReport(equal_dist(res, zero_dist()), res, samples, cmax,
+                             ode.leading_sampled_nonzero)

@@ -45,7 +45,7 @@ from .expr import (Cos, Exp, Power, Product, Quotient, Sin, SmoothExpr, Sum,
                    X, const, diff_expr, eval_num, exp_of, is_polynomial,
                    poly_eval, poly_normal_form, power_of, product_of,
                    quotient_of, real_root_count, reduced_denominator,
-                   sub_expr, ONE)
+                   sub_expr, ONE, ZERO)
 from .scalars import as_fraction
 
 
@@ -318,7 +318,7 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
     panels = []
     for s, e, fs, fe in _segments(t, F.breakpoints, cfg.guard):
         piece = piece_at((fs + fe) / 2.0)
-        if piece == const(0):
+        if piece == ZERO:
             continue
         _refuse_pole(piece, s, e, t)
         panels.append((fs, fe, ((piece, 0.0),)))
@@ -389,7 +389,7 @@ def _eps_rows(F: GenDist, G: GenDist, sf: set, sg: Sequence[Fraction],
         mid = (fs + fe) / 2.0
         fp = f_at(mid)
         gp = g_at(mid + eps_float)
-        if fp == const(0) or gp == const(0):
+        if fp == ZERO or gp == ZERO:
             continue
         _refuse_pole(fp, s, e, t)
         _refuse_pole(gp, s, e, t, epsf)
@@ -480,16 +480,26 @@ def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
     Neville table over the schedule's values below that gap: n values
     cancel the error terms up to eps^(n-1), at no extra quadrature
     (Richardson 1911; Sidi, *Practical Extrapolation Methods*, 2003,
-    ch. 1).  With fewer than two values below the gap it takes the last
-    two, the linear step (e1·v2 - e2·v1)/(e1 - e2).  "last-value" returns
-    the action at the smallest eps.
+    ch. 1).  When fewer than two values lie below the gap (none, for a
+    one-value schedule), the schedule is first scaled by gap/(2·eps_0),
+    eps_0 its largest value, so that all do, in either mode and at the
+    same number of quadratures; DomainError if floats then cannot tell a
+    shifted singular point inside the support from one of the other factor.
+    "last-value" returns the action at the smallest eps.
     """
     cfg = cfg or DEFAULT_CONFIG
     sf, sg = singular_support(F), singular_support(G)
-    hs = [direction * e for e in cfg.eps_schedule]
+    gap = _smallest_gap(sf, sg)
+    sched = cfg.eps_schedule
+    if sum(e < gap for e in sched) < min(2, len(sched)):
+        sched = [e * gap / (2 * sched[0]) for e in sched]
+        if any(float(v - h) == float(u) or float(u + h) == float(v)
+               for u in sf for v in sg for h in (direction * e for e in sched)
+               if t.a <= u <= t.b and t.a <= v <= t.b):
+            raise DomainError(f"shifts below the gap {gap} vanish in floats")
+    hs = [direction * e for e in sched]
     vals = _eps_actions(F, G, sf, sg, t, hs, cfg)
     if cfg.extrapolation == "last-value":
         return vals[-1]
-    gap = _smallest_gap(sf, sg)
-    n = max(2, sum(e < gap for e in cfg.eps_schedule))
+    n = sum(e < gap for e in sched)
     return _neville([float(h) for h in hs[-n:]], vals[-n:])

@@ -563,6 +563,19 @@ def test_mixed_product_does_not_depend_on_order_or_grouping(seed):
     assert d.expr_equal(a, b) is Verdict.EQUAL
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_hand_built_power_of_a_leaf_is_the_leaf(n):
+    """Power(X, n) built by hand takes the spelling of x^n: like terms
+    cancel against it in a sum, and a scalar multiplies into one leaf."""
+    hand = expr_mod.Power(d.X, n)
+    s = d.sum_of(hand, d.exp_of(d.X), d.neg(d.power_of(d.X, n)))
+    assert s == d.exp_of(d.X)
+    assert d.format_expr(s) == "exp(x)"
+    p = d.product_of(hand, d.const(3))
+    assert isinstance(p, d.Poly)
+    assert p == d.product_of(d.const(3), d.power_of(d.X, n))
+
+
 _TRANSCENDENTAL = [d.exp_of(d.X), d.sin_of(d.X), d.cos_of(d.neg(d.X)),
                    d.product_of(d.exp_of(d.X), d.sin_of(d.X))]
 

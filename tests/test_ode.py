@@ -1,15 +1,22 @@
 """Confined equations, residuals, and cutoff particular solutions."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distalg as d
 from distalg import Verdict
+from distalg import dist as dist_mod
 from distalg import ode as ode_mod
 from distalg.dist import _assemble
 from distalg.errors import DegenerateLeadingCoefficient, ShapeError
+
+import ode_reference as ref
+from conftest import law_dists, law_poly
 
 
 def second_order():
@@ -169,21 +176,6 @@ class TestResidualHalfline:
         assert d.is_zero_dist(d.residual(ceq, psi))
         assert {a.w for a in d.residual(ceq, d.smooth_dist(d.X)).atoms} == {Fraction(1)}
 
-    def test_differentiates_the_candidate_once_per_order(self, monkeypatch):
-        calls = []
-
-        def counted(F):
-            calls.append(F)
-            return d.differentiate(F)
-
-        monkeypatch.setattr(ode_mod, "differentiate", counted)
-        ode = d.make_ode([d.ONE, d.X, d.ZERO, d.ONE])
-        psi = d.parse_dist("(1 + x^2)*H(x) + delta(x-1)")
-        for ceq in (d.confine_halfline(ode, 0), d.confine_interval(ode, 0, 2)):
-            calls.clear()
-            d.residual(ceq, psi)
-            assert len(calls) == ode.n
-
     def test_wrong_shapes_never_pass(self):
         # candidates with an extra atom or a live left branch must fail
         rng = random.Random(42)
@@ -332,3 +324,117 @@ class TestVerify:
         assert set(obj) >= {"verdict", "residual", "samples"}
         assert obj["verdict"] == "Equal"
         assert all(set(s) == {"x", "value"} for s in obj["samples"])
+
+
+# -- one assembly per check ----------------------------------------------------
+
+E = d.exp_of(d.X)
+# grid points and two off-grid ends, so interval ends both are and are not
+# breakpoints of the candidate
+ENDS = [Fraction(n) for n in range(-2, 3)] + [Fraction(1, 3), Fraction(-5, 2)]
+
+
+def _bench_numeric_cases(n=48):
+    """The confinement checks of the numeric benchmark: every candidate
+    kind on every interval shape."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(18)
+    out = []
+    for j in range(n):
+        kind = gen.VERIFY_KINDS[j % 4][0]
+        kind, iv, cs = gen.verify_case(rng, kind, gen.SHAPES[(j // 4) % 3])
+        out.append((gen.build_ceq(d, kind, iv), gen.build_psi(d, kind, cs)))
+    return out
+
+
+@st.composite
+def confined_equations(draw):
+    """Order 1-3, coefficients 0, constants, x and exp(x) (so a
+    non-constant a_i meets chain atoms), on a half-line, a bounded or a
+    negative interval."""
+    coeff = st.sampled_from([d.ONE, d.const(Fraction(-3, 2)), d.X, E])
+    n = draw(st.integers(1, 3))
+    cs = [draw(st.one_of(st.just(d.ZERO), coeff)) for _ in range(n)]
+    ode = d.make_ode(cs + [draw(coeff)],
+                     draw(st.sampled_from([d.ZERO, d.ONE, d.X, E])))
+    shape = draw(st.sampled_from(["half", "bounded", "negative"]))
+    if shape == "half":
+        return d.confine_halfline(ode, draw(st.sampled_from(ENDS)))
+    a, b = sorted(draw(st.lists(st.sampled_from(ENDS), min_size=2,
+                                max_size=2, unique=True)))
+    if shape == "negative":
+        a, b = a - 5, b - 5
+    return d.confine_interval(ode, a, b)
+
+
+@st.composite
+def candidates(draw):
+    """A conftest-law distribution plus, at times, an exp(x) piece from an
+    endpoint other than 0 (inexact jumps in the chain) and an inexact
+    atom."""
+    psi = draw(law_dists([Fraction(n) for n in range(-2, 3)], 1))[0]
+    if draw(st.booleans()):
+        w = draw(st.sampled_from([-1, 1, 2, Fraction(1, 3)]))
+        psi = d.add(psi, d.smooth_mul(E, d.heaviside(w)))
+    if draw(st.booleans()):
+        w = Fraction(draw(st.integers(-2, 2)))
+        psi = d.add(psi, _assemble((), (d.ZERO,), [
+            d.InexactAtom(w, draw(st.integers(0, 2)), 0.5 - 1.25j)]))
+    return psi
+
+
+def same(new, old):
+    assert new == old
+    assert repr(new) == repr(old)
+
+
+class TestOneAssembly:
+    """The residual, the correction values and the verify report from raw
+    pieces and atoms are the ones the route through whole canonical
+    distributions (``ode_reference``) gives, tree for tree and float for
+    float."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(confined_equations(), candidates())
+    def test_residual_and_corrections_match_reference(self, ceq, psi):
+        same(d.residual(ceq, psi), ref.residual(ceq, psi))
+        same(d.correction_values(ceq, psi), ref.correction_values(ceq, psi))
+
+    @settings(max_examples=80, deadline=None)
+    @given(confined_equations(), st.one_of(
+        law_poly, law_poly.map(lambda p: d.product_of(p, E)),
+        law_poly.map(lambda p: d.sum_of(p, d.exp_of(d.neg(d.X))))))
+    def test_verify_report_matches_reference(self, ceq, psi_u):
+        same(d.verify_confinement(ceq, psi_u),
+             ref.verify_confinement(ceq, psi_u))
+
+    @pytest.mark.parametrize("ceq, psi_u", _bench_numeric_cases())
+    def test_numeric_benchmark_cases_match_reference(self, ceq, psi_u):
+        same(d.verify_confinement(ceq, psi_u),
+             ref.verify_confinement(ceq, psi_u))
+
+    def test_assemble_calls_per_check(self, monkeypatch):
+        """At most two assemblies per residual (the indicator and the
+        result) and four per verify (the indicator, the result and the zero
+        it is compared with make three), where building every term as a
+        whole distribution took 12-21 and 15-24 on the numeric cases."""
+        calls = []
+        real = dist_mod._assemble
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dist_mod, "_assemble", counted)
+        monkeypatch.setattr(ode_mod, "_assemble", counted)
+        for ceq, psi_u in _bench_numeric_cases(12):
+            psi_c = d.smooth_mul(psi_u, d.indicator_dist(ceq))
+            calls.clear()
+            d.residual(ceq, psi_c)
+            assert len(calls) <= 2
+            calls.clear()
+            d.verify_confinement(ceq, psi_u)
+            assert len(calls) <= 4

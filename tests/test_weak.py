@@ -426,6 +426,33 @@ class TestRichardsonTable:
         got = d.star_oracle(F, G, T, direction=direction)
         assert abs(got - ref_value) / (1 + abs(ref_value)) < 1e-6
 
+    @pytest.mark.parametrize("gap", [Fraction(1, 2000), Fraction(1, 20000)])
+    @pytest.mark.parametrize("mode", ["richardson", "last-value"])
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_gap_below_the_schedule(self, gap, mode, direction, swap):
+        """H(x) and delta(x-gap) with at most one schedule value below the
+        gap: the schedule is scaled under the gap, where the unscaled
+        linear step straddled the crossing (0j for 1/20000, 0.4088 for
+        1/2000 against 0.3679)."""
+        F, G = H, d.delta_dist(gap)
+        if swap:
+            F, G = G, F
+        P = d.star(F, G) if direction == 1 else d.star(G, F)
+        ref_value = d.action(P, T)
+        cfg = QuadratureConfig(extrapolation=mode)
+        got = d.star_oracle(F, G, T, cfg, direction=direction)
+        tol = 1e-15 if mode == "richardson" else 1e-8
+        assert abs(got - ref_value) / (1 + abs(ref_value)) < tol
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_gap_floats_cannot_resolve_is_refused(self, direction):
+        w = Fraction(1, 3)
+        F, G = d.heaviside(w), d.delta_dist(w + Fraction(1, 10 ** 20))
+        for A, B in ((F, G), (G, F)):
+            with pytest.raises(DomainError, match="vanish in floats"):
+                d.star_oracle(A, B, T, direction=direction)
+
     def test_three_values_cancel_a_quadratic(self):
         hs = [0.01, 0.001, 0.0001]
         vals = [complex(2 - 3 * h + 5 * h * h, h) for h in hs]
