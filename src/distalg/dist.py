@@ -38,16 +38,12 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError, UnsupportedPiece
-from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
-                   Var, SmoothExpr, Verdict, ZERO, const, diff_expr,
-                   eval_exact, eval_expr, expr_equal, leaf_kernel,
-                   poly_antiderivative, product_of, shift_expr, sum_of,
-                   worst_verdict)
+from .expr import (_NODE_TYPES, Const, SmoothExpr, Verdict, ZERO, const,
+                   diff_expr, eval_exact, eval_expr, exact_verdict,
+                   expr_equal, leaf_kernel, poly_antiderivative, product_of,
+                   shift_expr, sum_of, worst_verdict)
 from .scalars import (CR_ZERO, ComplexRational, ScalarLike, as_fraction,
                       cr_of_ints)
-
-_NODE_TYPES = (Const, Var, Poly, Sum, Product, Power, Quotient, Exp, Sin, Cos)
-
 
 def as_expr(v) -> SmoothExpr:
     if isinstance(v, _NODE_TYPES):
@@ -174,13 +170,7 @@ def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
         if breaks[i] in atom_locs:
             i += 1
             continue
-        if ps[i] == ps[i + 1]:
-            merged = True
-        else:
-            lo = _piece_interval(breaks, i)[0]
-            hi = _piece_interval(breaks, i + 1)[1]
-            merged = expr_equal(ps[i], ps[i + 1], (lo, hi)) is Verdict.EQUAL
-        if merged:
+        if exact_verdict(ps[i], ps[i + 1]) is Verdict.EQUAL:
             del breaks[i]
             del ps[i + 1]
         else:
@@ -477,16 +467,8 @@ def translate(F: GenDist, h) -> GenDist:
 def singular_support(F: GenDist) -> List[Fraction]:
     """Breakpoints carrying nonzero atoms or a non-provably-smooth junction."""
     atom_locs = {a.w for a in _merge_atoms(F.all_atoms)}
-    out = []
-    for i, w in enumerate(F.breakpoints):
-        if w in atom_locs:
-            out.append(w)
-            continue
-        lo = _piece_interval(F.breakpoints, i)[0]
-        hi = _piece_interval(F.breakpoints, i + 1)[1]
-        if expr_equal(F.pieces[i], F.pieces[i + 1], (lo, hi)) is not Verdict.EQUAL:
-            out.append(w)
-    return out
+    return [w for i, w in enumerate(F.breakpoints) if w in atom_locs
+            or exact_verdict(F.pieces[i], F.pieces[i + 1]) is not Verdict.EQUAL]
 
 
 _INEXACT_RTOL = 1e-9

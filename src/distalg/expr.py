@@ -35,11 +35,24 @@ divides exactly, so that ``eval_exact`` still refuses its pole.  A ``Poly``
 prints from its coefficients, evaluates in floats by Horner, and exactly at
 the float point where Horner's error bound is too wide (``_poly_num``).
 
+One walker.  ``_interpret`` is the only function that knows each node
+class's operands.  It interprets every operand in field order, with no
+early exit, then applies the node class's rule from a table; a class
+without a rule has no value, and its operands are not visited, so the
+normal form never looks inside exp, sin or cos.  The order key, the
+derivative, the exact value, the normal form, substitution and ``fmt``'s
+rendering are such tables.  Exact values have one rule for poles
+(``_pole``): a quotient whose denominator is exactly 0, or a base of
+exactly 0 under a negative power, raises ``DomainError`` whatever else has
+a value, and any other node with an operand without an exact value has
+none; so a pole anywhere in the tree raises.  ``eval_num``, the float hot
+path, keeps its own recursion.
+
 Memos.  Each node stores, on first use, its hash and its serialized form,
-which orders factors and terms; a tree node also stores its normal form
-(or that it is not a polynomial), which the quotient path and equality
-read.  They live on the node and die with it; no module-level cache holds
-a node.
+which orders factors and terms; a tree node, and each node below it that
+the walker visits, also stores its normal form (or that it is not a
+polynomial), which the quotient path and equality read.  They live on the
+node and die with it; no module-level cache holds a node.
 """
 
 from __future__ import annotations
@@ -47,7 +60,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from functools import reduce
+from math import gcd, isfinite, lcm, prod
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
@@ -56,6 +70,16 @@ from .scalars import (CR_ONE, CR_ZERO, ComplexRational, ScalarLike,
 
 # ---------------------------------------------------------------------------
 # node types
+
+PolyCoeffs = Tuple[ComplexRational, ...]
+# (den, re, im): see the module docstring
+Kernel = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+_K_ZERO: Kernel = (1, (), ())
+_K_ONE: Kernel = (1, (1,), ())
+_K_X: Kernel = (1, (0, 1), ())
+
+
+_UNSET = object()  # a memo not yet computed; None is a value
 
 
 def _node(cls):
@@ -73,7 +97,8 @@ def _node(cls):
         return h
 
     cls.__hash__ = __hash__
-    cls._hash_memo = cls._ser_memo = cls._nf_memo = None
+    cls._hash_memo = None
+    cls._ser_memo = cls._nf_memo = _UNSET
     return cls
 
 
@@ -81,17 +106,19 @@ def _node(cls):
 class Const:
     value: ComplexRational
 
+    k = property(lambda self: _kernel_of_value(self.value))  # as on a leaf
+
 
 @_node
 class Var:
-    pass
+    k = _K_X  # a class attribute, not a field
 
 
 @_node
 class Poly:
     """A polynomial of degree >= 1 other than x, by its canonical kernel;
     the constructors build it, and a constant or x is never one."""
-    k: "Kernel"
+    k: Kernel
 
 
 @_node
@@ -133,6 +160,8 @@ class Cos:
 
 SmoothExpr = Union[Const, Var, Poly, Sum, Product, Power, Quotient, Exp, Sin,
                    Cos]
+_NODE_TYPES = (Const, Var, Poly, Sum, Product, Power, Quotient, Exp, Sin,
+               Cos)
 
 X = Var()
 ZERO = Const(CR_ZERO)
@@ -145,43 +174,56 @@ def const(v: ScalarLike) -> Const:
 
 
 # ---------------------------------------------------------------------------
+# the walker
+
+
+def _interpret(e: SmoothExpr, rules: dict, arg=None,
+               memo: Optional[str] = None):
+    """The value of e under rules, a table node class -> rule(e, arg,
+    *operand values): every operand interpreted in field order, then the
+    rule of e's class applied to their values.  A class without a rule has
+    no value (None), and its operands are not visited.  memo names the
+    node attribute that stores each value, read and written here, so the
+    recursion is one frame per tree level."""
+    v = _UNSET if memo is None else getattr(e, memo, _UNSET)
+    if v is not _UNSET:
+        return v
+    cls = e.__class__
+    rule = rules.get(cls)
+    if rule is not None and cls in _LEAVES:
+        v = rule(e, arg)
+    elif rule is not None:
+        ops = []
+        for kid in (e.terms if cls is Sum else e.factors if cls is Product
+                    else (e.base,) if cls is Power else (e.num, e.den)
+                    if cls is Quotient else (e.arg,)):
+            ops.append(_interpret(kid, rules, arg, memo))
+        v = rule(e, arg, *ops)
+    elif cls in _NODE_TYPES:
+        v = None
+    else:
+        raise TypeError(f"not a SmoothExpr: {e!r}")
+    if memo is not None:
+        object.__setattr__(e, memo, v)
+    return v
+
+
+# ---------------------------------------------------------------------------
 # deterministic ordering of subexpressions
 
 
 def _ser(e: SmoothExpr) -> str:
-    try:
-        s = e._ser_memo
-    except AttributeError:
-        raise TypeError(f"not a SmoothExpr: {e!r}") from None
-    if s is None:
-        s = _ser_node(e)
-        object.__setattr__(e, "_ser_memo", s)
-    return s
+    return _interpret(e, _ORDER_KEY, None, "_ser_memo")
 
 
-def _ser_node(e: SmoothExpr) -> str:
-    if isinstance(e, Const):
-        return _ser_const(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Poly):  # as the sum of c*x^i that it prints as
-        parts = []
-        for i, c in _poly_terms(e.k):
-            xi = "x" if i == 1 else _ser_call("W", "x", str(i))
-            parts.append(_ser_const(c) if i == 0 else xi if c == CR_ONE
-                         else _ser_call("P", _ser_const(c), xi))
-        return parts[0] if len(parts) == 1 else _ser_call("S", *parts)
-    if isinstance(e, Sum):
-        return _ser_call("S", *map(_ser, e.terms))
-    if isinstance(e, Product):
-        return _ser_call("P", *map(_ser, e.factors))
-    if isinstance(e, Power):
-        return _ser_call("W", _ser(e.base), str(e.n))
-    if isinstance(e, Quotient):
-        return _ser_call("Q", _ser(e.num), _ser(e.den))
-    if isinstance(e, (Exp, Sin, Cos)):
-        return _ser_call(e.__class__.__name__.lower(), _ser(e.arg))
-    raise TypeError(f"not a SmoothExpr: {e!r}")
+def _ser_poly(e: Poly, _) -> str:
+    """A polynomial as the sum of c*x^i that it prints as."""
+    parts = []
+    for i, c in _poly_terms(e.k):
+        xi = "x" if i == 1 else _ser_call("W", "x", str(i))
+        parts.append(_ser_const(c) if i == 0 else xi if c == CR_ONE
+                     else _ser_call("P", _ser_const(c), xi))
+    return parts[0] if len(parts) == 1 else _ser_call("S", *parts)
 
 
 def _ser_const(v: ComplexRational) -> str:
@@ -190,6 +232,18 @@ def _ser_const(v: ComplexRational) -> str:
 
 def _ser_call(tag: str, *args: str) -> str:
     return tag + "(" + ",".join(args) + ")"
+
+
+_ORDER_KEY = {
+    Const: lambda e, _: _ser_const(e.value), Var: lambda e, _: "x",
+    Poly: _ser_poly,
+    Sum: lambda e, _, *ts: _ser_call("S", *ts),
+    Product: lambda e, _, *fs: _ser_call("P", *fs),
+    Power: lambda e, _, b: _ser_call("W", b, str(e.n)),
+    Quotient: lambda e, _, n, d: _ser_call("Q", n, d),
+    **dict.fromkeys((Exp, Sin, Cos), lambda e, _, a: _ser_call(
+        e.__class__.__name__.lower(), a)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +297,13 @@ def sum_of(*terms: SmoothExpr) -> SmoothExpr:
 def _split(t: SmoothExpr) -> Tuple[Kernel, SmoothExpr]:
     """A term as (kernel, core): the product of its polynomial leaf
     factors, and of the rest, which is ``ONE`` when there is none."""
-    cls = t.__class__
-    if cls is Const or cls is Var or cls is Poly:
-        return _normal_form(t), ONE
-    fs = t.factors if cls is Product else (t,)
+    if isinstance(t, _LEAVES):
+        return t.k, ONE
+    fs = t.factors if t.__class__ is Product else (t,)
     k, rest = _K_ONE, []
     for f in fs:
         if isinstance(f, _LEAVES):
-            k = _poly_mul(k, _normal_form(f))
+            k = _poly_mul(k, f.k)
         else:
             rest.append(f)
     if len(rest) == len(fs):
@@ -274,8 +327,7 @@ def product_of(*factors: SmoothExpr) -> SmoothExpr:
                 return ZERO
             coeff = f.value if coeff is None else coeff * f.value
         elif cls is Poly or cls is Var:
-            fk = f.k if cls is Poly else _K_X
-            k = fk if k is None else _poly_mul(k, fk)
+            k = f.k if k is None else _poly_mul(k, f.k)
         else:
             return _tree_product(flat)
     if k is None:
@@ -298,7 +350,7 @@ def _tree_product(flat: list) -> SmoothExpr:
     if isinstance(p, Const):
         coeff = p.value
     else:
-        coeff, q = _primitive(_normal_form(p))
+        coeff, q = _primitive(p.k)
         if q[2] or any(q[1][:-1]):
             by_base[_leaf(q)] = 1
         else:  # x^n, ordered by its base as a power of x
@@ -334,7 +386,7 @@ def power_of(base: SmoothExpr, n: int) -> SmoothExpr:
     if isinstance(base, Const):
         return Const(base.value ** n)
     if isinstance(base, (Var, Poly)):  # by squaring, so x^n costs O(n)
-        k, b = _K_ONE, _normal_form(base)
+        k, b = _K_ONE, base.k
         while n:
             if n & 1:
                 k = _poly_mul(k, b)
@@ -400,35 +452,27 @@ def sub_expr(a: SmoothExpr, b: SmoothExpr) -> SmoothExpr:
 # differentiation
 
 
+_DERIVATIVE = {
+    Const: lambda e, _: ZERO, Var: lambda e, _: ONE,
+    Poly: lambda e, _: _leaf(_poly_diff(e.k)),
+    Sum: lambda e, _, *ds: sum_of(*ds),
+    Product: lambda e, _, *ds: sum_of(*(
+        product_of(*e.factors[:i], d, *e.factors[i + 1:])
+        for i, d in enumerate(ds))),
+    Power: lambda e, _, db: product_of(const(e.n), power_of(e.base, e.n - 1),
+                                       db),
+    Quotient: lambda e, _, dn, dd: quotient_of(
+        sub_expr(product_of(dn, e.den), product_of(e.num, dd)),
+        power_of(e.den, 2)),
+    Exp: lambda e, _, da: product_of(da, e),
+    Sin: lambda e, _, da: product_of(da, cos_of(e.arg)),
+    Cos: lambda e, _, da: product_of(const(-1), da, sin_of(e.arg)),
+}
+
+
 def diff_expr(e: SmoothExpr) -> SmoothExpr:
     """Exact symbolic derivative; total on the node set."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE
-    if isinstance(e, Poly):
-        return _leaf(_poly_diff(e.k))
-    if isinstance(e, Sum):
-        return sum_of(*(diff_expr(t) for t in e.terms))
-    if isinstance(e, Product):
-        fs = e.factors
-        terms = []
-        for i in range(len(fs)):
-            terms.append(product_of(*fs[:i], diff_expr(fs[i]), *fs[i + 1:]))
-        return sum_of(*terms)
-    if isinstance(e, Power):
-        return product_of(const(e.n), power_of(e.base, e.n - 1), diff_expr(e.base))
-    if isinstance(e, Quotient):
-        num = sub_expr(product_of(diff_expr(e.num), e.den),
-                       product_of(e.num, diff_expr(e.den)))
-        return quotient_of(num, power_of(e.den, 2))
-    if isinstance(e, Exp):
-        return product_of(diff_expr(e.arg), e)
-    if isinstance(e, Sin):
-        return product_of(diff_expr(e.arg), cos_of(e.arg))
-    if isinstance(e, Cos):
-        return product_of(const(-1), diff_expr(e.arg), sin_of(e.arg))
-    raise TypeError(f"not a SmoothExpr: {e!r}")
+    return _interpret(e, _DERIVATIVE)
 
 
 def diff_n(e: SmoothExpr, n: int) -> SmoothExpr:
@@ -443,7 +487,7 @@ def diff_n(e: SmoothExpr, n: int) -> SmoothExpr:
 QUOTIENT_GUARD = 1e-300
 
 
-def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
+def eval_num(e: SmoothExpr, x):
     """Numerically evaluate at x (scalar or ndarray, real or complex).
 
     Returns complex values; raises DomainError when a quotient denominator
@@ -477,7 +521,7 @@ def eval_num(e: SmoothExpr, x, guard: float = QUOTIENT_GUARD):
             return rec(e.base) ** e.n
         if isinstance(e, Quotient):
             den = rec(e.den)
-            if np.min(np.abs(den)) <= guard:
+            if np.min(np.abs(den)) <= QUOTIENT_GUARD:
                 raise DomainError("quotient denominator below evaluation guard")
             return rec(e.num) / den
         if isinstance(e, Exp):
@@ -562,61 +606,43 @@ def _poly_at_float(den: int, re: tuple, im: tuple, z: complex) -> complex:
     return complex(*parts)
 
 
+def _pole(d: Optional[ComplexRational]) -> Optional[ComplexRational]:
+    """The one rule for poles: a denominator of exactly 0 raises, whether
+    or not the rest of its node has an exact value; any other d passes."""
+    if d is not None and d.is_zero:
+        raise DomainError("exact evaluation at a pole")
+    return d
+
+
+def _defined(rule):
+    """rule where every operand has a value; no value elsewhere."""
+    return lambda e, x, *vs: None if None in vs else rule(e, x, *vs)
+
+
+_EXACT = {
+    Const: lambda e, _: e.value, Var: lambda e, x: x,
+    Poly: lambda e, x: poly_eval(_coeffs_of_kernel(e.k), x),
+    Sum: _defined(lambda e, _, *vs: sum(vs, CR_ZERO)),
+    Product: _defined(lambda e, _, *vs: prod(vs, start=CR_ONE)),
+    Power: lambda e, _, b: (None if b is None
+                            else (_pole(b) if e.n < 0 else b) ** e.n),
+    Quotient: lambda e, _, n, d: (None if _pole(d) is None or n is None
+                                  else n / d),
+    **dict.fromkeys((Exp, Sin, Cos), _defined(
+        lambda e, _, a: None if not a.is_zero else CR_ZERO
+        if e.__class__ is Sin else CR_ONE)),
+}
+
+
 def eval_exact(e: SmoothExpr, x: ScalarLike) -> Optional[ComplexRational]:
     """Exact evaluation when the value is provably a complex rational.
 
     Structural zeros are honored: exp(0) = 1, sin(0) = 0, cos(0) = 1 when the
     argument evaluates exactly to zero.  Returns None when no exact value can
-    be produced; raises DomainError at a quotient pole.
+    be produced; raises DomainError at a pole anywhere in e: a quotient
+    whose denominator, or a negative power whose base, is exactly 0.
     """
-    xv = ComplexRational.of(x)
-
-    def rec(e: SmoothExpr) -> Optional[ComplexRational]:
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Var):
-            return xv
-        if isinstance(e, Poly):
-            return poly_eval(_coeffs_of_kernel(e.k), xv)
-        if isinstance(e, Sum):
-            acc = CR_ZERO
-            for t in e.terms:
-                v = rec(t)
-                if v is None:
-                    return None
-                acc = acc + v
-            return acc
-        if isinstance(e, Product):
-            acc = CR_ONE
-            for f in e.factors:
-                v = rec(f)
-                if v is None:
-                    return None
-                acc = acc * v
-            return acc
-        if isinstance(e, Power):
-            v = rec(e.base)
-            if v is None:
-                return None
-            if v.is_zero and e.n < 0:
-                raise DomainError("exact evaluation at a pole")
-            return v ** e.n
-        if isinstance(e, Quotient):
-            d = rec(e.den)
-            if d is not None and d.is_zero:
-                raise DomainError("exact evaluation at a pole")
-            n = rec(e.num)
-            if n is None or d is None:
-                return None
-            return n / d
-        if isinstance(e, (Exp, Sin, Cos)):
-            a = rec(e.arg)
-            if a is None or not a.is_zero:
-                return None
-            return CR_ZERO if isinstance(e, Sin) else CR_ONE
-        raise TypeError(f"not a SmoothExpr: {e!r}")
-
-    return rec(e)
+    return _interpret(e, _EXACT, ComplexRational.of(x))
 
 
 def eval_expr(e: SmoothExpr, x0) -> complex:
@@ -643,14 +669,6 @@ def poly_eval(coeffs: Sequence[ComplexRational], x: Fraction) -> ComplexRational
 
 # ---------------------------------------------------------------------------
 # polynomial normal form
-
-PolyCoeffs = Tuple[ComplexRational, ...]
-# (den, re, im): see the module docstring
-Kernel = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
-_K_ZERO: Kernel = (1, (), ())
-_K_ONE: Kernel = (1, (1,), ())
-_K_X: Kernel = (1, (0, 1), ())
-
 
 def _poly_trim(cs: Sequence[ComplexRational]) -> PolyCoeffs:
     out = list(cs)
@@ -834,68 +852,33 @@ def real_root_count(coeffs: Sequence[ComplexRational], lo: Fraction,
     return sign_changes(lo) - sign_changes(hi)
 
 
+def _nf_quotient(e: Quotient, _, nk: Optional[Kernel],
+                 dk: Optional[Kernel]) -> Optional[Kernel]:
+    """The quotient when it divides exactly, else None."""
+    if dk == _K_ZERO:
+        raise DomainError("zero-polynomial denominator")
+    if nk is None or dk is None:
+        return None
+    q, r = _poly_divmod(_coeffs_of_kernel(nk), _coeffs_of_kernel(dk))
+    return None if r else _kernel_of_coeffs(q)
+
+
+_NORMAL_FORM = {
+    **dict.fromkeys(_LEAVES, lambda e, _: e.k),
+    Sum: _defined(lambda e, _, *ks: reduce(_poly_add, ks, _K_ZERO)),
+    Product: _defined(lambda e, _, *ks: reduce(_poly_mul, ks, _K_ONE)),
+    Power: _defined(lambda e, _, k: None if e.n < 0
+                    else power_of(_leaf(k), e.n).k),
+    Quotient: _nf_quotient,
+}
+
+
 def _normal_form(e: SmoothExpr) -> Optional[Kernel]:
     """Kernel normal form, None when e is not provably a polynomial: read
     off a polynomial leaf, memoized on a tree node."""
-    cls = e.__class__
-    if cls is Poly:
+    if isinstance(e, _LEAVES):
         return e.k
-    if cls is Const:
-        return _kernel_of_value(e.value)
-    if cls is Var:
-        return _K_X
-    try:
-        k = e._nf_memo
-    except AttributeError:
-        raise TypeError(f"not a SmoothExpr: {e!r}") from None
-    if k is None:
-        k = _normal_form_node(e)
-        object.__setattr__(e, "_nf_memo", k)
-    return k or None  # False marks "not a polynomial"
-
-
-def _normal_form_node(e: SmoothExpr):
-    """The normal form of a tree: Sum, Product, Power or Quotient nodes
-    over polynomials, else False."""
-    if isinstance(e, Sum):
-        out = _K_ZERO
-        for t in e.terms:
-            p = _normal_form(t)
-            if p is None:
-                return False
-            out = _poly_add(out, p)
-        return out
-    if isinstance(e, Product):
-        out = _K_ONE
-        for f in e.factors:
-            p = _normal_form(f)
-            if p is None:
-                return False
-            out = _poly_mul(out, p)
-        return out
-    if isinstance(e, Power):
-        if e.n < 0:
-            return False
-        p = _normal_form(e.base)
-        if p is None:
-            return False
-        return _normal_form(power_of(_leaf(p), e.n))
-    if isinstance(e, Quotient):
-        dp = _normal_form(e.den)
-        if dp is None:
-            return False
-        if dp == _K_ZERO:
-            raise DomainError("zero-polynomial denominator")
-        np_ = _normal_form(e.num)
-        if np_ is None:
-            return False
-        q, r = _poly_divmod(_coeffs_of_kernel(np_), _coeffs_of_kernel(dp))
-        if r:
-            return False  # genuine rational function
-        return _kernel_of_coeffs(q)
-    if isinstance(e, (Exp, Sin, Cos)):
-        return False
-    raise TypeError(f"not a SmoothExpr: {e!r}")
+    return _interpret(e, _NORMAL_FORM, None, "_nf_memo")
 
 
 def poly_normal_form(e: SmoothExpr) -> Optional[PolyCoeffs]:
@@ -913,7 +896,7 @@ def is_polynomial(e: SmoothExpr) -> bool:
 def leaf_kernel(e: SmoothExpr) -> Optional[Kernel]:
     """The kernel (den, re, im) of a polynomial leaf (Const, X or Poly);
     None for a tree, even one whose normal form is a polynomial."""
-    return _normal_form(e) if isinstance(e, _LEAVES) else None
+    return e.k if isinstance(e, _LEAVES) else None
 
 
 def poly_antiderivative(e: SmoothExpr) -> Optional[SmoothExpr]:
@@ -952,6 +935,8 @@ def worst_verdict(*vs: Verdict) -> Verdict:
 
 
 _SAMPLE_WINDOW = 8.0
+_SAMPLES = 32  # expr_equal's sample points, and its relative tolerance
+_RTOL = 1e-9
 
 
 def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -1013,25 +998,38 @@ def _term_magnitude(e: SmoothExpr, xs: np.ndarray,
     return np.where(np.isfinite(total), total, np.abs(values))
 
 
-def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
-               interval: Tuple[Optional[Fraction], Optional[Fraction]] = (None, None),
-               samples: int = 32, rtol: float = 1e-9) -> Verdict:
-    """Proven Equal or Unequal when the two are one node or their difference
-    has a polynomial normal form (0 or not), two leaves deciding by ``==``;
-    else Unequal iff a sample point on the interval separates the two beyond
-    tolerance, and Unknown otherwise."""
+def exact_verdict(e1: SmoothExpr, e2: SmoothExpr) -> Verdict:
+    """Equal or Unequal when exact means prove it, else Unknown: Equal when
+    the two are one node, two leaves deciding by ``==``, and otherwise a
+    polynomial normal form of their difference deciding by being 0."""
     if e1 == e2:
         return Verdict.EQUAL
     if isinstance(e1, _LEAVES) and isinstance(e2, _LEAVES):
         return Verdict.UNEQUAL
     try:
-        p = poly_normal_form(sub_expr(e1, e2))
+        k = _normal_form(sub_expr(e1, e2))
     except DomainError:
-        p = None
-    if p is not None:
-        return Verdict.EQUAL if p == () else Verdict.UNEQUAL
+        return Verdict.UNKNOWN
+    if k is None:
+        return Verdict.UNKNOWN
+    return Verdict.EQUAL if k == _K_ZERO else Verdict.UNEQUAL
+
+
+def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
+               interval: Tuple[Optional[Fraction], Optional[Fraction]] = (
+                   None, None)) -> Verdict:
+    """The ``exact_verdict`` when it is Equal or Unequal; else Unequal iff a
+    sample point on the interval separates the two beyond tolerance, and
+    Unknown otherwise, also when an end of the interval is beyond float
+    range."""
+    verdict = exact_verdict(e1, e2)
+    if verdict is not Verdict.UNKNOWN:
+        return verdict
     import numpy as np
-    xs = _sample_points(interval[0], interval[1], samples)
+    try:
+        xs = _sample_points(interval[0], interval[1], _SAMPLES)
+    except OverflowError:
+        return Verdict.UNKNOWN
     v1 = _safe_values(e1, xs)
     v2 = _safe_values(e2, xs)
     ok = np.isfinite(v1) & np.isfinite(v2)
@@ -1041,7 +1039,7 @@ def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
     m1 = _term_magnitude(e1, xs, v1)[ok]
     m2 = _term_magnitude(e2, xs, v2)[ok]
     scale = 1.0 + np.maximum(m1, m2)
-    if np.any(gap > rtol * scale):
+    if np.any(gap > _RTOL * scale):
         return Verdict.UNEQUAL
     return Verdict.UNKNOWN
 
@@ -1050,31 +1048,23 @@ def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
 # substitution
 
 
+_SUBSTITUTE = {
+    Const: lambda e, _: e, Var: lambda e, r: r,
+    Poly: lambda e, r: sum_of(*(product_of(Const(c), power_of(r, i))
+                                for i, c in enumerate(_coeffs_of_kernel(e.k))
+                                if not c.is_zero)),
+    Sum: lambda e, _, *ts: sum_of(*ts),
+    Product: lambda e, _, *fs: product_of(*fs),
+    Power: lambda e, _, b: power_of(b, e.n),
+    Quotient: lambda e, _, n, d: quotient_of(n, d),
+    Exp: lambda e, _, a: exp_of(a), Sin: lambda e, _, a: sin_of(a),
+    Cos: lambda e, _, a: cos_of(a),
+}
+
+
 def subst(e: SmoothExpr, r: SmoothExpr) -> SmoothExpr:
     """Replace the variable with expression r, rebuilding canonically."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return r
-    if isinstance(e, Poly):
-        return sum_of(*(product_of(Const(c), power_of(r, i))
-                        for i, c in enumerate(_coeffs_of_kernel(e.k))
-                        if not c.is_zero))
-    if isinstance(e, Sum):
-        return sum_of(*(subst(t, r) for t in e.terms))
-    if isinstance(e, Product):
-        return product_of(*(subst(f, r) for f in e.factors))
-    if isinstance(e, Power):
-        return power_of(subst(e.base, r), e.n)
-    if isinstance(e, Quotient):
-        return quotient_of(subst(e.num, r), subst(e.den, r))
-    if isinstance(e, Exp):
-        return exp_of(subst(e.arg, r))
-    if isinstance(e, Sin):
-        return sin_of(subst(e.arg, r))
-    if isinstance(e, Cos):
-        return cos_of(subst(e.arg, r))
-    raise TypeError(f"not a SmoothExpr: {e!r}")
+    return _interpret(e, _SUBSTITUTE, r)
 
 
 def shift_expr(e: SmoothExpr, h: ScalarLike) -> SmoothExpr:

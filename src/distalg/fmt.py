@@ -5,11 +5,14 @@ piece·H(...) indicator products, atoms as coeff·delta[k](x-w).  LaTeX is
 display-only.  JSON is the exact interchange form: rational strings for
 breakpoints and atom data, expression strings for pieces.
 
-One walker renders both notations.  Every token in which text and LaTeX
-differ is a value in one of two style tables, ``_TEXT`` and ``_LATEX``, and
-the shared code reads it from the table instead of branching on the format.
-Only the term joins of a distribution differ in code: text carries a real
-coefficient's sign into a signed join, LaTeX parenthesizes the coefficient.
+One set of rules renders both notations: ``expr``'s walker runs the table
+``_RENDER``, whose rules receive their operands rendered as (string, level)
+pairs, the level saying how tightly the string binds, and parenthesize an
+operand below the level its position needs.  Every token in which text and
+LaTeX differ is a value in one of two style tables, ``_TEXT`` and
+``_LATEX``, which the walker hands to the rules.  Only the term joins of a
+distribution differ in code: text carries a real coefficient's sign into a
+signed join, LaTeX parenthesizes the coefficient.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
 from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
-                   Var, SmoothExpr, ONE, ZERO, _poly_terms)
+                   Var, SmoothExpr, ONE, ZERO, _interpret, _poly_terms)
 from .scalars import CR_ONE, ComplexRational, frac_str
 
 if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
@@ -94,8 +97,6 @@ _LATEX = _Style(open=r"\left(", close=r"\right)", mul=r"\,",
                 star=r"%s \star %s", delta=r"\delta", delta_order="^{(%d)}",
                 psi=r"\psi", psi_order="^{(%d)}")
 
-_FUNCS = {Exp: "exp", Sin: "sin", Cos: "cos"}
-
 
 def _const(v: ComplexRational, st: _Style) -> tuple:
     """(string, level) of an exact constant."""
@@ -118,7 +119,7 @@ def _const(v: ComplexRational, st: _Style) -> tuple:
 
 
 def _group(e: SmoothExpr, prec: int, st: _Style) -> str:
-    return _paren(*_render(e, st), prec, st)
+    return _paren(*_interpret(e, _RENDER, st), prec, st)
 
 
 def _paren(s: str, level: int, prec: int, st: _Style) -> str:
@@ -128,38 +129,34 @@ def _paren(s: str, level: int, prec: int, st: _Style) -> str:
     return s
 
 
-def _render(e: SmoothExpr, st: _Style) -> tuple:
-    """(string, precedence level) of a smooth expression."""
-    if isinstance(e, Const):
-        return _const(e.value, st)
-    if isinstance(e, Var):
-        return "x", 4
-    if isinstance(e, Poly):  # from its coefficients, each c*x^i a product
-        terms = []
-        for i, c in _poly_terms(e.k):
-            xi = ("x", 4) if i == 1 else (st.power % ("x", i), 3)
-            terms.append(_const(c, st) if i == 0 else
-                         _product(None if c == CR_ONE else c, [xi], st))
-        return _sum(terms)
-    if isinstance(e, Sum):
-        return _sum([_render(t, st) for t in e.terms])
-    if isinstance(e, Product):
-        fs = e.factors
-        c, fs = (fs[0].value, fs[1:]) if isinstance(fs[0], Const) else (None, fs)
-        return _product(c, [_render(f, st) for f in fs], st)
-    if isinstance(e, Power):
-        return st.power % (_group(e.base, 3, st), e.n), 3
-    if isinstance(e, Quotient):
-        num_prec, den_prec = st.quot_prec
-        return st.quot % (_group(e.num, num_prec, st),
-                          _group(e.den, den_prec, st)), 2
-    name = _FUNCS.get(type(e))
-    if name is None:
-        raise TypeError(f"not a SmoothExpr: {e!r}")
-    return st.func % (name, _group(e.arg, 0, st)), 4
+def _render_poly(e: Poly, st: _Style) -> tuple:
+    """From the coefficients, each c*x^i a product."""
+    terms = []
+    for i, c in _poly_terms(e.k):
+        xi = ("x", 4) if i == 1 else (st.power % ("x", i), 3)
+        terms.append(_const(c, st) if i == 0 else
+                     _product(None if c == CR_ONE else c, [xi], st))
+    return _sum(terms)
 
 
-def _sum(terms: List[tuple]) -> tuple:
+# (string, precedence level) of a smooth expression, from those of its
+# operands; a leading constant factor is a product's scalar
+_RENDER = {
+    Const: lambda e, st: _const(e.value, st), Var: lambda e, st: ("x", 4),
+    Poly: _render_poly,
+    Sum: lambda e, st, *ts: _sum(ts),
+    Product: lambda e, st, *fs: (
+        _product(e.factors[0].value, fs[1:], st)
+        if e.factors[0].__class__ is Const else _product(None, fs, st)),
+    Power: lambda e, st, b: (st.power % (_paren(*b, 3, st), e.n), 3),
+    Quotient: lambda e, st, n, d: (st.quot % (
+        _paren(*n, st.quot_prec[0], st), _paren(*d, st.quot_prec[1], st)), 2),
+    **dict.fromkeys((Exp, Sin, Cos), lambda e, st, a: (
+        st.func % (e.__class__.__name__.lower(), a[0]), 4)),
+}
+
+
+def _sum(terms: Sequence[tuple]) -> tuple:
     """(string, level) of rendered terms as a sum: ' + ' between them, or
     ' - ' in place of a term's leading '-'.  No term is below level 1."""
     if len(terms) == 1:
@@ -170,7 +167,7 @@ def _sum(terms: List[tuple]) -> tuple:
     return "".join(out), 1
 
 
-def _product(c: Optional[ComplexRational], fs: List[tuple], st: _Style
+def _product(c: Optional[ComplexRational], fs: Sequence[tuple], st: _Style
              ) -> tuple:
     """(string, level) of the scalar c (None for none) times the rendered
     factors fs; a real negative c puts its sign in front."""
@@ -178,7 +175,7 @@ def _product(c: Optional[ComplexRational], fs: List[tuple], st: _Style
         rest = _product(None if c == -CR_ONE else -c, fs, st)
         return "-" + _paren(*rest, 2, st), 1
     if c is not None:
-        fs = [_const(c, st)] + fs
+        fs = [_const(c, st), *fs]
     if len(fs) == 1:
         return fs[0]
     return st.mul.join(_paren(s, level, 2, st) for s, level in fs), 2
@@ -258,7 +255,8 @@ def _piece_terms(F: GenDist, st: _Style) -> List[str]:
         elif piece == ONE:
             out.append(hs)
         else:
-            out.append(_factor(*_render(piece, st), st) + st.mul + hs)
+            out.append(_factor(*_interpret(piece, _RENDER, st), st) + st.mul
+                       + hs)
     return out
 
 

@@ -55,9 +55,9 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 from .dist import (Atom, DeltaAtom, GenDist, InexactAtom, PiecewiseSmooth,
                    _assemble, _merge_atoms, _scaled_atoms, add, scale,
                    smooth_mul, smooth_times_atom)
-from .errors import DomainError, ParseError, SemanticsError
-from .expr import (SmoothExpr, X, ZERO, ONE, leaf_kernel, poly_normal_form,
-                   const, cos_of, exp_of, neg, power_of, product_of,
+from .errors import ParseError, SemanticsError
+from .expr import (SmoothExpr, Verdict, X, ZERO, ONE, const, cos_of,
+                   exact_verdict, exp_of, neg, power_of, product_of,
                    quotient_of, sin_of, sum_of)
 from .scalars import ComplexRational, Rat, _rat, as_fraction
 from .star import star
@@ -111,20 +111,6 @@ def _location(n: int, d: int) -> Rat:
     return _rat(n // g, d // g)
 
 
-def _proven_zero(g: SmoothExpr) -> bool:
-    """Whether assembly joins g to a zero neighbour: ``expr_equal`` proves
-    g equal to 0 exactly when g is 0 or its polynomial normal form is.  A
-    polynomial leaf is zero only as the constant 0; a tree can be zero by
-    its normal form only through a quotient that divides exactly, such as
-    x^2/x - x, since quotients stay trees."""
-    if leaf_kernel(g) is not None:
-        return g == ZERO
-    try:
-        return poly_normal_form(g) == ()
-    except DomainError:
-        return False
-
-
 class _Piece(NamedTuple):
     """g on ]lo, hi[ and zero elsewhere; a bound of None is infinite."""
     g: SmoothExpr
@@ -144,12 +130,13 @@ _ZERO_TERM = _Piece(ZERO, None, None)
 def _piece(g: SmoothExpr, lo: Optional[Fraction], hi: Optional[Fraction]
            ) -> _Piece:
     """The piece as ``_assemble`` leaves ZERO | g | ZERO on ]lo, hi[.  An
-    empty interval is the zero term.  A g proven zero joins its neighbours,
-    and a join keeps the left tree: g over the whole line when it has no
-    left bound, else zero."""
+    empty interval is the zero term.  A g that ``exact_verdict`` proves
+    zero joins its neighbours, and a join keeps the left tree: g over the
+    whole line when it has no left bound, else zero."""
     if lo is not None and hi is not None and lo >= hi:
         return _ZERO_TERM
-    if (lo is not None or hi is not None) and _proven_zero(g):
+    if ((lo is not None or hi is not None)
+            and exact_verdict(g, ZERO) is Verdict.EQUAL):
         return _ZERO_TERM if lo is not None else _Piece(g, None, None)
     return _Piece(g, lo, hi)
 

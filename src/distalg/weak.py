@@ -340,8 +340,7 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
 # the translation-limit oracle
 
 
-def _cauchy(t: TestFunction, atoms: Sequence[tuple], nodes: int = 64
-            ) -> list:
+def _cauchy(t: TestFunction, atoms: Sequence[tuple]) -> list:
     """For each atom row (w, k, r, factor), the k-th derivative at w of
     factor·t, from values on the circle of radius r about w (trapezoidal
     Cauchy integral; spectrally accurate).  Each distinct factor and the
@@ -349,6 +348,7 @@ def _cauchy(t: TestFunction, atoms: Sequence[tuple], nodes: int = 64
     import numpy as np
     if not atoms:
         return []
+    nodes = 64  # on each circle
     th = 2.0 * np.pi * np.arange(nodes) / nodes
     circle = np.exp(1j * th)
     zs = np.array([w + r * circle for w, _, r, _ in atoms])
@@ -473,14 +473,15 @@ def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
 
     direction=-1 translates the other way; its limit is star(G, F).
     The actions at every eps of the schedule come from one quadrature pass.
-    Below the smallest nonzero gap between the singular points of F and of
-    G the action is smooth in eps; at a larger eps a shifted singular point
-    of G may have crossed one of F, leaving a kink or a jump between the
-    schedule's values.  So the default Richardson mode extrapolates with a
-    Neville table over the schedule's values below that gap: n values
-    cancel the error terms up to eps^(n-1), at no extra quadrature
-    (Richardson 1911; Sidi, *Practical Extrapolation Methods*, 2003,
-    ch. 1).  When fewer than two values lie below the gap (none, for a
+    Below the smallest nonzero gap between the singular points of F in the
+    bump's support [a, b] and those of G the action is smooth in eps; at a
+    larger eps a shifted singular point of G may have crossed one of F,
+    leaving a kink or a jump between the schedule's values (a crossing
+    outside [a, b] meets a zero integrand).  So the default Richardson mode
+    extrapolates with a Neville table over the schedule's values below
+    that gap: n values cancel the error terms up to eps^(n-1), at no extra
+    quadrature (Richardson 1911; Sidi, *Practical Extrapolation Methods*,
+    2003, ch. 1).  When fewer than two values lie below the gap (none, for a
     one-value schedule), the schedule is first scaled by gap/(2·eps_0),
     eps_0 its largest value, so that all do, in either mode and at the
     same number of quadratures; DomainError if floats then cannot tell a
@@ -489,13 +490,14 @@ def star_oracle(F: GenDist, G: GenDist, t: TestFunction,
     """
     cfg = cfg or DEFAULT_CONFIG
     sf, sg = singular_support(F), singular_support(G)
-    gap = _smallest_gap(sf, sg)
+    inside = [u for u in sf if t.a <= u <= t.b]
+    gap = _smallest_gap(inside, sg)
     sched = cfg.eps_schedule
     if sum(e < gap for e in sched) < min(2, len(sched)):
         sched = [e * gap / (2 * sched[0]) for e in sched]
         if any(float(v - h) == float(u) or float(u + h) == float(v)
-               for u in sf for v in sg for h in (direction * e for e in sched)
-               if t.a <= u <= t.b and t.a <= v <= t.b):
+               for u in inside for v in sg
+               for h in (direction * e for e in sched)):
             raise DomainError(f"shifts below the gap {gap} vanish in floats")
     hs = [direction * e for e in sched]
     vals = _eps_actions(F, G, sf, sg, t, hs, cfg)

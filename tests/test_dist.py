@@ -559,6 +559,15 @@ class TestCanonicalByConstruction:
         assert calls == []
         assert Verdict.EQUAL in verdicts and Verdict.UNEQUAL in verdicts
 
+    def test_an_interval_beyond_float_range_is_unknown(self):
+        """Sampling needs the interval's ends as floats; where they are
+        not, the verdict is Unknown."""
+        F, G = (d.make_piecewise([10 ** 400], [d.exp_of(d.X), f(d.X)])
+                for f in (d.sin_of, d.cos_of))
+        assert d.equal_dist(F, G) is Verdict.UNKNOWN
+        assert d.expr_equal(d.sin_of(d.X), d.cos_of(d.X),
+                            (Fraction(10 ** 400), None)) is Verdict.UNKNOWN
+
     def test_hand_built_values_act_as_their_normal_form(self):
         """Unmerged atoms are summed and redundant breakpoints only split
         an interval: equal_dist, hormander, action and star_oracle see a

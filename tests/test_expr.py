@@ -715,9 +715,14 @@ def test_star_on_acceptance_triples_builds_no_trees(monkeypatch):
     for cls in (d.Sum, d.Product, d.Power):
         monkeypatch.setattr(cls, "__init__",
                             counted(cls.__name__, cls.__init__))
-    monkeypatch.setattr(expr_mod, "_normal_form_node",
-                        counted("_normal_form_node",
-                                expr_mod._normal_form_node))
+    interpret = expr_mod._interpret
+
+    def interpret_counted(e, rules, arg=None):
+        if rules is expr_mod._NORMAL_FORM:
+            built.append("normal form")
+        return interpret(e, rules, arg)
+
+    monkeypatch.setattr(expr_mod, "_interpret", interpret_counted)
     for F, G, J in zip(fs, gs, js):
         d.star(d.star(F, G), J)
         d.star(F, d.star(G, J))

@@ -629,6 +629,28 @@ class TestFloatOverflow:
                               '"k": 0, "re": Infinity, "im": 0}]}')
 
 
+class TestExactPoles:
+    """A pole at a point where a value must be exact is refused, even
+    behind a term without an exact value; no float stands in for it."""
+
+    PIECE = "(exp(x+1)*sin(x+1) + 1/(x^2-1/100))"
+
+    @pytest.mark.parametrize("argv", [("diff", PIECE + "*H(x-1/10)"),
+                                      ("fmt", PIECE + "*delta(x-1/10)")],
+                             ids=["jump", "atom"])
+    def test_pole_behind_an_inexact_term(self, argv):
+        assert run(*argv) == (2, "", "error: exact evaluation at a pole\n")
+
+    def test_merge_beyond_float_range_needs_no_sample(self):
+        """Assembly joins only provably equal pieces, so a breakpoint no
+        float can hold is never sampled."""
+        big = "1" + "0" * 400
+        code, out, err = run("fmt", f"exp(x)*H(x-{big}) + sin(x)*H(x-1)")
+        assert (code, err) == (0, "")
+        assert out == (f"sin(x)*H(x-1)*H(-x+{big}) + (exp(x) + sin(x))"
+                       f"*H(x-{big})\n")
+
+
 class TestCliMisc:
     def test_fmt(self):
         assert run("fmt", "H(x)+H(x)")[1] == "2*H(x)\n"

@@ -453,6 +453,15 @@ class TestRichardsonTable:
             with pytest.raises(DomainError, match="vanish in floats"):
                 d.star_oracle(A, B, T, direction=direction)
 
+    def test_a_gap_outside_the_support_does_not_rescale(self):
+        """Singular points of F outside the bump cannot be crossed inside
+        it, so their gap to G does not shrink the schedule."""
+        F = d.add(d.heaviside(Fraction(1, 2)), d.heaviside(10))
+        G = d.add(d.delta_dist(Fraction(1, 2)),
+                  d.delta_dist(10 + Fraction(1, 10 ** 20)))
+        assert d.action(d.star(F, G), T) == 0
+        assert d.star_oracle(F, G, T) == 0
+
     def test_three_values_cancel_a_quadratic(self):
         hs = [0.01, 0.001, 0.0001]
         vals = [complex(2 - 3 * h + 5 * h * h, h) for h in hs]
