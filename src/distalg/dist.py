@@ -137,7 +137,7 @@ def _merge_atoms(atoms: Iterable[Atom]) -> List[Atom]:
         if inexact:
             acc[key] = acc.get(key, 0j) + complex(a.coeff)
         else:
-            acc[key] = acc.get(key, CR_ZERO) + a.coeff
+            acc[key] = acc[key] + a.coeff if key in acc else a.coeff
     return [InexactAtom(w, k, c) if inexact else DeltaAtom(w, k, c)
             for (inexact, w, k), c in sorted(acc.items())
             if (c != 0 if inexact else not c.is_zero)]
@@ -291,34 +291,33 @@ def sub(F: GenDist, G: GenDist) -> GenDist:
 # atom expansion
 
 
-def _taylor_values(g: SmoothExpr, w: Fraction, k: int
-                   ) -> Optional[List[ComplexRational]]:
-    """[g(w), g'(w), ..., g^(k)(w)] from one Taylor shift of g's integer
-    kernel to w; None unless g is a polynomial leaf (Const, X or Poly).
+def _taylor_shift(g: SmoothExpr, w: Fraction, k: int
+                  ) -> Optional[List[Tuple[int, int, int]]]:
+    """g^(j)(w)/j! for j = 0..min(k, deg g) as unreduced integers
+    (re, im, den); None unless g is a polynomial leaf (Const, X or Poly).
 
-    g^(j)(w) is j! times coefficient j of g(x + w).  With g = sum_i c_i x^i
-    / den over n integer numerators and w = p/q, that coefficient is
-    sum_{i>=j} c_i C(i,j) p^(i-j) q^(n-1-i) / (den q^(n-1-j)), all in
-    integers.  A quotient, even one that divides exactly, is a tree and
-    stays off this route, so ``eval_exact`` still refuses its pole."""
+    For g = sum_i c_i x^i / den over n numerators and w = p/q, g^(j)(w)/j!
+    is coefficient j of b(z + p) over den q^(n-1-j), where b(z) = sum_i
+    c_i q^(n-1-i) z^i; Horner's scheme shifts b by p in integers.  A
+    quotient, even one that divides exactly, is a tree and stays off this
+    route, so ``eval_exact`` still refuses its pole."""
     kern = leaf_kernel(g)
     if kern is None:
         return None
     den, re, im = kern
-    n = max(len(re), len(im))
-    p, q = w.numerator, w.denominator
-    ps = [p ** m for m in range(n)]
-    qs = [q ** m for m in range(n)]
+    n, p, q = max(len(re), len(im), 1), w.numerator, w.denominator
+    m = min(k + 1, n)
 
-    def shifted(cs: Tuple[int, ...], j: int) -> int:
-        return sum(c * math.comb(i, j) * ps[i - j] * qs[n - 1 - i]
-                   for i, c in enumerate(cs[j:], j))
+    def shifted(cs: Tuple[int, ...]) -> List[int]:
+        b = [c * q ** (n - 1 - i) for i, c in enumerate(cs)]
+        b += [0] * (n - len(b))
+        for j in range(m if cs else 0):
+            for i in range(n - 2, j - 1, -1):
+                b[i] += p * b[i + 1]
+        return b
 
-    out = []
-    for j in range(min(k + 1, n)):
-        f, scale = math.factorial(j), den * qs[n - 1 - j]
-        out.append(cr_of_ints(f * shifted(re, j), f * shifted(im, j), scale))
-    return out + [CR_ZERO] * (k + 1 - len(out))
+    re, im = shifted(re), shifted(im)
+    return [(re[j], im[j], den * q ** (n - 1 - j)) for j in range(m)]
 
 
 def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
@@ -329,39 +328,50 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     action as delta^(k)(·-w) applied to g·t.  Derivative values without an
     exact evaluation produce InexactAtom entries.
 
-    The values g^(j)(w) come by one of two routes.  A polynomial leaf reads
-    all of them from one Taylor shift of its integer kernel
-    (``_taylor_values``).  A tree differentiates with ``diff_expr`` and
-    evaluates each derivative with ``eval_exact``, falling back to floats
-    where that has no exact value.
+    An exact atom times a polynomial leaf stays in integers: a constant
+    multiplies the coefficient, and otherwise coefficient j is one reduction
+    of the atom coefficient's integers times C(k,j)·j!·(-1)^j times the
+    numerators of ``_taylor_shift`` over its denominator.  A tree, or an
+    inexact atom, differentiates with ``diff_expr`` and evaluates each
+    derivative with ``eval_exact``, falling back to floats where that has
+    no exact value.
     """
     g = as_expr(g)
-    if g.__class__ is Const and g.value.is_zero:
-        return []
-    vals = _taylor_values(g, a.w, a.k)
+    w, k, c = a.w, a.k, a.coeff
+    exact = a.__class__ is DeltaAtom
+    if g.__class__ is Const and exact:
+        return ([] if c.is_zero or g.value.is_zero
+                else [DeltaAtom(w, k, c * g.value)])
+    shift = _taylor_shift(g, w, k) if exact else None
     out: List[Atom] = []
+    if shift is not None:
+        f = 1  # C(k,j)·j!·(-1)^j
+        for j, (r, i, s) in enumerate(shift):
+            cr, ci = c.re_num * r - c.im_num * i, c.re_num * i + c.im_num * r
+            if cr or ci:
+                out.append(DeltaAtom(w, k - j, cr_of_ints(f * cr, f * ci,
+                                                          c.den * s)))
+            f *= j - k
+        return out
     d = g
-    for j in range(a.k + 1):
-        if vals is not None:
-            v = vals[j]
-        else:
-            if j > 0:
-                d = diff_expr(d)
-            v = eval_exact(d, a.w)
-        factor = math.comb(a.k, j) * (-1) ** j
-        if isinstance(a, DeltaAtom) and v is not None:
-            coeff = a.coeff * v * factor
+    for j in range(k + 1):
+        if j > 0:
+            d = diff_expr(d)
+        v = eval_exact(d, w)
+        factor = math.comb(k, j) * (-1) ** j
+        if exact and v is not None:
+            coeff = c * v * factor
             if not coeff.is_zero:
-                out.append(DeltaAtom(a.w, a.k - j, coeff))
+                out.append(DeltaAtom(w, k - j, coeff))
         else:
-            vn = complex(v) if v is not None else eval_expr(d, a.w)
+            vn = complex(v) if v is not None else eval_expr(d, w)
             if not cmath.isfinite(vn):
                 raise DomainError(f"derivative {j} of the smooth factor "
-                                  f"overflows a float at {a.w}, so the "
+                                  f"overflows a float at {w}, so the "
                                   f"atom coefficient is not finite")
-            cn = complex(a.coeff) * vn * factor
+            cn = complex(c) * vn * factor
             if cn != 0:
-                out.append(InexactAtom(a.w, a.k - j, cn))
+                out.append(InexactAtom(w, k - j, cn))
     return out
 
 
@@ -378,10 +388,9 @@ def smooth_mul(g, F: GenDist) -> GenDist:
 
 
 def _exact_value(e: SmoothExpr, w: Fraction) -> Optional[ComplexRational]:
-    """``eval_exact(e, w)``, read from the Taylor shift on a polynomial
-    leaf."""
-    vals = _taylor_values(e, w, 0)
-    return eval_exact(e, w) if vals is None else vals[0]
+    """``eval_exact(e, w)``, by the Taylor shift on a polynomial leaf."""
+    shift = _taylor_shift(e, w, 0)
+    return eval_exact(e, w) if shift is None else cr_of_ints(*shift[0])
 
 
 def _jump_value(left: SmoothExpr, right: SmoothExpr, w: Fraction

@@ -10,7 +10,8 @@ semi-decision (see ``expr_equal``).
 
 Coefficients are exact ``ComplexRational`` values.  Floating point enters
 only through ``eval_expr`` / ``eval_num``; numpy is imported there and in
-the sampling tail of ``expr_equal``, never by the exact paths.
+the sampling tail of ``expr_equal``, never by the exact paths or by the
+sample points, which ``chebyshev_nodes`` gives as plain floats.
 
 Polynomials.  A polynomial is stored as one canonical leaf: ``Const`` for a
 constant, ``X`` for x itself, and otherwise a ``Poly`` node holding the
@@ -61,8 +62,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isfinite, lcm, prod
-from typing import Optional, Sequence, Tuple, Union
+from math import cos, gcd, isfinite, lcm, pi, prod
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .scalars import (CR_ONE, CR_ZERO, ComplexRational, ScalarLike,
@@ -402,10 +403,10 @@ def power_of(base: SmoothExpr, n: int) -> SmoothExpr:
 
 def quotient_of(num: SmoothExpr, den: SmoothExpr) -> SmoothExpr:
     """num/den; a quotient by a non-constant stays a Quotient node, even
-    when it divides exactly."""
+    when it divides exactly.  A den of normal form 0 (x/x - 1) raises."""
+    if _normal_form(den) == _K_ZERO:
+        raise ZeroDivisionError("zero denominator in quotient")
     if isinstance(den, Const):
-        if den.value.is_zero:
-            raise ZeroDivisionError("zero denominator in quotient")
         if isinstance(num, Const):
             return Const(num.value / den.value)
         return product_of(Const(CR_ONE / den.value), num)
@@ -939,15 +940,14 @@ _SAMPLES = 32  # expr_equal's sample points, and its relative tolerance
 _RTOL = 1e-9
 
 
-def chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    """The n Chebyshev nodes of [lo, hi]: interior, irrational spacing,
-    no endpoint contact."""
-    import numpy as np
-    ks = np.arange(n)
-    return (lo + hi) / 2 + (hi - lo) / 2 * np.cos(np.pi * (2 * ks + 1) / (2 * n))
+def chebyshev_nodes(lo: float, hi: float, n: int) -> List[float]:
+    """The n Chebyshev nodes of [lo, hi]: interior, irrational spacing, no
+    endpoint contact; plain floats, by numpy's elementwise steps in order."""
+    return [(lo + hi) / 2 + (hi - lo) / 2 * cos(pi * (2 * k + 1) / (2 * n))
+            for k in range(n)]
 
 
-def _sample_points(lo: Optional[Fraction], hi: Optional[Fraction], n: int) -> np.ndarray:
+def _sample_points(lo: Optional[Fraction], hi: Optional[Fraction], n: int) -> List[float]:
     if lo is None and hi is None:
         a, b = -_SAMPLE_WINDOW / 2, _SAMPLE_WINDOW / 2
     elif lo is None:
@@ -1027,7 +1027,7 @@ def expr_equal(e1: SmoothExpr, e2: SmoothExpr,
         return verdict
     import numpy as np
     try:
-        xs = _sample_points(interval[0], interval[1], _SAMPLES)
+        xs = np.asarray(_sample_points(interval[0], interval[1], _SAMPLES))
     except OverflowError:
         return Verdict.UNKNOWN
     v1 = _safe_values(e1, xs)

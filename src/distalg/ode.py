@@ -31,10 +31,10 @@ from .dist import (Atom, GenDist, DeltaAtom, PiecewiseSmooth, _assemble,
                    as_expr, equal_dist, heaviside, indicator,
                    smooth_times_atom, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
-from .expr import (Quotient, SmoothExpr, Verdict, ZERO, _coeffs_of_kernel,
-                   _sample_points, _split, chebyshev_nodes, eval_num, neg,
-                   poly_eval, poly_normal_form, product_of, real_root_count,
-                   sub_expr, sum_of)
+from .expr import (Const, Quotient, SmoothExpr, Verdict, ZERO,
+                   _coeffs_of_kernel, _sample_points, _split, chebyshev_nodes,
+                   eval_num, neg, poly_eval, poly_normal_form, product_of,
+                   real_root_count, sub_expr, sum_of)
 from .scalars import CR_ONE, ComplexRational, ScalarLike, as_fraction
 from .star import _atom_terms
 
@@ -263,7 +263,8 @@ def verify_confinement(ceq: ConfinedEquation, psi_u) -> ConfinementReport:
                           zip(ode.coeffs, chain) if a != ZERO)), ode.rhs)
     xs = _sample_points(ceq.interval.a, getattr(ceq.interval, "b", None), 16)
     try:
-        vals = eval_num(r, xs)
+        vals = ([complex(r.value)] * len(xs) if r.__class__ is Const
+                else eval_num(r, xs))
     except DomainError:
         vals = [complex("nan")] * len(xs)
     samples = tuple((float(x), complex(v)) for x, v in zip(xs, vals))

@@ -1,6 +1,9 @@
 """Canonical form, linear structure, and distributional calculus."""
 
+import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import distalg as d
 import distalg.dist as dist_mod
+import distalg.scalars as scalars_mod
 from distalg import Verdict
 from distalg.dist import _assemble
 from distalg.errors import DomainError, ShapeError, UnsupportedPiece
+from distalg.scalars import cr_of_ints
 
+import atom_reference
 from conftest import (law_dists, random_corpus, random_dist, random_poly,
                       wide_location)
 
@@ -223,7 +229,7 @@ def _tree_route(g, a):
     """smooth_times_atom with the Taylor shift switched off, so every value
     comes from diff_expr and eval_exact."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dist_mod, "_taylor_values", lambda *args: None)
+        mp.setattr(dist_mod, "_taylor_shift", lambda *args: None)
         return _outcome(g, a)
 
 
@@ -257,7 +263,7 @@ class TestTaylorRoute:
     def test_exact_atoms_agree(self, g, w, k, c):
         a = d.DeltaAtom(w, k, d.ComplexRational(*c))
         fast, tree = _outcome(g, a), _tree_route(g, a)
-        assert dist_mod._taylor_values(g, w, k) is not None
+        assert dist_mod._taylor_shift(g, w, k) is not None
         assert fast == tree and repr(fast) == repr(tree)
 
     @settings(max_examples=100, deadline=None)
@@ -276,7 +282,10 @@ class TestTaylorRoute:
         for cs in ([], [(Fraction(2), Fraction(-1))],
                    [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2))]):
             g = _poly_of(cs)
-            vals = dist_mod._taylor_values(g, w, k)
+            vals = [math.factorial(j) * CR(Fraction(r, s), Fraction(i, s))
+                    for j, (r, i, s) in enumerate(
+                        dist_mod._taylor_shift(g, w, k))]
+            vals += [CR(0)] * (k + 1 - len(vals))
             assert vals == [d.eval_exact(d.diff_n(g, j), w)
                             for j in range(k + 1)]
             assert all(v.is_zero for v in vals[len(cs):])
@@ -286,7 +295,7 @@ class TestTaylorRoute:
     def test_exactly_dividing_quotient_keeps_its_pole(self):
         q = d.quotient_of(d.expr_from_poly([-1, 0, 1]),
                           d.expr_from_poly([-1, 1]))
-        assert dist_mod._taylor_values(q, Fraction(1), 1) is None
+        assert dist_mod._taylor_shift(q, Fraction(1), 1) is None
         with pytest.raises(DomainError):
             d.smooth_times_atom(q, d.DeltaAtom(Fraction(1), 1, CR(1)))
         # away from the pole it expands like x + 1
@@ -296,7 +305,7 @@ class TestTaylorRoute:
 
     def test_exp_piece_takes_the_tree_route(self):
         g = d.product_of(d.X, d.exp_of(d.X))
-        assert dist_mod._taylor_values(g, Fraction(0), 2) is None
+        assert dist_mod._taylor_shift(g, Fraction(0), 2) is None
 
     def test_polynomial_jumps_walk_no_tree(self, monkeypatch):
         calls = []
@@ -307,6 +316,101 @@ class TestTaylorRoute:
         assert calls == []
         assert D.atoms[0] == d.DeltaAtom(Fraction(1, 3), 0,
                                          CR(Fraction(5, 3), Fraction(1, 9)))
+
+
+_cfrac = st.one_of(st.just(Fraction(0)), _small,
+                  st.fractions(max_denominator=10 ** 12))
+_leaves = st.one_of(
+    st.just(d.X),
+    st.builds(_poly_of, st.lists(st.tuples(_cfrac, _cfrac), max_size=9)))
+_atom_locs = st.one_of(
+    st.just(Fraction(0)), wide_location, _locs,
+    st.builds(lambda n: Fraction(1, 10 ** n), st.integers(20, 60)),
+    st.builds(lambda n: -Fraction(10 ** n, 3), st.integers(20, 60)))
+
+
+class TestAtomExpansionInIntegers:
+    """A polynomial leaf times an exact atom is reduced once per emitted
+    atom; the atoms are those of the route that reduced each value and
+    each product (``atom_reference``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_leaves, _atom_locs, st.integers(0, 5), st.tuples(_cfrac, _cfrac))
+    def test_exact_atoms_match_the_reference(self, g, w, k, c):
+        assert isinstance(g, (d.Const, d.Var, d.Poly))
+        a = d.DeltaAtom(w, k, d.ComplexRational(*c))
+        got = d.smooth_times_atom(g, a)
+        want = atom_reference.smooth_times_atom(g, a)
+        assert got == want and repr(got) == repr(want)
+        assert all(not b.coeff.is_zero for b in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_leaves, _atom_locs, st.integers(0, 5),
+           st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                              allow_infinity=False))
+    def test_inexact_atoms_match_the_reference_bit_for_bit(self, g, w, k, c):
+        a = d.InexactAtom(w, k, c)
+        try:
+            want = atom_reference.smooth_times_atom(g, a)
+        except d.DistAlgError as e:
+            with pytest.raises(type(e), match="^" + re.escape(str(e)) + "$"):
+                d.smooth_times_atom(g, a)
+            return
+        # repr of a float is exact, and tells -0.0 from 0.0
+        assert repr(d.smooth_times_atom(g, a)) == repr(want)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_zero_results_drop(self, k):
+        w = Fraction(-5, 2)
+        zero = d.ComplexRational(0)
+        for g in (d.ZERO, d.const(3), d.X, d.expr_from_poly([1, 2, 3])):
+            assert d.smooth_times_atom(g, d.DeltaAtom(w, k, zero)) == []
+        assert d.smooth_times_atom(d.ZERO, d.DeltaAtom(w, k, CR(2))) == []
+        # (x + 5/2)^2 vanishes to order 2 at -5/2: only j = 2 survives
+        sq = d.expr_from_poly([Fraction(25, 4), 5, 1])
+        assert d.smooth_times_atom(sq, d.DeltaAtom(w, 3, CR(1))) == [
+            d.DeltaAtom(w, 1, CR(6))]
+
+    def test_the_first_coefficient_of_a_key_is_kept(self):
+        w = Fraction(1, 3)
+        z = complex(-1.5, -0.0)
+        c = CR(2, -1)
+        (a, b) = dist_mod._merge_atoms([d.InexactAtom(w, 0, z),
+                                        d.DeltaAtom(w, 1, c)])  # exact first
+        assert a.coeff is c
+        # an inexact first value is 0j + z, as a sum from 0j made it
+        assert repr(b.coeff) == repr(0j + z) == "(-1.5+0j)"
+
+
+def test_one_reduction_per_expanded_atom(monkeypatch):
+    """On acceptance 02's triples each atom that smooth_times_atom returns
+    costs one cr_of_ints, and an atom that drops costs none."""
+    reductions = []
+
+    def counted(*args):
+        reductions.append(args)
+        return cr_of_ints(*args)
+
+    star_mod = sys.modules["distalg.star"]
+    for mod in (dist_mod, scalars_mod):
+        monkeypatch.setattr(mod, "cr_of_ints", counted)
+    expansions = [0, 0, 0]  # calls, atoms, reductions inside
+
+    def expand(g, a):
+        before = len(reductions)
+        out = dist_mod.smooth_times_atom(g, a)
+        expansions[0] += 1
+        expansions[1] += len(out)
+        expansions[2] += len(reductions) - before
+        return out
+
+    monkeypatch.setattr(star_mod, "smooth_times_atom", expand)
+    fs, gs, js = (random_corpus(seed, 500) for seed in (11, 12, 13))
+    for F, G, J in zip(fs, gs, js):
+        d.star(d.star(F, G), J)
+        d.star(F, d.star(G, J))
+    assert expansions[0] > 1000
+    assert expansions[2] == expansions[1]
 
 
 def test_star_on_acceptance_triples_walks_no_tree(monkeypatch):

@@ -1,5 +1,9 @@
 """numpy is imported only where numbers are sampled or integrated, and each
-CLI command loads only the package modules it runs.
+CLI command loads only the package modules it runs.  ``verify`` samples its
+classical residual, but a residual that is an exact constant needs no float
+evaluation, and the Chebyshev nodes are plain floats, equal bit for bit to
+numpy's; so ``verify`` of a candidate whose residual is proven 0, with
+exact jumps at the ends, loads no numpy either.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy and every module loaded long before."""
@@ -11,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +35,10 @@ EXACT_COMMANDS = [
     (["residual", "--ode", "1,1;0", "--interval", "0", "H(x)"], None),
     (["residual", "--ode", "1,0,0;0", "--interval", "0", "(3+2*x)*H(x)"],
      "0\n"),
+    (["verify", "--ode", "1,1;0", "--interval", "0", "exp(-x)"],
+     "verdict: Equal\nresidual: 0\nclassical_max: 0\n"),
+    (["verify", "--ode", "1,0,0;0", "--interval=-2,-1", "3+2*x"],
+     "verdict: Equal\nresidual: 0\nclassical_max: 0\n"),
 ]
 
 CHILD = """
@@ -88,6 +97,25 @@ print(d.expr_equal(e("exp(x)"), e("exp(x)+1/1000")),
     assert "verdict: Equal" in out[0] and "residual: 0" in out[0]
     assert abs(float(out[1]) - 0.367879441171) < 1e-6
     assert out[2] == "Unequal Unknown"
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("lo,hi", [(Fraction(0), None),
+                                   (Fraction(-1, 3), Fraction(5, 2)),
+                                   (Fraction(-2), Fraction(-1))],
+                         ids=["half-line", "bounded", "negative"])
+def test_chebyshev_nodes_equal_numpys_bit_for_bit(lo, hi, n):
+    """The sample points, built with math.cos, are the floats that numpy's
+    elementwise expression gives, so no sampled verdict moves."""
+    import numpy as np
+    from distalg.expr import _sample_points
+    a = float(lo)
+    b = a + 8.0 if hi is None else float(hi)
+    ks = np.arange(n)
+    ref = (a + b) / 2 + (b - a) / 2 * np.cos(np.pi * (2 * ks + 1) / (2 * n))
+    got = _sample_points(lo, hi, n)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [float(x).hex() for x in ref]
 
 
 # argv of one call per command; the modules it must leave unloaded

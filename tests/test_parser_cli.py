@@ -641,6 +641,22 @@ class TestExactPoles:
     def test_pole_behind_an_inexact_term(self, argv):
         assert run(*argv) == (2, "", "error: exact evaluation at a pole\n")
 
+    @pytest.mark.parametrize("argv", [("fmt", "1/(x/x-1)*H(x)"),
+                                      ("mul", "1/(x/x-1)*H(x)", "H(x)"),
+                                      ("fmt", "1/(x-x)*H(x)")],
+                             ids=["fmt", "mul", "constant"])
+    def test_zero_polynomial_denominator(self, argv):
+        """A denominator whose normal form is the zero polynomial is refused
+        where the quotient is built, like a constant 0; no piece defined
+        nowhere is printed."""
+        assert run(*argv) == (1, "", "error: division by zero (at position "
+                                     "1)\n")
+        x_over_x = d.quotient_of(d.X, d.X)
+        with pytest.raises(ZeroDivisionError):
+            d.quotient_of(d.ONE, d.sum_of(x_over_x, d.const(-1)))
+        assert d.poly_normal_form(d.quotient_of(d.ONE, x_over_x)) == (
+            d.ComplexRational(1),)
+
     def test_merge_beyond_float_range_needs_no_sample(self):
         """Assembly joins only provably equal pieces, so a breakpoint no
         float can hold is never sampled."""
