@@ -41,24 +41,27 @@ class's operands.  It interprets every operand in field order, with no
 early exit, then applies the node class's rule from a table; a class
 without a rule has no value, and its operands are not visited, so the
 normal form never looks inside exp, sin or cos.  The order key, the
-derivative, the exact value, the normal form, substitution and ``fmt``'s
-rendering are such tables.  Exact values have one rule for poles
-(``_pole``): a quotient whose denominator is exactly 0, or a base of
-exactly 0 under a negative power, raises ``DomainError`` whatever else has
-a value, and any other node with an operand without an exact value has
-none; so a pole anywhere in the tree raises.  ``eval_num``, the float hot
-path, keeps its own recursion.
+derivative, the exact value, the float value, the normal form, the pole
+search, substitution and ``fmt``'s rendering are such tables, with one
+rule for poles: a quotient's denominator and a negative power's base are
+the pole sites.  The exact value raises ``DomainError`` where a site is
+exactly 0 (``_pole``), whatever else has a value, so a pole anywhere in
+the tree raises; the float value raises where a site comes within
+``QUOTIENT_GUARD`` of 0 (``_guard``); ``pole_denominators`` lists the
+sites' polynomials, in lowest terms.
 
 Memos.  Each node stores, on first use, its hash and its serialized form,
 which orders factors and terms; a tree node, and each node below it that
 the walker visits, also stores its normal form (or that it is not a
-polynomial), which the quotient path and equality read.  They live on the
+polynomial), which the quotient path and equality read, and its pole
+search, which the weak actions read once per panel.  They live on the
 node and die with it; no module-level cache holds a node.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -85,8 +88,9 @@ _UNSET = object()  # a memo not yet computed; None is a value
 
 def _node(cls):
     """A frozen dataclass whose field hash is computed once per instance.
-    ``_ser_memo`` and ``_nf_memo`` hold the order key and the normal form;
-    all three are plain attributes, not fields."""
+    ``_ser_memo``, ``_nf_memo`` and ``_pole_memo`` hold the order key, the
+    normal form and the pole search; all four are plain attributes, not
+    fields."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
@@ -99,7 +103,7 @@ def _node(cls):
 
     cls.__hash__ = __hash__
     cls._hash_memo = None
-    cls._ser_memo = cls._nf_memo = _UNSET
+    cls._ser_memo = cls._nf_memo = cls._pole_memo = _UNSET
     return cls
 
 
@@ -403,8 +407,13 @@ def power_of(base: SmoothExpr, n: int) -> SmoothExpr:
 
 def quotient_of(num: SmoothExpr, den: SmoothExpr) -> SmoothExpr:
     """num/den; a quotient by a non-constant stays a Quotient node, even
-    when it divides exactly.  A den of normal form 0 (x/x - 1) raises."""
-    if _normal_form(den) == _K_ZERO:
+    when it divides exactly.  A den of normal form 0 (x/x - 1), or one that
+    itself divides by such a polynomial, raises."""
+    try:
+        k = _normal_form(den)
+    except DomainError:  # den divides by the zero polynomial
+        k = _K_ZERO
+    if k == _K_ZERO:
         raise ZeroDivisionError("zero denominator in quotient")
     if isinstance(den, Const):
         if isinstance(num, Const):
@@ -486,56 +495,47 @@ def diff_n(e: SmoothExpr, n: int) -> SmoothExpr:
 # evaluation
 
 QUOTIENT_GUARD = 1e-300
+np = None  # numpy, bound by the first eval_num
+
+
+def _guard(d):
+    """The one rule for poles in floats: a denominator within
+    ``QUOTIENT_GUARD`` of 0 at any point raises."""
+    if np.min(np.abs(d)) <= QUOTIENT_GUARD:
+        raise DomainError("denominator below evaluation guard")
+    return d
+
+
+_NUMERIC = {
+    Const: lambda e, x: (np.full(x.shape, complex(e.value)) if x.ndim
+                         else complex(e.value)),
+    Var: lambda e, x: x, Poly: lambda e, x: _poly_num(e.k, x),
+    Sum: lambda e, _, *vs: reduce(operator.add, vs),
+    Product: lambda e, _, *vs: reduce(operator.mul, vs),
+    Power: lambda e, _, b: (_guard(b) if e.n < 0 else b) ** e.n,
+    Quotient: lambda e, _, n, d: n / _guard(d),
+    Exp: lambda e, _, a: np.exp(a), Sin: lambda e, _, a: np.sin(a),
+    Cos: lambda e, _, a: np.cos(a),
+}
 
 
 def eval_num(e: SmoothExpr, x):
-    """Numerically evaluate at x (scalar or ndarray, real or complex).
+    """Numerically evaluate at x (scalar or ndarray, real or complex):
+    sums and products fold left in operand order.
 
-    Returns complex values; raises DomainError when a quotient denominator
-    falls below the guard in magnitude, or when an exact constant or the
-    point does not fit in a float.
+    Returns complex values; raises DomainError at a pole, where a quotient
+    denominator or a negative power's base falls below the guard in
+    magnitude (``_guard``), or when an exact constant or the point does not
+    fit in a float.
     """
+    global np
     import numpy as np
     if isinstance(x, (int, Fraction, ComplexRational)):
         x = complex(ComplexRational.of(x))
     xa = np.asarray(x, dtype=complex)
-    scalar = xa.ndim == 0
-
-    def rec(e: SmoothExpr):
-        if isinstance(e, Const):
-            return np.full(xa.shape, complex(e.value)) if not scalar else complex(e.value)
-        if isinstance(e, Var):
-            return xa
-        if isinstance(e, Poly):
-            return _poly_num(e.k, xa)
-        if isinstance(e, Sum):
-            out = rec(e.terms[0])
-            for t in e.terms[1:]:
-                out = out + rec(t)
-            return out
-        if isinstance(e, Product):
-            out = rec(e.factors[0])
-            for f in e.factors[1:]:
-                out = out * rec(f)
-            return out
-        if isinstance(e, Power):
-            return rec(e.base) ** e.n
-        if isinstance(e, Quotient):
-            den = rec(e.den)
-            if np.min(np.abs(den)) <= QUOTIENT_GUARD:
-                raise DomainError("quotient denominator below evaluation guard")
-            return rec(e.num) / den
-        if isinstance(e, Exp):
-            return np.exp(rec(e.arg))
-        if isinstance(e, Sin):
-            return np.sin(rec(e.arg))
-        if isinstance(e, Cos):
-            return np.cos(rec(e.arg))
-        raise TypeError(f"not a SmoothExpr: {e!r}")
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = rec(e)
-    if scalar:
+        out = _interpret(e, _NUMERIC, xa)
+    if not xa.ndim:
         return complex(out)
     return np.asarray(out, dtype=complex)
 
@@ -889,9 +889,51 @@ def poly_normal_form(e: SmoothExpr) -> Optional[PolyCoeffs]:
     return None if k is None else _coeffs_of_kernel(k)
 
 
-def is_polynomial(e: SmoothExpr) -> bool:
-    """Whether e is (provably) a polynomial; memoized on the node."""
-    return _normal_form(e) is not None
+def _close(v: tuple) -> tuple:
+    """The denominators found in a group (numerator factors, denominator
+    factors, found), and its own, in lowest terms, if it has one."""
+    num, den, found = v
+    if not den:
+        return found
+    return found + (reduced_denominator(
+        _coeffs_of_kernel(reduce(_poly_mul, num, _K_ONE)),
+        _coeffs_of_kernel(reduce(_poly_mul, den, _K_ONE))),)
+
+
+def _rational(rule):
+    """rule unless e is provably a polynomial: one numerator factor."""
+    return lambda e, _, *vs: (rule(e, *vs) if (k := _normal_form(e)) is None
+                              else ((k,), (), ()))
+
+
+def _quotient_poles(e: Quotient, n: tuple, d: tuple) -> tuple:
+    dk = _normal_form(e.den)
+    if dk is None:
+        return (), (), _close(n) + _close(d)
+    return n[0], n[1] + (dk,), n[2]
+
+
+_POLES = {
+    **dict.fromkeys(_LEAVES, lambda e, _: ((e.k,), (), ())),
+    Product: _rational(lambda e, *vs: tuple(sum(g, ()) for g in zip(*vs))),
+    Power: _rational(lambda e, b: (
+        (b[0] * e.n, b[1] * e.n) if e.n >= 0 else (b[1] * -e.n, b[0] * -e.n))
+        + (b[2],)),
+    Quotient: _rational(_quotient_poles),
+    **dict.fromkeys((Sum, Exp, Sin, Cos), _rational(
+        lambda e, *vs: ((), (), sum(map(_close, vs), ())))),
+}
+
+
+def pole_denominators(e: SmoothExpr) -> List[PolyCoeffs]:
+    """The denominators, in lowest terms, of the rational functions in e:
+    the only places where e can have a pole.  A product's polynomial
+    factors, the factors of its quotients with a polynomial denominator
+    and those of its powers, swapped under a negative one, multiply to one
+    rational function, so (x^2-1)*exp(x)/(x-1) has none; the operands of
+    a sum, of exp, sin and cos and of a quotient by a non-polynomial are
+    each their own."""
+    return list(_close(_interpret(e, _POLES, None, "_pole_memo")))
 
 
 def leaf_kernel(e: SmoothExpr) -> Optional[Kernel]:

@@ -26,8 +26,9 @@ value is summed in the order of the per-panel loop it replaces, so every
 value is unchanged.
 
 Neither integrates across a pole: a piece with a polynomial denominator,
-in lowest terms, that has a real root on the segment being integrated
-raises DomainError, the roots counted exactly (``_refuse_pole``).
+a quotient's or a negative power's, in lowest terms, that has a real root
+on the segment being integrated raises DomainError, the roots counted
+exactly (``_refuse_pole``, by expr's one rule for poles).
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .dist import GenDist, singular_support
 from .errors import DomainError, EpsilonTooLarge, ShapeError
-from .expr import (Cos, Exp, Power, Product, Quotient, Sin, SmoothExpr, Sum,
-                   X, const, diff_expr, eval_num, exp_of, is_polynomial,
-                   poly_eval, poly_normal_form, power_of, product_of,
-                   quotient_of, real_root_count, reduced_denominator,
-                   sub_expr, ONE, ZERO)
+from .expr import (SmoothExpr, X, const, diff_expr, eval_num, exp_of,
+                   pole_denominators, poly_eval, power_of, product_of,
+                   quotient_of, real_root_count, sub_expr, ONE, ZERO)
 from .scalars import as_fraction
 
 
@@ -128,11 +127,12 @@ def bump_derivative(t: TestFunction) -> TestFunction:
 # ---------------------------------------------------------------------------
 # quadrature configuration
 
+_GUARD = 1e-12  # the support ends move in by this much before integration
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     nodes: int = 64
-    guard: float = 1e-12
     eps_schedule: Tuple[Fraction, ...] = (Fraction(1, 100), Fraction(1, 1000),
                                           Fraction(1, 10000))
     extrapolation: str = "richardson"  # or "last-value"
@@ -179,7 +179,7 @@ def _quadrature(t: TestFunction, panels: Sequence[tuple],
     vals = _factor_values(xs, cols[0])
     for col in cols[1:]:
         vals *= _factor_values(xs, col)
-    vals *= bump_values(t, xs.ravel(), cfg.guard).reshape(xs.shape)
+    vals *= bump_values(t, xs.ravel(), _GUARD).reshape(xs.shape)
     sums = (w * vals).sum(axis=1)
     return [complex(h * v) for h, v in zip(half.tolist(), sums)]
 
@@ -198,11 +198,11 @@ def _factor_values(zs: np.ndarray, factors: Sequence[tuple]) -> np.ndarray:
     return out
 
 
-def _segments(t: TestFunction, cuts: Sequence[Fraction], guard: float) -> list:
+def _segments(t: TestFunction, cuts: Sequence[Fraction]) -> list:
     """The panels (s, e, fs, fe) of the bump's support between the cuts:
-    the float ends fs < fe are integrated, the support ends moved in by the
-    guard; s and e are the exact cut or support end each float stands for."""
-    lo, hi = float(t.a) + guard, float(t.b) - guard
+    the float ends fs < fe are integrated, the support ends moved in by
+    ``_GUARD``; s and e are the exact cuts or support ends they stand for."""
+    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
     inner = {float(c): c for c in cuts}
     pts = ([(lo, t.a)] + sorted((f, c) for f, c in inner.items() if lo < f < hi)
            + [(hi, t.b)])
@@ -213,86 +213,23 @@ def _segments(t: TestFunction, cuts: Sequence[Fraction], guard: float) -> list:
 # poles
 
 
-def _has_quotient(e: SmoothExpr) -> bool:
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Quotient):
-            return True
-        if isinstance(e, Sum):
-            stack.extend(e.terms)
-        elif isinstance(e, Product):
-            stack.extend(e.factors)
-        elif isinstance(e, Power):
-            stack.append(e.base)
-        elif isinstance(e, (Exp, Sin, Cos)):
-            stack.append(e.arg)
-    return False
-
-
-def _pole_dens(p: SmoothExpr) -> list:
-    """The denominators, in lowest terms, of the rational functions in p:
-    the only places where p can have a pole.  Within a product, the
-    polynomial factors, the bases of powers and the numerators and
-    polynomial denominators of quotients multiply to one rational function,
-    so (x^2-1)*exp(x)/(x-1) has none; the other factors are searched in
-    turn.  A tree without a quotient takes no normal form; below a
-    quotient, polynomial subtrees are skipped by their memoized one."""
-    if not _has_quotient(p):
-        return []
-    dens, stack = [], [p]
-    while stack:
-        e = stack.pop()
-        if is_polynomial(e):
-            continue
-        if isinstance(e, Sum):
-            stack.extend(e.terms)
-            continue
-        if isinstance(e, (Exp, Sin, Cos)):
-            stack.append(e.arg)
-            continue
-        num, den, factors = [], [], [e]
-        while factors:
-            f = factors.pop()
-            if is_polynomial(f):
-                num.append(f)
-            elif isinstance(f, Product):
-                factors.extend(f.factors)
-            elif isinstance(f, Power):
-                factors.extend([f.base] * f.n)
-            elif isinstance(f, Quotient) and is_polynomial(f.den):
-                den.append(f.den)
-                factors.append(f.num)
-            elif isinstance(f, Quotient):
-                stack += [f.num, f.den]
-            else:
-                stack.append(f)
-        if den:
-            dens.append(reduced_denominator(
-                poly_normal_form(product_of(*num)),
-                poly_normal_form(product_of(*den))))
-    return dens
-
-
 def _refuse_pole(p: SmoothExpr, s: Fraction, e: Fraction, t: TestFunction,
                  shift: Fraction = Fraction(0)) -> None:
     """Raise DomainError when the integrand factor p(x + shift) on the
-    segment [s, e] has a pole: a denominator of ``_pole_dens(p)`` vanishes
-    on the segment.  The support ends t.a and t.b are exempt, since the
-    bump vanishes there to every order.  A denominator that is not a
-    polynomial, such as sin(x) in 1/sin(x), cannot be checked, and a
-    removable singularity that polynomial factors do not cancel, such as 0
-    in sin(x)/x, is refused like a pole."""
-    dens = _pole_dens(p)
-    if not dens:
-        return
-    lo, hi = s + shift, e + shift
-    for cs in dens:
+    segment [s, e] has a pole: a denominator of ``pole_denominators(p)``,
+    from a quotient or a negative power, vanishes on the segment.  The
+    support ends t.a and t.b are exempt, since the bump vanishes there to
+    every order.  A denominator that is not a polynomial, such as sin(x) in
+    1/sin(x), cannot be checked, and a removable singularity that
+    polynomial factors do not cancel, such as 0 in sin(x)/x, is refused
+    like a pole."""
+    for cs in pole_denominators(p):
+        lo, hi = s + shift, e + shift
         n = real_root_count(cs, lo, hi)
         n += s != t.a and poly_eval(cs, lo).is_zero
         n -= e == t.b and poly_eval(cs, hi).is_zero
         if n:
-            raise DomainError(f"a quotient denominator has a root on "
+            raise DomainError(f"a denominator has a root on "
                               f"[{lo}, {hi}], inside the bump's support")
 
 
@@ -313,10 +250,10 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
     coeff·(-1)^k·t^(k)(w) for every atom, t^(k) evaluated once per order k
     over all of its atoms."""
     cfg = cfg or DEFAULT_CONFIG
-    lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
+    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
     piece_at = _piece_finder(F)
     panels = []
-    for s, e, fs, fe in _segments(t, F.breakpoints, cfg.guard):
+    for s, e, fs, fe in _segments(t, F.breakpoints):
         piece = piece_at((fs + fe) / 2.0)
         if piece == ZERO:
             continue
@@ -329,7 +266,7 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
     by_k = {}
     for a in atoms:
         by_k.setdefault(a.k, []).append(float(a.w))
-    tks = {k: iter(bump_deriv_values(t, k, ws, cfg.guard))
+    tks = {k: iter(bump_deriv_values(t, k, ws, _GUARD))
            for k, ws in by_k.items()}
     for a in atoms:
         total += complex(a.coeff) * (-1) ** a.k * complex(next(tks[a.k]))
@@ -381,11 +318,11 @@ def _eps_rows(F: GenDist, G: GenDist, sf: set, sg: Sequence[Fraction],
         raise EpsilonTooLarge(f"eps={epsf} collides singular supports at "
                               f"{sorted(sf & sg_shift)}")
     eps_float = float(epsf)
-    lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
+    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
     f_at, g_at = _piece_finder(F), _piece_finder(G)
     panels = []
     cuts = list(F.breakpoints) + [b - epsf for b in G.breakpoints]
-    for s, e, fs, fe in _segments(t, cuts, cfg.guard):
+    for s, e, fs, fe in _segments(t, cuts):
         mid = (fs + fe) / 2.0
         fp = f_at(mid)
         gp = g_at(mid + eps_float)

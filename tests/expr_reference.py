@@ -1,23 +1,33 @@
-"""The six recursions over the expression node set that ``distalg.expr``
-and ``distalg.fmt`` now run as rule tables on one walker.
+"""The recursions over the expression node set that ``distalg.expr`` and
+``distalg.fmt`` now run as rule tables on one walker.
 
 Each here is its own recursion with its own class dispatch, as they were
 written before the walker: the order key, the derivative, the exact value,
-the normal form, substitution (with the shift) and rendering in both
-notations.  None reads or writes a node's memo.  The tests hold the rule
-tables to these results exactly, except where the walker, which skips no
-operand, finds a pole that the early exit here never reached.
+the float value, the normal form, substitution (with the shift), rendering
+in both notations, and the pole search of the weak actions (with the pole
+check that reads it).  None reads or writes a node's memo, except that
+the pole search takes its normal forms from ``distalg.expr``, as it did
+before.  The tests hold the rule tables to these results exactly, except
+where the walker, which skips no operand, finds a pole that the early exit
+here never reached, and where a negative power's base is a pole site,
+which the float value and the pole search here did not treat as one.
 """
 
+from fractions import Fraction
+
+import numpy as np
+
+from distalg import expr
 from distalg.errors import DomainError
-from distalg.expr import (Const, Cos, Exp, Poly, Power, Product, Quotient,
-                          Sin, Sum, Var, X, ZERO, ONE, _K_ONE, _K_X, _K_ZERO,
-                          _coeffs_of_kernel, _kernel_of_coeffs,
-                          _kernel_of_value, _leaf, _poly_add, _poly_diff,
-                          _poly_divmod, _poly_mul, _poly_terms, _ser_call,
-                          _ser_const, const, cos_of, exp_of, poly_eval,
-                          power_of, product_of, quotient_of, sin_of,
-                          sub_expr, sum_of)
+from distalg.expr import (QUOTIENT_GUARD, Const, Cos, Exp, Poly, Power,
+                          Product, Quotient, Sin, Sum, Var, X, ZERO, ONE,
+                          _K_ONE, _K_X, _K_ZERO, _coeffs_of_kernel,
+                          _kernel_of_coeffs, _kernel_of_value, _leaf,
+                          _poly_add, _poly_diff, _poly_divmod, _poly_mul,
+                          _poly_num, _poly_terms, _ser_call, _ser_const,
+                          const, cos_of, exp_of, poly_eval, power_of,
+                          product_of, quotient_of, real_root_count,
+                          reduced_denominator, sin_of, sub_expr, sum_of)
 from distalg.fmt import _LATEX, _TEXT, _const, _paren, _product, _sum
 from distalg.scalars import CR_ONE, CR_ZERO, ComplexRational
 
@@ -133,6 +143,53 @@ def eval_exact(e, x):
     return rec(e)
 
 
+def eval_num(e, x):
+    """The quotient's denominator first, and a negative power's base
+    unchecked."""
+    if isinstance(x, (int, Fraction, ComplexRational)):
+        x = complex(ComplexRational.of(x))
+    xa = np.asarray(x, dtype=complex)
+    scalar = xa.ndim == 0
+
+    def rec(e):
+        if isinstance(e, Const):
+            return np.full(xa.shape, complex(e.value)) if not scalar else complex(e.value)
+        if isinstance(e, Var):
+            return xa
+        if isinstance(e, Poly):
+            return _poly_num(e.k, xa)
+        if isinstance(e, Sum):
+            out = rec(e.terms[0])
+            for t in e.terms[1:]:
+                out = out + rec(t)
+            return out
+        if isinstance(e, Product):
+            out = rec(e.factors[0])
+            for f in e.factors[1:]:
+                out = out * rec(f)
+            return out
+        if isinstance(e, Power):
+            return rec(e.base) ** e.n
+        if isinstance(e, Quotient):
+            den = rec(e.den)
+            if np.min(np.abs(den)) <= QUOTIENT_GUARD:
+                raise DomainError("quotient denominator below evaluation guard")
+            return rec(e.num) / den
+        if isinstance(e, Exp):
+            return np.exp(rec(e.arg))
+        if isinstance(e, Sin):
+            return np.sin(rec(e.arg))
+        if isinstance(e, Cos):
+            return np.cos(rec(e.arg))
+        raise TypeError(f"not a SmoothExpr: {e!r}")
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = rec(e)
+    if scalar:
+        return complex(out)
+    return np.asarray(out, dtype=complex)
+
+
 def normal_form(e):
     """The kernel, or None at the first operand that is not provably a
     polynomial."""
@@ -184,6 +241,80 @@ def normal_form(e):
 def poly_normal_form(e):
     k = normal_form(e)
     return None if k is None else _coeffs_of_kernel(k)
+
+
+def _is_polynomial(e):
+    return expr.poly_normal_form(e) is not None
+
+
+def _has_quotient(e):
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Quotient):
+            return True
+        if isinstance(e, Sum):
+            stack.extend(e.terms)
+        elif isinstance(e, Product):
+            stack.extend(e.factors)
+        elif isinstance(e, Power):
+            stack.append(e.base)
+        elif isinstance(e, (Exp, Sin, Cos)):
+            stack.append(e.arg)
+    return False
+
+
+def pole_dens(p):
+    """Quotients only: a negative power's base drops out of its product,
+    and whatever lies below it is never searched."""
+    if not _has_quotient(p):
+        return []
+    dens, stack = [], [p]
+    while stack:
+        e = stack.pop()
+        if _is_polynomial(e):
+            continue
+        if isinstance(e, Sum):
+            stack.extend(e.terms)
+            continue
+        if isinstance(e, (Exp, Sin, Cos)):
+            stack.append(e.arg)
+            continue
+        num, den, factors = [], [], [e]
+        while factors:
+            f = factors.pop()
+            if _is_polynomial(f):
+                num.append(f)
+            elif isinstance(f, Product):
+                factors.extend(f.factors)
+            elif isinstance(f, Power):
+                factors.extend([f.base] * f.n)
+            elif isinstance(f, Quotient) and _is_polynomial(f.den):
+                den.append(f.den)
+                factors.append(f.num)
+            elif isinstance(f, Quotient):
+                stack += [f.num, f.den]
+            else:
+                stack.append(f)
+        if den:
+            dens.append(reduced_denominator(
+                expr.poly_normal_form(product_of(*num)),
+                expr.poly_normal_form(product_of(*den))))
+    return dens
+
+
+def refuse_pole(p, s, e, t, shift=Fraction(0)):
+    dens = pole_dens(p)
+    if not dens:
+        return
+    lo, hi = s + shift, e + shift
+    for cs in dens:
+        n = real_root_count(cs, lo, hi)
+        n += s != t.a and poly_eval(cs, lo).is_zero
+        n -= e == t.b and poly_eval(cs, hi).is_zero
+        if n:
+            raise DomainError(f"a quotient denominator has a root on "
+                              f"[{lo}, {hi}], inside the bump's support")
 
 
 def subst(e, r):

@@ -654,6 +654,8 @@ class TestExactPoles:
         x_over_x = d.quotient_of(d.X, d.X)
         with pytest.raises(ZeroDivisionError):
             d.quotient_of(d.ONE, d.sum_of(x_over_x, d.const(-1)))
+        with pytest.raises(ZeroDivisionError):  # x/0 built by hand
+            d.quotient_of(d.ONE, d.Quotient(d.X, d.ZERO))
         assert d.poly_normal_form(d.quotient_of(d.ONE, x_over_x)) == (
             d.ComplexRational(1),)
 

@@ -245,6 +245,17 @@ class TestPoles:
             with pytest.raises(DomainError):
                 d.star_oracle(F, G, t)
 
+    def test_a_negative_power_is_a_pole(self):
+        """Power(x-1, -1) is 1/(x-1) built by hand: its base is a pole site
+        like a quotient's denominator."""
+        P = d.make_piecewise([0], [d.ZERO, d.Power(d.sum_of(d.X, d.const(-1)), -1)])
+        t = d.make_bump(-2, 3)
+        with pytest.raises(DomainError, match="denominator has a root"):
+            d.action(P, t)
+        for F, G in ((P, H), (H, P)):
+            with pytest.raises(DomainError, match="denominator has a root"):
+                d.star_oracle(F, G, t)
+
     def test_oracle_skips_a_pole_under_a_zero_piece(self):
         F, G = d.heaviside(2), d.parse_dist("1/(x-1)")
         t = d.make_bump(-1, 3)

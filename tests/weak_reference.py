@@ -13,9 +13,9 @@ from distalg.dist import normalize_dist, singular_support
 from distalg.errors import EpsilonTooLarge
 from distalg.expr import const, eval_num
 from distalg.scalars import as_fraction
-from distalg.weak import (DEFAULT_CONFIG, _atom_radius, _gauss, _piece_finder,
-                          _refuse_pole, _segments, bump_analytic,
-                          bump_deriv_values, bump_values)
+from distalg.weak import (DEFAULT_CONFIG, _GUARD, _atom_radius, _gauss,
+                          _piece_finder, _refuse_pole, _segments,
+                          bump_analytic, bump_deriv_values, bump_values)
 
 
 def panel_integral(fn, lo, hi, nodes):
@@ -39,22 +39,22 @@ def cauchy_deriv(fn, w, k, r, nodes=64):
 
 def action(F, t, cfg=None):
     cfg = cfg or DEFAULT_CONFIG
-    lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
+    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
     total = 0j
     piece_at = _piece_finder(F)
-    for s, e, fs, fe in _segments(t, F.breakpoints, cfg.guard):
+    for s, e, fs, fe in _segments(t, F.breakpoints):
         piece = piece_at((fs + fe) / 2.0)
         if piece == const(0):
             continue
         _refuse_pole(piece, s, e, t)
         total += panel_integral(
-            lambda xs: eval_num(piece, xs) * bump_values(t, xs, cfg.guard),
+            lambda xs: eval_num(piece, xs) * bump_values(t, xs, _GUARD),
             fs, fe, cfg.nodes)
     for a in F.all_atoms:
         w = float(a.w)
         if not (lo < w < hi):
             continue
-        tk = bump_deriv_values(t, a.k, w, cfg.guard)
+        tk = bump_deriv_values(t, a.k, w, _GUARD)
         total += complex(a.coeff) * (-1) ** a.k * tk
     return total
 
@@ -70,11 +70,11 @@ def epsilon_product_action(F, G, t, eps, cfg=None):
         raise EpsilonTooLarge(f"eps={epsf} collides singular supports at "
                               f"{sorted(sf & sg_shift)}")
     eps_float = float(epsf)
-    lo, hi = float(t.a) + cfg.guard, float(t.b) - cfg.guard
+    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
     total = 0j
     f_at, g_at = _piece_finder(Fn), _piece_finder(Gn)
     cuts = list(Fn.breakpoints) + [b - epsf for b in Gn.breakpoints]
-    for s, e, fs, fe in _segments(t, cuts, cfg.guard):
+    for s, e, fs, fe in _segments(t, cuts):
         mid = (fs + fe) / 2.0
         fp = f_at(mid)
         gp = g_at(mid + eps_float)
@@ -84,7 +84,7 @@ def epsilon_product_action(F, G, t, eps, cfg=None):
         _refuse_pole(gp, s, e, t, epsf)
         total += panel_integral(
             lambda xs: (eval_num(fp, xs) * eval_num(gp, xs + eps_float)
-                        * bump_values(t, xs, cfg.guard)),
+                        * bump_values(t, xs, _GUARD)),
             fs, fe, cfg.nodes)
     for a in Fn.all_atoms:
         w = float(a.w)
