@@ -13,7 +13,6 @@ before the result is written (as by `distalg ... | head -c 100`).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -198,6 +197,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_confine(args) -> int:
     ceq = _confined(args)
     if args.mode == "json":
+        import json
         print(json.dumps(confined_to_jsonable(ceq), sort_keys=True))
     elif args.mode == "latex":
         print(format_confined_latex(ceq))
@@ -236,6 +236,7 @@ def _cmd_verify(args) -> int:
     (text,) = _fill_from_stdin([args.psi])
     rep = verify_confinement(ceq, parse_smooth_expr(text))
     if args.mode == "json":
+        import json
         print(json.dumps(report_to_jsonable(rep), sort_keys=True))
     else:
         print(f"verdict: {rep.verdict}")

@@ -5,14 +5,15 @@ A ``GenDist`` is a regular part (strictly ascending rational breakpoints
 x_1 < ... < x_N with N+1 smooth pieces, piece k governing the open interval
 ]x_k, x_{k+1}[ where x_0 = -inf and x_{N+1} = +inf) together with a finite
 list of delta atoms C·delta^(k)(x - w), each of order >= 0 at a
-breakpoint.  This whole shape is checked where a GenDist is made.
+breakpoint.  This whole shape is checked wherever the constructor runs.
 
 It is canonical when at most one atom exists per (kind, location, order)
 and no breakpoint without an atom joins two provably equal pieces.  Every
-operation returns it so: ``_assemble`` makes it, and the only other direct
-builds are ``align``'s outputs, deliberately not canonical, and the
-parser's light shapes, canonical as built.  No operation normalizes its
-inputs, and ``normalize_dist`` is for a GenDist built by hand.
+operation returns it so: ``_assemble`` makes it, valid by construction and
+unchecked, and the only other direct builds are ``align``'s, unchecked and
+deliberately not canonical, and the parser's light shapes, canonical as
+built.  No operation normalizes its inputs, and ``normalize_dist`` is for a
+GenDist built by hand.
 
 Breakpoints and atom locations are ``scalars.Rat`` values: ``_assemble``
 and ``_merge_atoms`` pass each one through ``as_fraction``, so the sorts,
@@ -33,7 +34,6 @@ import bisect
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +43,7 @@ from .expr import (_NODE_TYPES, Const, SmoothExpr, Verdict, ZERO, const,
                    expr_equal, leaf_kernel, poly_antiderivative, product_of,
                    shift_expr, sum_of, worst_verdict)
 from .scalars import (CR_ZERO, ComplexRational, ScalarLike, as_fraction,
-                      cr_of_ints)
+                      cr_of_ints, record)
 
 def as_expr(v) -> SmoothExpr:
     if isinstance(v, _NODE_TYPES):
@@ -51,7 +51,7 @@ def as_expr(v) -> SmoothExpr:
     return const(v)
 
 
-@dataclass(frozen=True)
+@record
 class DeltaAtom:
     """One term coeff·delta^(k)(x - w) with an exact coefficient."""
     w: Fraction
@@ -59,7 +59,7 @@ class DeltaAtom:
     coeff: ComplexRational
 
 
-@dataclass(frozen=True)
+@record
 class InexactAtom:
     """Same shape as DeltaAtom but the coefficient is a float, produced when
     a jump or derivative value had no exact evaluation."""
@@ -73,7 +73,7 @@ class InexactAtom:
                               f"{self.w} is not finite")
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseSmooth:
     breakpoints: Tuple[Fraction, ...]
     pieces: Tuple[SmoothExpr, ...]
@@ -93,7 +93,7 @@ def _check_shape(bs: Sequence[Fraction], pieces: Sequence) -> None:
 Atom = Union[DeltaAtom, InexactAtom]
 
 
-@dataclass(frozen=True)
+@record
 class GenDist:
     regular: PiecewiseSmooth
     all_atoms: Tuple[Atom, ...]
@@ -129,9 +129,11 @@ class GenDist:
 
 def _merge_atoms(atoms: Iterable[Atom]) -> List[Atom]:
     """Sum coefficients per (kind, w, k) and sort by that key, so exact
-    atoms come first; zero sums drop."""
+    atoms come first; zero sums drop.  A negative order raises."""
     acc: dict[Tuple[bool, Fraction, int], Union[ComplexRational, complex]] = {}
     for a in atoms:
+        if a.k < 0:
+            raise ShapeError("atom order must be >= 0")
         inexact = isinstance(a, InexactAtom)
         key = (inexact, as_fraction(a.w), a.k)
         if inexact:
@@ -175,7 +177,8 @@ def _assemble(breakpoints: Sequence[Fraction], pieces: Sequence[SmoothExpr],
             del ps[i + 1]
         else:
             i += 1
-    return GenDist(PiecewiseSmooth(tuple(breaks), tuple(ps)), tuple(atoms))
+    return GenDist._unchecked(PiecewiseSmooth._unchecked(
+        tuple(breaks), tuple(ps)), tuple(atoms))
 
 
 def normalize_dist(F: GenDist) -> GenDist:
@@ -236,9 +239,9 @@ def align(F: GenDist, G: GenDist) -> Tuple[GenDist, GenDist]:
     atoms untouched; one already on it is returned as it is).  Results are
     valid but deliberately not normalized."""
     union = tuple(sorted(set(F.breakpoints) | set(G.breakpoints)))
-    return tuple(H if len(H.breakpoints) == len(union) else GenDist(
-        PiecewiseSmooth(union, _repiece(H.regular, union)), H.all_atoms)
-        for H in (F, G))
+    return tuple(H if len(H.breakpoints) == len(union) else GenDist._unchecked(
+        PiecewiseSmooth._unchecked(union, _repiece(H.regular, union)),
+        H.all_atoms) for H in (F, G))
 
 
 def add(*terms: GenDist) -> GenDist:

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import cos, gcd, isfinite, lcm, pi, prod
@@ -70,7 +69,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .scalars import (CR_ONE, CR_ZERO, ComplexRational, ScalarLike,
-                      as_fraction, cr_of_ints)
+                      as_fraction, cr_of_ints, record)
 
 # ---------------------------------------------------------------------------
 # node types
@@ -87,23 +86,21 @@ _UNSET = object()  # a memo not yet computed; None is a value
 
 
 def _node(cls):
-    """A frozen dataclass whose field hash is computed once per instance.
+    """A frozen record whose field hash is computed once per instance.
     ``_ser_memo``, ``_nf_memo`` and ``_pole_memo`` hold the order key, the
-    normal form and the pole search; all four are plain attributes, not
-    fields."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
+    normal form and the pole search: slots, like the hash, unset until used."""
+    cls = record(cls, ("_hash_memo", "_ser_memo", "_nf_memo", "_pole_memo",
+                       "__weakref__"))
+    field_hash, set_hash = cls.__hash__, cls._hash_memo.__set__
 
     def __hash__(self):
-        h = self._hash_memo
-        if h is None:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash_memo", h)
-        return h
+        try:
+            return self._hash_memo
+        except AttributeError:
+            set_hash(self, field_hash(self))
+            return self._hash_memo
 
     cls.__hash__ = __hash__
-    cls._hash_memo = None
-    cls._ser_memo = cls._nf_memo = cls._pole_memo = _UNSET
     return cls
 
 

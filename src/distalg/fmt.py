@@ -17,15 +17,13 @@ signed join, LaTeX parenthesizes the coefficient.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
 from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
                    Var, SmoothExpr, ONE, ZERO, _interpret, _poly_terms)
-from .scalars import CR_ONE, ComplexRational, frac_str
+from .scalars import CR_ONE, ComplexRational, frac_str, record
 
 if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
     from .ode import ConfinedEquation, ConfinementReport, LinearODE
@@ -53,7 +51,7 @@ def _decimal_latex(x: float) -> str:
 # precedence levels: 1 sum, 2 product/quotient, 3 power operand, 4 atom
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Style:
     """The tokens in which the two notations differ."""
     open: str  # grouping parentheses
@@ -331,6 +329,7 @@ def format_dist(F: GenDist, mode: str = "text") -> str:
     if mode == "latex":
         return format_dist_latex(F)
     if mode == "json":
+        import json
         return json.dumps(dist_to_jsonable(F), sort_keys=True)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -35,11 +34,11 @@ from .expr import (Const, Quotient, SmoothExpr, Verdict, ZERO,
                    _coeffs_of_kernel, _sample_points, _split, chebyshev_nodes,
                    eval_num, neg, poly_eval, poly_normal_form, product_of,
                    real_root_count, sub_expr, sum_of)
-from .scalars import CR_ONE, ComplexRational, ScalarLike, as_fraction
+from .scalars import CR_ONE, ComplexRational, ScalarLike, as_fraction, record
 from .star import _atom_terms
 
 
-@dataclass(frozen=True)
+@record
 class LinearODE:
     """sum_{i=0..n} coeffs[i]·psi^(i) = rhs, coefficients in ascending
     derivative order; order n = len(coeffs) - 1 >= 1."""
@@ -52,18 +51,18 @@ class LinearODE:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
+@record
 class HalfLine:
     a: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Bounded:
     a: Fraction
     b: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class CorrectionTerm:
     """One correction summand: sign·binomial·a_i·(H^(j)(x-endpoint) ⋆
     psi^(i-j)), where H^(j) means delta of order j-1."""
@@ -75,14 +74,14 @@ class CorrectionTerm:
     sign: int  # +1 lower, -1 upper
 
 
-@dataclass(frozen=True)
+@record
 class ConfinedEquation:
     base: LinearODE
     interval: Union[HalfLine, Bounded]
     corrections: Tuple[CorrectionTerm, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ConfinementReport:
     verdict: Verdict
     residual: GenDist

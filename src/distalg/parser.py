@@ -46,7 +46,6 @@ pointwise product.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd
@@ -436,6 +435,7 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_dist_json(src: Union[str, dict]) -> GenDist:
     """Inverse of the JSON rendering; exact round-trip."""
+    import json
     obj = json.loads(src) if isinstance(src, str) else src
     breaks = [as_fraction(b) for b in obj.get("breakpoints", [])]
     pieces = [parse_smooth_expr(p) for p in obj.get("pieces", ["0"])]

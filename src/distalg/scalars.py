@@ -30,6 +30,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, isfinite
+from operator import attrgetter
 from typing import Tuple, Union
 
 from .errors import DomainError, ParseError
@@ -285,3 +286,44 @@ def _parts(x: ScalarLike) -> Tuple[int, int, int]:
 CR_ZERO = ComplexRational()
 CR_ONE = ComplexRational(1)
 CR_I = ComplexRational(0, 1)
+
+
+def record(cls, extra: Tuple[str, ...] = ()):
+    """cls as a frozen ``__slots__`` class of its annotated fields, named by
+    ``__match_args__``, and the slots in extra; keywords need defaults or
+    over three fields, and ``cls._unchecked`` skips ``__post_init__``."""
+    ns = {k: v for k, v in vars(cls).items()
+          if k not in ("__dict__", "__weakref__")}
+    fields = tuple(ns.get("__annotations__", ()))
+    defaults = {f: ns.pop(f) for f in fields if f in ns}
+    get = attrgetter(*fields) if fields else lambda self: ()
+    key = (lambda self: (get(self),)) if len(fields) == 1 else get
+    cls = type(cls.__name__, cls.__bases__, dict(
+        ns, __slots__=fields + extra, __qualname__=cls.__qualname__,
+        __match_args__=fields, __reduce__=lambda self: (cls, key(self)),
+        __setattr__=ComplexRational.__setattr__,
+        __delattr__=ComplexRational.__setattr__,
+        __hash__=lambda self: hash(key(self)),
+        __eq__=lambda self, o: (a := get(self)) is (b := get(o)) or a == b
+        if o.__class__ is self.__class__ else NotImplemented,
+        __repr__=lambda self: "%s(%s)" % (cls.__qualname__, ", ".join(
+            f"{f}={v!r}" for f, v in zip(fields, key(self))))))
+    put = [getattr(cls, f).__set__ for f in fields]
+
+    def init(self, *args, **kw):
+        if kw or len(args) != len(fields):
+            vals = dict(defaults, **dict(zip(fields, args)), **kw)
+            if len(args) > len(fields) or vals.keys() != set(fields):
+                raise TypeError(f"{cls.__name__} takes the fields {fields}")
+            args = [vals[f] for f in fields]
+        for set_field, v in zip(put, args):
+            set_field(self, v)
+    if 0 < len(fields) <= 3 and not defaults:  # each setter returns None
+        init = (lambda self, a: put[0](self, a),
+                lambda self, a, b: put[0](self, a) or put[1](self, b),
+                lambda self, a, b, c: put[0](self, a) or put[1](self, b)
+                or put[2](self, c))[len(fields) - 1]
+    cls._unchecked = lambda *a: init(new := object.__new__(cls), *a) or new
+    cls.__init__ = init if not hasattr(cls, "__post_init__") else (
+        lambda self, *a, **kw: init(self, *a, **kw) or self.__post_init__())
+    return cls

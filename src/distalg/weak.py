@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -45,14 +44,14 @@ from .errors import DomainError, EpsilonTooLarge, ShapeError
 from .expr import (SmoothExpr, X, const, diff_expr, eval_num, exp_of,
                    pole_denominators, poly_eval, power_of, product_of,
                    quotient_of, real_root_count, sub_expr, ONE, ZERO)
-from .scalars import as_fraction
+from .scalars import as_fraction, record
 
 
 # ---------------------------------------------------------------------------
 # bump test functions
 
 
-@dataclass(frozen=True)
+@record
 class TestFunction:
     """A bump supported on [a, b]: body(u) in the normalized variable
     u = (2x - a - b)/(b - a), extended by zero outside.  The default body
@@ -130,7 +129,7 @@ def bump_derivative(t: TestFunction) -> TestFunction:
 _GUARD = 1e-12  # the support ends move in by this much before integration
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureConfig:
     nodes: int = 64
     eps_schedule: Tuple[Fraction, ...] = (Fraction(1, 100), Fraction(1, 1000),
@@ -222,13 +221,13 @@ def _refuse_pole(p: SmoothExpr, s: Fraction, e: Fraction, t: TestFunction,
     every order.  A denominator that is not a polynomial, such as sin(x) in
     1/sin(x), cannot be checked, and a removable singularity that
     polynomial factors do not cancel, such as 0 in sin(x)/x, is refused
-    like a pole."""
+    like a pole, and so is the zero polynomial (), on every segment."""
     for cs in pole_denominators(p):
         lo, hi = s + shift, e + shift
         n = real_root_count(cs, lo, hi)
         n += s != t.a and poly_eval(cs, lo).is_zero
         n -= e == t.b and poly_eval(cs, hi).is_zero
-        if n:
+        if n or not cs:
             raise DomainError(f"a denominator has a root on "
                               f"[{lo}, {hi}], inside the bump's support")
 

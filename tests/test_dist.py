@@ -437,6 +437,28 @@ def test_star_on_acceptance_triples_walks_no_tree(monkeypatch):
     assert "eval_exact" not in calls
 
 
+def test_assembled_results_skip_the_shape_checks(monkeypatch):
+    """_assemble and align fill the slots of shapes valid by construction,
+    so on acceptance 02's triples neither PiecewiseSmooth's shape check nor
+    GenDist's atom-location check runs; a value built by hand is checked."""
+    fs, gs, js = (random_corpus(seed, 500) for seed in (11, 12, 13))
+    checks = []
+    for cls in (d.PiecewiseSmooth, d.GenDist):
+        def counted(self, check=cls.__post_init__):
+            checks.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for F, G, J in zip(fs, gs, js):
+        assert d.equal_dist(d.star(d.star(F, G), J),
+                            d.star(F, d.star(G, J))) is Verdict.EQUAL
+        d.bracket(F, G)
+    assert checks == []
+    with pytest.raises(ShapeError):
+        d.GenDist(d.PiecewiseSmooth((), (d.ZERO,)),
+                  (d.DeltaAtom(Fraction(1), 0, CR(1)),))
+    assert checks == ["PiecewiseSmooth", "GenDist"]
+
+
 class TestDifferentiate:
     def test_heaviside_to_delta(self):
         D = d.differentiate(d.heaviside(0))

@@ -1,5 +1,6 @@
 """numpy is imported only where numbers are sampled or integrated, and each
-CLI command loads only the package modules it runs.  ``verify`` samples its
+CLI command loads only the package modules it runs.  No command loads
+``dataclasses``, and ``json`` loads only where JSON is read or written.  ``verify`` samples its
 classical residual, but a residual that is an exact constant needs no float
 evaluation, and the Chebyshev nodes are plain floats, equal bit for bit to
 numpy's; so ``verify`` of a candidate whose residual is proven 0, with
@@ -151,6 +152,47 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     assert code == 0
     assert {"cli", "parser", "fmt", "star", "dist"} <= set(loaded)
     assert not unloaded & set(loaded), loaded
+
+
+# a child that imports neither dataclasses nor json itself
+LEAN_CHILD = """
+import contextlib, io, sys
+from distalg.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *(m in sys.modules for m in ("dataclasses", "json")))
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_MODULES] + [
+    ["fmt", "H(x)", "--mode", "json"]], ids=[
+        argv[0] for argv, _ in COMMAND_MODULES] + ["fmt-json"])
+def test_cold_start_loads_no_dataclasses_and_json_only_for_json(argv):
+    out = run_child(LEAN_CHILD, *argv).split()
+    assert out[:2] == ["0", "False"], argv
+    if argv[0] in ("mul", "fmt", "diff"):
+        assert out[2] == str("json" in argv), argv
+
+
+def test_bare_import_loads_no_dataclasses_or_json():
+    out = run_child("import sys\nimport distalg\nprint(*(m in sys.modules "
+                    "for m in ('dataclasses', 'json')))\n")
+    assert out == "False False\n"
+
+
+def test_no_module_imports_dataclasses_or_calls_exec():
+    pkg = Path(distalg.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else
+                     [node.func.id] if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) else [])
+            found += [f"{path.name}: {n}" for n in names
+                      if n in ("dataclasses", "exec", "compile")]
+    assert found == []
 
 
 def test_bare_import_loads_star_and_what_it_needs():

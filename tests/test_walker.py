@@ -1,7 +1,6 @@
 """The one walker over the expression node set, held to the recursions it
 replaces (``expr_reference``), and its one rule for poles."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -66,8 +65,8 @@ def _nodes(e):
     while stack:
         n = stack.pop()
         out.append(n)
-        for f in dataclasses.fields(n):
-            v = getattr(n, f.name)
+        for f in n.__match_args__:
+            v = getattr(n, f)
             stack.extend(c for c in (v if isinstance(v, tuple) else (v,))
                          if isinstance(c, expr_mod._NODE_TYPES))
     return out
@@ -200,8 +199,9 @@ def _nested(template, n):
 def _forget_memos(e):
     """Drop the order keys and normal forms the parser left on e."""
     for n in _nodes(e):
-        vars(n).pop("_ser_memo", None)
-        vars(n).pop("_nf_memo", None)
+        for memo in ("_ser_memo", "_nf_memo"):
+            if hasattr(n, memo):
+                object.__delattr__(n, memo)
     return e
 
 

@@ -256,6 +256,18 @@ class TestPoles:
             with pytest.raises(DomainError, match="denominator has a root"):
                 d.star_oracle(F, G, t)
 
+    @pytest.mark.parametrize("s, e", [(-2, 0), (-1, 0), (-2, 3), (0, 3),
+                                      (1, 2)])
+    def test_a_zero_polynomial_denominator_is_refused_everywhere(self, s, e):
+        """x + (-1)*x built by hand has the zero polynomial () for its pole
+        denominator, which vanishes on every segment, also where the end
+        terms of the root count cancel."""
+        p = d.Power(d.Sum((d.X, d.Product((d.const(-1), d.X)))), -1)
+        assert d.expr.pole_denominators(p) == [()]
+        with pytest.raises(DomainError, match="denominator has a root"):
+            weak._refuse_pole(p, Fraction(s), Fraction(e),
+                              d.make_bump(-2, 3))
+
     def test_oracle_skips_a_pole_under_a_zero_piece(self):
         F, G = d.heaviside(2), d.parse_dist("1/(x-1)")
         t = d.make_bump(-1, 3)
