@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .dist import antiderivative, differentiate
 from .errors import DistAlgError, ParseError, SemanticsError
-from .expr import Verdict, eval_exact, poly_normal_form
+from .expr import Verdict, poly_normal_form
 from .fmt import (confined_to_jsonable, format_confined_latex,
                   format_confined_text, format_dist, report_to_jsonable)
 from .parser import parse_dist, parse_rational, parse_smooth_expr
@@ -224,7 +223,7 @@ def _cmd_particular_rhs(args) -> int:
         if p is None or len(p) > 1:
             raise _UsageError(f"--values entries must be exact constants, "
                               f"got {part.strip()!r}")
-        vals.append(p[0] if p else eval_exact(e, Fraction(0)))
+        vals.append(p[0] if p else 0)
     F = particular_rhs(ode, vals, parse_rational(args.at))
     print(format_dist(F, args.mode))
     return 0

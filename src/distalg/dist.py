@@ -390,19 +390,13 @@ def smooth_mul(g, F: GenDist) -> GenDist:
 # calculus
 
 
-def _exact_value(e: SmoothExpr, w: Fraction) -> Optional[ComplexRational]:
-    """``eval_exact(e, w)``, by the Taylor shift on a polynomial leaf."""
-    shift = _taylor_shift(e, w, 0)
-    return eval_exact(e, w) if shift is None else cr_of_ints(*shift[0])
-
-
 def _jump_value(left: SmoothExpr, right: SmoothExpr, w: Fraction
                 ) -> Union[ComplexRational, complex, None]:
     """Right limit minus left limit at w; None when zero, exact when possible."""
     if left == right:
         return None
-    lv = _exact_value(left, w)
-    rv = _exact_value(right, w)
+    lv = eval_exact(left, w)
+    rv = eval_exact(right, w)
     if lv is not None and rv is not None:
         d = rv - lv
         return None if d.is_zero else d

@@ -32,9 +32,13 @@ its one leading constant however it was reached; x^n is the leaf
 core without one (``_split``), and the terms that share a core add their
 kernels: the polynomial terms into one leaf, which comes first, and
 (1+x)*exp(x) - x*exp(x) into exp(x).  A quotient stays a tree even when it
-divides exactly, so that ``eval_exact`` still refuses its pole.  A ``Poly``
-prints from its coefficients, evaluates in floats by Horner, and exactly at
-the float point where Horner's error bound is too wide (``_poly_num``).
+divides exactly, so that ``eval_exact`` still refuses its pole.  Division,
+gcd, lowest terms and the Sturm root count that the weak actions and
+``make_ode`` ask through ``vanishes_between`` run on kernels too, and one
+Horner in Gaussian integers (``_horner``) gives every exact value: in
+``eval_exact``, at a float point where float Horner's error bound is too
+wide (``_poly_num``), and in the root count.  Coefficients leave kernels
+only to print, substitute and size terms, and in ``poly_normal_form``.
 
 One walker.  ``_interpret`` is the only function that knows each node
 class's operands.  It interprets every operand in field order, with no
@@ -572,7 +576,7 @@ def _poly_num(k: Kernel, xa):
     for i in np.flatnonzero(exact):
         z = complex(xs[i])
         if isfinite(z.real) and isfinite(z.imag):
-            out[i] = _poly_at_float(den, re, im, z)
+            out[i] = _poly_at_float(k, z)
     return out if xa.ndim else out[0]
 
 
@@ -584,24 +588,32 @@ def _abs_horner(cs: Sequence[complex], ax):
     return size
 
 
-def _poly_at_float(den: int, re: tuple, im: tuple, z: complex) -> complex:
-    """Horner in Gaussian integers at z = (a + b*i)/d, d a power of two,
-    and one correctly rounded division per part."""
+def _poly_at_float(k: Kernel, z: complex) -> complex:
+    """k at z = (a + b*i)/d, d a power of two, by ``_horner``, and one
+    correctly rounded division per part."""
     (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     d = max(da, db)
-    a, b = a * (d // da), b * (d // db)
-    vr, vi, pw = re[-1], im[-1], 1
-    for r, i in zip(reversed(re[:-1]), reversed(im[:-1])):
-        pw *= d
-        vr, vi = vr * a - vi * b + r * pw, vr * b + vi * a + i * pw
-    scale = den * pw
+    *vs, scale = _horner(k, a * (d // da), b * (d // db), d)
     parts = []
-    for v in (vr, vi):
+    for v in vs:
         try:
             parts.append(v / scale)
         except OverflowError:
             parts.append(float("inf") if v > 0 else float("-inf"))
     return complex(*parts)
+
+
+def _horner(k: Kernel, a: int, b: int, d: int) -> Tuple[int, int, int]:
+    """The one exact Horner: k at (a + b*i)/d, d > 0, in Gaussian integers,
+    as the unreduced (re, im, den) of the value."""
+    den, re, im = k
+    n = max(len(re), len(im), 1)
+    re, im = re + (0,) * (n - len(re)), im + (0,) * (n - len(im))
+    vr, vi, pw = re[-1], im[-1], 1
+    for r, i in zip(reversed(re[:-1]), reversed(im[:-1])):
+        pw *= d
+        vr, vi = vr * a - vi * b + r * pw, vr * b + vi * a + i * pw
+    return vr, vi, den * pw
 
 
 def _pole(d: Optional[ComplexRational]) -> Optional[ComplexRational]:
@@ -619,7 +631,7 @@ def _defined(rule):
 
 _EXACT = {
     Const: lambda e, _: e.value, Var: lambda e, x: x,
-    Poly: lambda e, x: poly_eval(_coeffs_of_kernel(e.k), x),
+    Poly: lambda e, x: cr_of_ints(*_horner(e.k, x.re_num, x.im_num, x.den)),
     Sum: _defined(lambda e, _, *vs: sum(vs, CR_ZERO)),
     Product: _defined(lambda e, _, *vs: prod(vs, start=CR_ONE)),
     Power: lambda e, _, b: (None if b is None
@@ -657,23 +669,8 @@ def eval_expr(e: SmoothExpr, x0) -> complex:
     return eval_num(e, x0)
 
 
-def poly_eval(coeffs: Sequence[ComplexRational], x: Fraction) -> ComplexRational:
-    """Exact Horner evaluation of ascending coefficients at a rational."""
-    acc = CR_ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # polynomial normal form
-
-def _poly_trim(cs: Sequence[ComplexRational]) -> PolyCoeffs:
-    out = list(cs)
-    while out and out[-1].is_zero:
-        out.pop()
-    return tuple(out)
-
 
 def _kernel(den: int, re: list, im: list) -> Kernel:
     """Trim and content-reduce fresh numerator lists over den > 0."""
@@ -734,12 +731,6 @@ def _poly_mul(a: Kernel, b: Kernel) -> Kernel:
                    _vadd(_conv(ra, ib), _conv(ia, rb)))
 
 
-def _kernel_of_coeffs(cs: Sequence[ComplexRational]) -> Kernel:
-    den = lcm(*(c.den for c in cs))
-    return _kernel(den, [c.re_num * (den // c.den) for c in cs],
-                   [c.im_num * (den // c.den) for c in cs])
-
-
 def _coeffs_of_kernel(k: Kernel) -> PolyCoeffs:
     den, re, im = k
     re = re + (0,) * (len(im) - len(re))
@@ -763,10 +754,7 @@ def _primitive(k: Kernel) -> Tuple[ComplexRational, Kernel]:
     nonzero scalar multiples: q has integer coefficients of content 1 and a
     positive leading one when the polynomial is real up to a scalar, and is
     monic otherwise."""
-    den, re, im = k
-    n = max(len(re), len(im)) - 1
-    lead = cr_of_ints(re[n] if len(re) > n else 0, im[n] if len(im) > n else 0,
-                      den)
+    lead = _top(k)[1]
     qden, qre, qim = _poly_mul(_kernel_of_value(CR_ONE / lead), k)
     if qim:
         return lead, (qden, qre, qim)
@@ -792,62 +780,70 @@ def _poly_terms(k: Kernel) -> list:
     return [(i, cs[i]) for i in [0] + order if not cs[i].is_zero]
 
 
-def _poly_divmod(a: PolyCoeffs, b: PolyCoeffs) -> Tuple[PolyCoeffs, PolyCoeffs]:
-    """Exact division with remainder; b must be nonzero."""
-    rem = list(a)
-    q = [CR_ZERO] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b) and _poly_trim(rem):
-        rem = list(_poly_trim(rem))
-        if len(rem) < len(b):
-            break
-        k = len(rem) - len(b)
-        c = rem[-1] / lead
-        q[k] = c
-        for i, bi in enumerate(b):
-            rem[k + i] = rem[k + i] - c * bi
-        rem.pop()
-    return _poly_trim(q), _poly_trim(rem)
+def _top(k: Kernel) -> Tuple[int, ComplexRational]:
+    """The degree and leading coefficient of a nonzero polynomial."""
+    den, re, im = k
+    n = max(len(re), len(im)) - 1
+    return n, cr_of_ints(re[n] if len(re) > n else 0,
+                         im[n] if len(im) > n else 0, den)
 
 
-def _poly_gcd(p: PolyCoeffs, q: PolyCoeffs) -> PolyCoeffs:
-    while q:
+def _poly_divmod(a: Kernel, b: Kernel) -> Tuple[Kernel, Kernel]:
+    """Exact division with remainder; b must be nonzero.  Each step takes
+    the remainder's leading term off with one kernel product and sum."""
+    (n, lead), q, r = _top(b), _K_ZERO, a
+    while r != _K_ZERO and (top := _top(r))[0] >= n:
+        c, pad = top[1] / lead, [0] * (top[0] - n)
+        q = _poly_add(q, _kernel(c.den, pad + [c.re_num], pad + [c.im_num]))
+        r = _poly_add(r, _poly_mul(_kernel(c.den, pad + [-c.re_num],
+                                           pad + [-c.im_num]), b))
+    return q, r
+
+
+def _poly_gcd(p: Kernel, q: Kernel) -> Kernel:
+    while q != _K_ZERO:
         p, q = q, _poly_divmod(p, q)[1]
     return p
 
 
-def _poly_derivative(p: PolyCoeffs) -> PolyCoeffs:
-    return tuple(c * i for i, c in enumerate(p))[1:]
-
-
-def reduced_denominator(num: Sequence[ComplexRational],
-                        den: Sequence[ComplexRational]) -> PolyCoeffs:
+def reduced_denominator(num: Kernel, den: Kernel) -> Kernel:
     """The denominator of num/den in lowest terms: den divided by
     gcd(num, den); den must be nonzero."""
-    return _poly_divmod(tuple(den), _poly_gcd(tuple(num), tuple(den)))[0]
+    return _poly_divmod(den, _poly_gcd(num, den))[0]
 
 
-def real_root_count(coeffs: Sequence[ComplexRational], lo: Fraction,
-                    hi: Fraction) -> int:
-    """Distinct real roots in ]lo, hi] of a polynomial with complex rational
-    ascending coefficients.  A real root is a root of the gcd of the real and
-    the imaginary part; the Sturm chain of that gcd's squarefree part counts
-    them exactly, rational or irrational."""
-    p = _poly_gcd(_poly_trim([ComplexRational(c.re) for c in coeffs]),
-                  _poly_trim([ComplexRational(c.im) for c in coeffs]))
-    if len(p) < 2:
+def real_root_count(k: Kernel, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in ]lo, hi] of a polynomial.  A real root is a
+    root of the gcd of the real and the imaginary part; the Sturm chain of
+    that gcd's squarefree part counts them exactly, rational or irrational,
+    its signs read off ``_horner``."""
+    den, re, im = k
+    p = _poly_gcd(_kernel(den, list(re), []), _kernel(den, list(im), []))
+    if len(p[1]) < 2:
         return 0
-    p = _poly_divmod(p, _poly_gcd(p, _poly_derivative(p)))[0]
-    chain = [p, _poly_derivative(p)]
-    while len(chain[-1]) > 1:
-        chain.append(tuple(-c for c in _poly_divmod(chain[-2], chain[-1])[1]))
+    p = _poly_divmod(p, _poly_gcd(p, _poly_diff(p)))[0]
+    chain = [p, _poly_diff(p)]
+    while len(chain[-1][1]) > 1:
+        den, re, _ = _poly_divmod(chain[-2], chain[-1])[1]
+        chain.append((den, tuple(-c for c in re), ()))
 
     def sign_changes(x: Fraction) -> int:
-        signs = [v.re > 0 for v in (poly_eval(q, x) for q in chain)
-                 if not v.is_zero]
+        signs = [v > 0 for v in (_horner(q, x.numerator, 0, x.denominator)[0]
+                                 for q in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return sign_changes(lo) - sign_changes(hi)
+
+
+def vanishes_between(k: Kernel, lo: Fraction, hi: Fraction, lo_in: bool,
+                     hi_in: bool) -> bool:
+    """Whether the polynomial k has a real root between lo < hi, each end
+    counted as its flag says; the zero polynomial vanishes everywhere."""
+    def root(x: Fraction) -> bool:
+        return _horner(k, x.numerator, 0, x.denominator)[:2] == (0, 0)
+
+    return k == _K_ZERO or bool(real_root_count(k, lo, hi) + (
+        lo_in and root(lo)) - (not hi_in and root(hi)))
 
 
 def _nf_quotient(e: Quotient, _, nk: Optional[Kernel],
@@ -857,8 +853,8 @@ def _nf_quotient(e: Quotient, _, nk: Optional[Kernel],
         raise DomainError("zero-polynomial denominator")
     if nk is None or dk is None:
         return None
-    q, r = _poly_divmod(_coeffs_of_kernel(nk), _coeffs_of_kernel(dk))
-    return None if r else _kernel_of_coeffs(q)
+    q, r = _poly_divmod(nk, dk)
+    return None if r != _K_ZERO else q
 
 
 _NORMAL_FORM = {
@@ -892,9 +888,8 @@ def _close(v: tuple) -> tuple:
     num, den, found = v
     if not den:
         return found
-    return found + (reduced_denominator(
-        _coeffs_of_kernel(reduce(_poly_mul, num, _K_ONE)),
-        _coeffs_of_kernel(reduce(_poly_mul, den, _K_ONE))),)
+    return found + (reduced_denominator(reduce(_poly_mul, num, _K_ONE),
+                                        reduce(_poly_mul, den, _K_ONE)),)
 
 
 def _rational(rule):
@@ -922,7 +917,7 @@ _POLES = {
 }
 
 
-def pole_denominators(e: SmoothExpr) -> List[PolyCoeffs]:
+def pole_denominators(e: SmoothExpr) -> List[Kernel]:
     """The denominators, in lowest terms, of the rational functions in e:
     the only places where e can have a pole.  A product's polynomial
     factors, the factors of its quotients with a polynomial denominator
@@ -953,7 +948,10 @@ def poly_antiderivative(e: SmoothExpr) -> Optional[SmoothExpr]:
 
 def expr_from_poly(coeffs: Sequence[ScalarLike]) -> SmoothExpr:
     """The polynomial leaf of sum_i coeffs[i]·x^i."""
-    return _leaf(_kernel_of_coeffs([ComplexRational.of(c) for c in coeffs]))
+    cs = [ComplexRational.of(c) for c in coeffs]
+    den = lcm(*(c.den for c in cs))
+    return _leaf(_kernel(den, [c.re_num * (den // c.den) for c in cs],
+                         [c.im_num * (den // c.den) for c in cs]))
 
 
 # ---------------------------------------------------------------------------

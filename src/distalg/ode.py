@@ -31,9 +31,9 @@ from .dist import (Atom, GenDist, DeltaAtom, PiecewiseSmooth, _assemble,
                    smooth_times_atom, zero_dist)
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
 from .expr import (Const, Quotient, SmoothExpr, Verdict, ZERO,
-                   _coeffs_of_kernel, _sample_points, _split, chebyshev_nodes,
-                   eval_num, neg, poly_eval, poly_normal_form, product_of,
-                   real_root_count, sub_expr, sum_of)
+                   _normal_form, _sample_points, _split, chebyshev_nodes,
+                   eval_num, neg, poly_normal_form, product_of, sub_expr,
+                   sum_of, vanishes_between)
 from .scalars import CR_ONE, ComplexRational, ScalarLike, as_fraction, record
 from .star import _atom_terms
 
@@ -107,9 +107,10 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     its samples would all be c, so the test is |c| > 1e-9.  A polynomial
     lead with a real root in the window fails without sampling, since the
     sample nodes need not hit the root; the Sturm count of
-    ``real_root_count`` finds it exactly.  So does a polynomial (or constant)
-    times a quotient of two polynomials when any of the three has a real
-    root there: a root or a pole of the lead."""
+    ``vanishes_between`` finds it exactly.  So does a lead whose polynomial
+    factor has one, whatever the other factors, such as (x-1)*exp(x), and
+    a polynomial times a quotient of two polynomials when either side of
+    the quotient has one: a root or a pole of the lead."""
     cs = tuple(as_expr(c) for c in coeffs)
     if len(cs) < 2:
         raise ShapeError("need order >= 1 (at least two coefficients)")
@@ -118,17 +119,16 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     if lead == ZERO or p == ():
         raise DegenerateLeadingCoefficient("leading coefficient is the zero "
                                            "expression")
-    # the polynomials whose real roots are the roots and poles of the lead
-    polys = [p]
+    # the polynomials whose real roots are roots or poles of the lead
     k, core = _split(lead)
+    polys = [k] if p is None else [_normal_form(lead)]
     if p is None and isinstance(core, Quotient):
-        polys = [_coeffs_of_kernel(k), poly_normal_form(core.num),
-                 poly_normal_form(core.den)]
+        nd = [_normal_form(core.num), _normal_form(core.den)]
+        polys += [] if None in nd else nd
     if p is not None and len(p) == 1:
         nonzero = abs(complex(p[0])) > 1e-9
-    elif None not in polys and any(  # a real root in [-10, 10]
-            real_root_count(q, Fraction(-10), Fraction(10))
-            or poly_eval(q, Fraction(-10)).is_zero for q in polys):
+    elif any(vanishes_between(q, Fraction(-10), Fraction(10), True, True)
+             for q in polys):  # a real root in [-10, 10]
         nonzero = False
     else:
         nonzero = _sampled_nonvanishing(lead)

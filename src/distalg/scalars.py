@@ -285,7 +285,6 @@ def _parts(x: ScalarLike) -> Tuple[int, int, int]:
 
 CR_ZERO = ComplexRational()
 CR_ONE = ComplexRational(1)
-CR_I = ComplexRational(0, 1)
 
 
 def record(cls, extra: Tuple[str, ...] = ()):

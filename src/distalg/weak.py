@@ -27,8 +27,9 @@ value is unchanged.
 
 Neither integrates across a pole: a piece with a polynomial denominator,
 a quotient's or a negative power's, in lowest terms, that has a real root
-on the segment being integrated raises DomainError, the roots counted
-exactly (``_refuse_pole``, by expr's one rule for poles).
+on the segment being integrated raises DomainError (``_refuse_pole``, by
+expr's one rule for poles); ``vanishes_between`` counts the roots
+exactly.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import Callable, Optional, Sequence, Tuple
 from .dist import GenDist, singular_support
 from .errors import DomainError, EpsilonTooLarge, ShapeError
 from .expr import (SmoothExpr, X, const, diff_expr, eval_num, exp_of,
-                   pole_denominators, poly_eval, power_of, product_of,
-                   quotient_of, real_root_count, sub_expr, ONE, ZERO)
+                   pole_denominators, power_of, product_of, quotient_of,
+                   sub_expr, vanishes_between, ONE, ZERO)
 from .scalars import as_fraction, record
 
 
@@ -221,13 +222,10 @@ def _refuse_pole(p: SmoothExpr, s: Fraction, e: Fraction, t: TestFunction,
     every order.  A denominator that is not a polynomial, such as sin(x) in
     1/sin(x), cannot be checked, and a removable singularity that
     polynomial factors do not cancel, such as 0 in sin(x)/x, is refused
-    like a pole, and so is the zero polynomial (), on every segment."""
-    for cs in pole_denominators(p):
+    like a pole, and so is the zero polynomial, on every segment."""
+    for k in pole_denominators(p):
         lo, hi = s + shift, e + shift
-        n = real_root_count(cs, lo, hi)
-        n += s != t.a and poly_eval(cs, lo).is_zero
-        n -= e == t.b and poly_eval(cs, hi).is_zero
-        if n or not cs:
+        if vanishes_between(k, lo, hi, s != t.a, e != t.b):
             raise DomainError(f"a denominator has a root on "
                               f"[{lo}, {hi}], inside the bump's support")
 

@@ -1,19 +1,26 @@
 """The recursions over the expression node set that ``distalg.expr`` and
-``distalg.fmt`` now run as rule tables on one walker.
+``distalg.fmt`` now run as rule tables on one walker, and the polynomial
+arithmetic on tuples of ``ComplexRational`` coefficients that
+``distalg.expr`` ran before it computed on kernels.
 
-Each here is its own recursion with its own class dispatch, as they were
-written before the walker: the order key, the derivative, the exact value,
-the float value, the normal form, substitution (with the shift), rendering
-in both notations, and the pole search of the weak actions (with the pole
+Each recursion here has its own class dispatch, as they were written
+before the walker: the order key, the derivative, the exact value, the
+float value, the normal form, substitution (with the shift), rendering in
+both notations, and the pole search of the weak actions (with the pole
 check that reads it).  None reads or writes a node's memo, except that
 the pole search takes its normal forms from ``distalg.expr``, as it did
 before.  The tests hold the rule tables to these results exactly, except
 where the walker, which skips no operand, finds a pole that the early exit
 here never reached, and where a negative power's base is a pole site,
 which the float value and the pole search here did not treat as one.
+
+The coefficient routines are exact division with remainder, gcd, the
+lowest-terms denominator, the Sturm count of real roots and Horner's
+value; the tests hold their kernel counterparts to them exactly.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -21,15 +28,99 @@ from distalg import expr
 from distalg.errors import DomainError
 from distalg.expr import (QUOTIENT_GUARD, Const, Cos, Exp, Poly, Power,
                           Product, Quotient, Sin, Sum, Var, X, ZERO, ONE,
-                          _K_ONE, _K_X, _K_ZERO, _coeffs_of_kernel,
-                          _kernel_of_coeffs, _kernel_of_value, _leaf,
-                          _poly_add, _poly_diff, _poly_divmod, _poly_mul,
-                          _poly_num, _poly_terms, _ser_call, _ser_const,
-                          const, cos_of, exp_of, poly_eval, power_of,
-                          product_of, quotient_of, real_root_count,
-                          reduced_denominator, sin_of, sub_expr, sum_of)
+                          _K_ONE, _K_X, _K_ZERO, _coeffs_of_kernel, _kernel,
+                          _kernel_of_value, _leaf, _poly_add, _poly_diff,
+                          _poly_mul, _poly_num, _poly_terms, _ser_call,
+                          _ser_const, const, cos_of, exp_of, power_of,
+                          product_of, quotient_of, sin_of, sub_expr, sum_of)
 from distalg.fmt import _LATEX, _TEXT, _const, _paren, _product, _sum
 from distalg.scalars import CR_ONE, CR_ZERO, ComplexRational
+
+
+# ---------------------------------------------------------------------------
+# polynomials as ascending ComplexRational coefficient tuples
+
+
+def poly_eval(coeffs, x):
+    """Exact Horner evaluation of ascending coefficients at a rational."""
+    acc = CR_ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_trim(cs):
+    out = list(cs)
+    while out and out[-1].is_zero:
+        out.pop()
+    return tuple(out)
+
+
+def kernel_of_coeffs(cs):
+    den = lcm(*(c.den for c in cs))
+    return _kernel(den, [c.re_num * (den // c.den) for c in cs],
+                   [c.im_num * (den // c.den) for c in cs])
+
+
+def poly_divmod(a, b):
+    """Exact division with remainder; b must be nonzero."""
+    rem = list(a)
+    q = [CR_ZERO] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    while len(rem) >= len(b) and _poly_trim(rem):
+        rem = list(_poly_trim(rem))
+        if len(rem) < len(b):
+            break
+        k = len(rem) - len(b)
+        c = rem[-1] / lead
+        q[k] = c
+        for i, bi in enumerate(b):
+            rem[k + i] = rem[k + i] - c * bi
+        rem.pop()
+    return _poly_trim(q), _poly_trim(rem)
+
+
+def _poly_gcd(p, q):
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return p
+
+
+def _poly_derivative(p):
+    return tuple(c * i for i, c in enumerate(p))[1:]
+
+
+def reduced_denominator(num, den):
+    """The denominator of num/den in lowest terms: den divided by
+    gcd(num, den); den must be nonzero."""
+    return poly_divmod(tuple(den), _poly_gcd(tuple(num), tuple(den)))[0]
+
+
+def real_root_count(coeffs, lo, hi):
+    """Distinct real roots in ]lo, hi] of a polynomial with complex rational
+    ascending coefficients.  A real root is a root of the gcd of the real and
+    the imaginary part; the Sturm chain of that gcd's squarefree part counts
+    them exactly, rational or irrational."""
+    p = _poly_gcd(_poly_trim([ComplexRational(c.re) for c in coeffs]),
+                  _poly_trim([ComplexRational(c.im) for c in coeffs]))
+    if len(p) < 2:
+        return 0
+    p = poly_divmod(p, _poly_gcd(p, _poly_derivative(p)))[0]
+    chain = [p, _poly_derivative(p)]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in poly_divmod(chain[-2], chain[-1])[1]))
+
+    def sign_changes(x):
+        signs = [v.re > 0 for v in (poly_eval(q, x) for q in chain)
+                 if not v.is_zero]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
+
+# ---------------------------------------------------------------------------
+# the recursions
+
 
 _FUNCS = {Exp: "exp", Sin: "sin", Cos: "cos"}
 
@@ -231,8 +322,8 @@ def normal_form(e):
         np_ = normal_form(e.num)
         if np_ is None:
             return None
-        q, r = _poly_divmod(_coeffs_of_kernel(np_), _coeffs_of_kernel(dp))
-        return None if r else _kernel_of_coeffs(q)
+        q, r = poly_divmod(_coeffs_of_kernel(np_), _coeffs_of_kernel(dp))
+        return None if r else kernel_of_coeffs(q)
     if isinstance(e, (Exp, Sin, Cos)):
         return None
     raise TypeError(f"not a SmoothExpr: {e!r}")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import distalg as d
 import distalg.dist as dist_mod
+import distalg.expr as expr_mod
 import distalg.scalars as scalars_mod
 from distalg import Verdict
 from distalg.dist import _assemble
@@ -253,6 +254,23 @@ _locs = st.builds(Fraction, _ints,
                   st.one_of(st.integers(1, 9), st.integers(1, 10 ** 40)))
 
 
+LEAVES = {d.Const, d.Var, d.Poly}
+
+
+def exact_walk(monkeypatch):
+    """The classes of the nodes that exact evaluation meets from now on, by
+    a spy on the walker under the exact value's rules."""
+    met, interpret = [], expr_mod._interpret
+
+    def spy(e, rules, arg=None, memo=None):
+        if rules is expr_mod._EXACT:
+            met.append(e.__class__)
+        return interpret(e, rules, arg, memo)
+
+    monkeypatch.setattr(expr_mod, "_interpret", spy)
+    return met
+
+
 class TestTaylorRoute:
     """Plain polynomial pieces read g^(j)(w) from one Taylor shift; every
     other piece walks derivative trees.  Both must give the same atoms."""
@@ -308,12 +326,10 @@ class TestTaylorRoute:
         assert dist_mod._taylor_shift(g, Fraction(0), 2) is None
 
     def test_polynomial_jumps_walk_no_tree(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(dist_mod, "eval_exact",
-                            lambda *args: calls.append(args))
+        met = exact_walk(monkeypatch)
         D = d.differentiate(d.make_piecewise(
             [Fraction(1, 3)], [d.X, d.expr_from_poly([2, 0, CR(0, 1)])]))
-        assert calls == []
+        assert met and set(met) <= LEAVES
         assert D.atoms[0] == d.DeltaAtom(Fraction(1, 3), 0,
                                          CR(Fraction(5, 3), Fraction(1, 9)))
 
@@ -426,15 +442,15 @@ def test_star_on_acceptance_triples_walks_no_tree(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dist_mod, "diff_expr", counted(dist_mod.diff_expr))
-    monkeypatch.setattr(dist_mod, "eval_exact", counted(dist_mod.eval_exact))
+    met = exact_walk(monkeypatch)
     fs, gs, js = (random_corpus(seed, 100) for seed in (11, 12, 13))
     for F, G, J in zip(fs, gs, js):
         d.star(d.star(F, G), J)
         d.star(F, d.star(G, J))
-    assert calls == []
+    assert calls == [] and met == []
     for F in fs:
         d.differentiate(F)
-    assert "eval_exact" not in calls
+    assert met and set(met) <= LEAVES
 
 
 def test_assembled_results_skip_the_shape_checks(monkeypatch):

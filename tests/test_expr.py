@@ -14,6 +14,8 @@ import distalg as d
 import distalg.expr as expr_mod
 from distalg import Verdict
 from distalg.errors import DomainError
+from distalg.scalars import cr_of_ints
+import expr_reference as ref
 from conftest import random_poly, rational_scalar
 
 
@@ -169,11 +171,12 @@ class TestPolyNormalForm:
 
 
 class TestRealRoots:
-    """Exact root counts and lowest-terms denominators of polynomials."""
+    """Exact root counts and lowest-terms denominators of polynomials, on
+    their kernels."""
 
     @staticmethod
-    def cs(text):
-        return d.poly_normal_form(d.parse_smooth_expr(text))
+    def kernel(text):
+        return expr_mod._normal_form(d.parse_smooth_expr(text))
 
     @pytest.mark.parametrize("text, lo, hi, n", [
         ("x^2-2", 0, 2, 1),              # sqrt(2), irrational
@@ -187,17 +190,77 @@ class TestRealRoots:
     ])
     def test_real_root_count(self, text, lo, hi, n):
         assert expr_mod.real_root_count(
-            self.cs(text), Fraction(lo), Fraction(hi)) == n
+            self.kernel(text), Fraction(lo), Fraction(hi)) == n
 
     def test_reduced_denominator(self):
         # (x^2-1)/((x-1)^2*(x-2)) = (x+1)/((x-1)*(x-2))
-        den = expr_mod.reduced_denominator(self.cs("x^2-1"),
-                                           self.cs("(x-1)^2*(x-2)"))
-        assert len(den) == 3
+        den = expr_mod._leaf(expr_mod.reduced_denominator(
+            self.kernel("x^2-1"), self.kernel("(x-1)^2*(x-2)")))
+        assert len(d.poly_normal_form(den)) == 3
         for root in (1, 2):
-            assert expr_mod.poly_eval(den, Fraction(root)).is_zero
-        one = expr_mod.reduced_denominator(self.cs("x^2-1"), self.cs("x-1"))
-        assert len(one) == 1
+            assert d.eval_exact(den, Fraction(root)).is_zero
+        one = expr_mod.reduced_denominator(self.kernel("x^2-1"),
+                                           self.kernel("x-1"))
+        assert len(d.poly_normal_form(expr_mod._leaf(one))) == 1
+
+
+_parts = st.builds(lambda n, m, s: Fraction(n, m) * s, st.integers(-9, 9),
+                   st.integers(1, 9), st.sampled_from(
+                       [Fraction(1), Fraction(10 ** 30), Fraction(1, 10 ** 30)]))
+_complex = st.builds(d.ComplexRational, _parts,
+                     st.one_of(st.just(Fraction(0)), _parts))
+_roots = st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(2),
+                          Fraction(1, 10 ** 30)])
+
+
+def _kernel_with_roots(cs, roots):
+    """The kernel of the polynomial of coefficients cs times x - r for each
+    r in roots, which may repeat."""
+    k = d.expr_from_poly(cs).k
+    for r in roots:
+        k = expr_mod._poly_mul(k, d.expr_from_poly([-r, 1]).k)
+    return k
+
+
+_kernels = st.builds(_kernel_with_roots, st.lists(_complex, max_size=6),
+                     st.lists(_roots, max_size=3))
+_ends = st.lists(st.sampled_from([Fraction(-3), Fraction(-1, 3), Fraction(0),
+                                  Fraction(1), Fraction(2), Fraction(5)]),
+                 min_size=2, max_size=2, unique=True).map(sorted)
+
+
+class TestKernelArithmetic:
+    """Division, lowest-terms denominators, root counts and exact values on
+    kernels, up to degree 8, equal the coefficient-tuple routines of
+    ``expr_reference`` exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kernels, _kernels, _ends, st.booleans(), st.booleans(), _complex,
+           st.complex_numbers(max_magnitude=1e3))
+    def test_equal_the_coefficient_routines(self, a, b, ends, lo_in, hi_in,
+                                            z, zf):
+        ca, cb = expr_mod._coeffs_of_kernel(a), expr_mod._coeffs_of_kernel(b)
+        lo, hi = ends
+        count = ref.real_root_count(ca, lo, hi)
+        assert expr_mod.real_root_count(a, lo, hi) == count
+        assert expr_mod.vanishes_between(a, lo, hi, lo_in, hi_in) == (
+            ca == () or bool(count + (lo_in and ref.poly_eval(ca, lo).is_zero)
+                             - (not hi_in and ref.poly_eval(ca, hi).is_zero)))
+        for x in (z, d.ComplexRational(z.re), lo):
+            want = ref.poly_eval(ca, x)
+            x = d.ComplexRational.of(x)
+            assert d.eval_exact(expr_mod._leaf(a), x) == want
+            assert cr_of_ints(*expr_mod._horner(
+                a, x.re_num, x.im_num, x.den)) == want
+        exact = ref.poly_eval(ca, d.ComplexRational(Fraction(zf.real),
+                                                    Fraction(zf.imag)))
+        assert expr_mod._poly_at_float(a, zf) == complex(float(exact.re),
+                                                         float(exact.im))
+        if b != expr_mod._K_ZERO:
+            assert expr_mod._poly_divmod(a, b) == tuple(
+                map(ref.kernel_of_coeffs, ref.poly_divmod(ca, cb)))
+            assert expr_mod.reduced_denominator(a, b) == ref.kernel_of_coeffs(
+                ref.reduced_denominator(ca, cb))
 
 
 class TestVerdicts:

@@ -81,7 +81,8 @@ class TestConstantLeadShortcut:
 
 class TestPolynomialLeadRoots:
     """A polynomial lead with a real root in the sampled window [-10, 10]
-    is flagged, though no sample node hits the root, and so is a
+    is flagged, though no sample node hits the root, and so is a lead
+    whose polynomial factor has one, whatever its other factors, and a
     polynomial times a quotient of two polynomials with a root or a pole
     there; otherwise the result is what sampling gives."""
 
@@ -99,6 +100,13 @@ class TestPolynomialLeadRoots:
                                       "-2*x/(x-1)", "1/(x+10)", "1/(x^2-2)",
                                       "(x^2-2)*(1/(x+20))"])
     def test_rational_root_or_pole_in_window_flagged(self, lead):
+        e = d.parse_smooth_expr(lead)
+        assert ode_mod._sampled_nonvanishing(e)
+        assert not d.make_ode([d.ONE, e]).leading_sampled_nonzero
+
+    @pytest.mark.parametrize("lead", ["exp(x)*(x-1)", "(x-1)*sin(x)",
+                                      "exp(x)*(x^2-2)"])
+    def test_root_of_the_polynomial_factor_flagged(self, lead):
         e = d.parse_smooth_expr(lead)
         assert ode_mod._sampled_nonvanishing(e)
         assert not d.make_ode([d.ONE, e]).leading_sampled_nonzero

@@ -552,6 +552,14 @@ class TestCliConfinement:
                            "--at", "0", "--values", "3,2")
         assert (code, out) == (0, "2*delta(x) + 3*delta[1](x)\n")
 
+    def test_particular_rhs_reads_a_zero_normal_form_as_zero(self):
+        """x/x - 1 is exactly 0 but for its pole at 0, where it is read."""
+        want = run("particular-rhs", "--ode", "1,0,0;0", "--at", "0",
+                   "--values", "0,1")
+        assert want[:2] == (0, "delta(x)\n")
+        assert run("particular-rhs", "--ode", "1,0,0;0", "--at", "0",
+                   "--values", "x/x-1,1") == want
+
     def test_particular_rhs_rejects_nonconstant_values(self):
         code, _, err = run("particular-rhs", "--ode", "1,0;0",
                            "--at", "0", "--values", "x")
