@@ -32,8 +32,8 @@ from .dist import (Atom, GenDist, DeltaAtom, PiecewiseSmooth, _assemble,
 from .errors import DegenerateLeadingCoefficient, DomainError, ShapeError
 from .expr import (Const, Quotient, SmoothExpr, Verdict, ZERO,
                    _normal_form, _sample_points, _split, chebyshev_nodes,
-                   eval_num, neg, poly_normal_form, product_of, sub_expr,
-                   sum_of, vanishes_between)
+                   eval_num, neg, pole_denominators, poly_normal_form,
+                   product_of, sub_expr, sum_of, vanishes_between)
 from .scalars import CR_ONE, ComplexRational, ScalarLike, as_fraction, record
 from .star import _atom_terms
 
@@ -108,9 +108,11 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
     lead with a real root in the window fails without sampling, since the
     sample nodes need not hit the root; the Sturm count of
     ``vanishes_between`` finds it exactly.  So does a lead whose polynomial
-    factor has one, whatever the other factors, such as (x-1)*exp(x), and
-    a polynomial times a quotient of two polynomials when either side of
-    the quotient has one: a root or a pole of the lead."""
+    factor has one, whatever the other factors, such as (x-1)*exp(x), a
+    lead with a pole there, a root of one of its ``pole_denominators``,
+    whatever its numerator, such as exp(x)/(x-1), and a polynomial times a
+    quotient of two polynomials when either side of the quotient has one:
+    a root or a pole of the lead."""
     cs = tuple(as_expr(c) for c in coeffs)
     if len(cs) < 2:
         raise ShapeError("need order >= 1 (at least two coefficients)")
@@ -120,11 +122,14 @@ def make_ode(coeffs: Sequence, rhs=0) -> LinearODE:
         raise DegenerateLeadingCoefficient("leading coefficient is the zero "
                                            "expression")
     # the polynomials whose real roots are roots or poles of the lead
-    k, core = _split(lead)
-    polys = [k] if p is None else [_normal_form(lead)]
-    if p is None and isinstance(core, Quotient):
-        nd = [_normal_form(core.num), _normal_form(core.den)]
-        polys += [] if None in nd else nd
+    if p is not None:
+        polys = [_normal_form(lead)]
+    else:
+        k, core = _split(lead)
+        polys = [k] + pole_denominators(lead)
+        if isinstance(core, Quotient):
+            nd = [_normal_form(core.num), _normal_form(core.den)]
+            polys += [] if None in nd else nd
     if p is not None and len(p) == 1:
         nonzero = abs(complex(p[0])) > 1e-9
     elif any(vanishes_between(q, Fraction(-10), Fraction(10), True, True)

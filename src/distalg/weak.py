@@ -3,7 +3,7 @@
 ``action`` evaluates <F, t> for a compactly supported bump t: piecewise
 Gauss-Legendre quadrature for the regular part (split at every breakpoint so
 each panel sees a smooth integrand) plus coeff·(-1)^k·t^(k)(w) for the
-atoms, with bump derivatives taken symbolically.
+atoms.
 
 ``epsilon_product_action`` evaluates <F·G^eps, t> while deliberately
 avoiding the closed-form product code: G is sampled at shifted points inside
@@ -17,13 +17,24 @@ Both evaluate in one numpy pass.  They first collect rows: a panel row is
 a panel's float ends and its factors, each a (piece, shift) pair standing
 for piece(x + shift); an atom row of the eps-actions is a location, an
 order, a circle radius and one factor.  The exact checks run while the
-rows are collected.
-``_quadrature`` then evaluates each distinct factor once over all the
-Gauss nodes of the rows it covers, and the bump once over all nodes;
+rows are collected.  The float bookkeeping that does not move with eps,
+the bump's ends, F's breakpoints and atoms and the piece finders, is done
+once per call, not once per eps.
+``_quadrature`` then evaluates each distinct piece once, in one
+``eval_num`` call over the Gauss nodes of every row and factor it appears
+in, each row at its own shift, and the bump once over all nodes;
 ``_cauchy`` does the same on the atoms' circles.  ``star_oracle`` sends the
 rows of its whole eps schedule through one call of each, and each eps
-value is summed in the order of the per-panel loop it replaces, so every
-value is unchanged.
+value is summed in the order of the per-panel loop it replaces.  eval_num
+is elementwise, so every value is unchanged.
+
+The bump that ``make_bump`` builds, c·exp(-1/(1-u^2)), is evaluated with
+its derivatives in closed form, c·P_k(u)·exp(-1/v - 2k·log v) with
+v = (1-u)(1+u) and P_k an integer polynomial (``_bump_closed``): that walks
+no tree, and keeps its relative accuracy near the support ends, where the
+expanded 1 - u^2 of the symbolic derivatives cancels.  Any other body, such
+as ``bump_derivative``'s or one built by hand, is evaluated from its
+symbolic derivatives, the one route that knows it.
 
 Neither integrates across a pole: a piece with a polynomial denominator,
 a quotient's or a negative power's, in lowest terms, that has a real root
@@ -42,9 +53,10 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .dist import GenDist, singular_support
 from .errors import DomainError, EpsilonTooLarge, ShapeError
-from .expr import (SmoothExpr, X, const, diff_expr, eval_num, exp_of,
-                   pole_denominators, power_of, product_of, quotient_of,
-                   sub_expr, vanishes_between, ONE, ZERO)
+from .expr import (Const, Product, QUOTIENT_GUARD, SmoothExpr, X, const,
+                   diff_expr, eval_num, exp_of, pole_denominators, power_of,
+                   product_of, quotient_of, sub_expr, vanishes_between, ONE,
+                   ZERO)
 from .scalars import as_fraction, record
 
 
@@ -70,9 +82,72 @@ def make_bump(a, b, c=1) -> TestFunction:
         float(af), float(bf)
     except OverflowError:
         raise DomainError("a bump end does not fit in a float") from None
-    body = product_of(const(c), exp_of(
-        quotient_of(const(-1), sub_expr(ONE, power_of(X, 2)))))
-    return TestFunction(af, bf, body)
+    return TestFunction(af, bf, product_of(const(c), _bump_core()))
+
+
+@functools.lru_cache(maxsize=1)
+def _bump_core() -> SmoothExpr:
+    """exp(-1/(1-u^2)), the factor of every body that make_bump builds."""
+    return exp_of(quotient_of(const(-1), sub_expr(ONE, power_of(X, 2))))
+
+
+def _bump_amplitude(body: SmoothExpr) -> Optional[complex]:
+    """c when body is make_bump's c·exp(-1/(1-u^2)), else None."""
+    c, core = ONE, body
+    if (isinstance(body, Product) and len(body.factors) == 2
+            and isinstance(body.factors[0], Const)):
+        c, core = body.factors
+    return complex(c.value) if core == _bump_core() else None
+
+
+@functools.lru_cache(maxsize=None)
+def _bump_poly(k: int) -> Tuple[int, ...]:
+    """P_k, ascending integer coefficients, such that the k-th derivative
+    of exp(-1/v), v = 1 - u^2, is P_k(u)·exp(-1/v)/v^(2k): P_0 = 1 and
+    P_(k+1) = v^2·P_k' + (4k·u·v - 2u)·P_k."""
+    if k == 0:
+        return (1,)
+    p, j = _bump_poly(k - 1), k - 1
+    out = [0] * (len(p) + 3)
+    for i, c in enumerate(p):
+        if i:  # v^2·P' with v^2 = 1 - 2u^2 + u^4
+            out[i - 1] += i * c
+            out[i + 1] -= 2 * i * c
+            out[i + 3] += i * c
+        out[i + 1] += (4 * j - 2) * c  # (4j·u·v - 2u) = (4j - 2)u - 4j·u^3
+        out[i + 3] -= 4 * j * c
+    while out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _bump_closed(c: complex, k: int, u: np.ndarray) -> np.ndarray:
+    """The k-th derivative of c·exp(-1/(1-u^2)) at real or complex u, in
+    closed form: c·P_k(u)·exp(-1/v - 2k·log v) with v = (1-u)(1+u), which
+    keeps its relative accuracy up to the support ends, where the expanded
+    1 - u^2 of the symbolic derivative cancels.  A v within
+    ``QUOTIENT_GUARD`` of 0 raises, as ``eval_num`` does at a pole."""
+    import numpy as np
+    v = (1.0 - u) * (1.0 + u)
+    if v.size and np.min(np.abs(v)) <= QUOTIENT_GUARD:
+        raise DomainError("denominator below evaluation guard")
+    p = _bump_poly(k)
+    acc = np.full(u.shape, float(p[-1]), dtype=u.dtype)
+    for a in reversed(p[:-1]):
+        acc *= u
+        acc += a
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = -1.0 / v - 2 * k * np.log(v) if k else -1.0 / v
+        return c * (acc * np.exp(w))
+
+
+def _body_values(body: SmoothExpr, k: int, u: np.ndarray) -> np.ndarray:
+    """The k-th derivative of a bump body at u: in closed form for
+    make_bump's bodies, else by evaluating the symbolic derivative."""
+    c = _bump_amplitude(body)
+    if c is None:
+        return eval_num(_body_deriv(body, k), u)
+    return _bump_closed(c, k, u)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -82,8 +157,8 @@ def _body_deriv(body: SmoothExpr, k: int) -> SmoothExpr:
     return diff_expr(_body_deriv(body, k - 1))
 
 
-def _u_of_x(t: TestFunction, x: np.ndarray) -> np.ndarray:
-    a, b = float(t.a), float(t.b)
+def _u_of_x(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The normalized variable of the bump on [a, b] at x."""
     return (2.0 * x - a - b) / (b - a)
 
 
@@ -95,16 +170,17 @@ def bump_values(t: TestFunction, x, guard: float = 0.0) -> np.ndarray:
 def bump_deriv_values(t: TestFunction, k: int, x, guard: float = 0.0) -> np.ndarray:
     """k-th derivative of t at real points.  Within `guard` of an endpoint
     the value is exactly 0 (all true derivatives vanish there faster than
-    any polynomial)."""
+    any polynomial).  A make_bump body takes the closed form of
+    ``_bump_closed``; any other body, such as bump_derivative's, is
+    evaluated from its symbolic derivative."""
     import numpy as np
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = float(t.a) + guard, float(t.b) - guard
-    inside = (xs > lo) & (xs < hi)
+    a, b = float(t.a), float(t.b)
+    inside = (xs > a + guard) & (xs < b - guard)
     out = np.zeros(xs.shape, dtype=complex)
     if np.any(inside):
-        u = _u_of_x(t, xs[inside])
-        chain = (2.0 / (float(t.b) - float(t.a))) ** k
-        out[inside] = chain * eval_num(_body_deriv(t.body, k), u)
+        u = _u_of_x(a, b, xs[inside])
+        out[inside] = (2.0 / (b - a)) ** k * _body_values(t.body, k, u)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out
@@ -114,7 +190,8 @@ def bump_analytic(t: TestFunction, z) -> np.ndarray:
     """The bump's smooth branch at complex points (no support cutoff); valid
     near real points strictly inside ]a, b[."""
     import numpy as np
-    return eval_num(t.body, _u_of_x(t, np.asarray(z, dtype=complex)))
+    return _body_values(t.body, 0, _u_of_x(float(t.a), float(t.b),
+                                            np.asarray(z, dtype=complex)))
 
 
 def bump_derivative(t: TestFunction) -> TestFunction:
@@ -164,9 +241,10 @@ def _quadrature(t: TestFunction, panels: Sequence[tuple],
                 cfg: QuadratureConfig) -> list:
     """Gauss-Legendre quadrature of factors·t over each panel row
     (fs, fe, factors), where each factor (piece, shift) stands for
-    piece(x + shift).  The node matrix is built once; each distinct factor
-    is evaluated once on the rows it covers and multiplied in, in the rows'
-    factor order, then t once over all nodes.  One value per row."""
+    piece(x + shift).  The node matrix is built once; each distinct piece
+    is evaluated once over every row and factor it appears in, the factors
+    are multiplied in the rows' factor order, then t once over all nodes.
+    One value per row."""
     import numpy as np
     if not panels:
         return []
@@ -175,35 +253,52 @@ def _quadrature(t: TestFunction, panels: Sequence[tuple],
     hi = np.array([p[1] for p in panels])
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     xs = mid[:, None] + half[:, None] * x
-    cols = list(zip(*(p[2] for p in panels)))
-    vals = _factor_values(xs, cols[0])
-    for col in cols[1:]:
-        vals *= _factor_values(xs, col)
+    vals, *rest = _factor_values(xs, list(zip(*(p[2] for p in panels))))
+    for col in rest:
+        vals *= col
     vals *= bump_values(t, xs.ravel(), _GUARD).reshape(xs.shape)
     sums = (w * vals).sum(axis=1)
     return [complex(h * v) for h, v in zip(half.tolist(), sums)]
 
 
-def _factor_values(zs: np.ndarray, factors: Sequence[tuple]) -> np.ndarray:
-    """piece(zs[i] + shift) for the factor (piece, shift) of each row i;
-    each distinct factor is evaluated once, over all of its rows."""
+def _factor_values(zs: np.ndarray, cols: Sequence[Sequence[tuple]]
+                   ) -> np.ndarray:
+    """out[j, i] = piece(zs[i] + shift) for the factor (piece, shift) in
+    row i of column j.  Each distinct piece is evaluated once, in one
+    ``eval_num`` call over all of its rows in every column, each row moved
+    by its own shift; eval_num is elementwise, so every value is the one a
+    call per (piece, shift) would give."""
     import numpy as np
-    rows = {}
-    for i, f in enumerate(factors):
-        rows.setdefault(f, []).append(i)
-    out = np.empty(zs.shape, dtype=complex)
-    for (piece, shift), ix in rows.items():
-        z = zs[ix].ravel()
-        out[ix] = eval_num(piece, z + shift if shift else z).reshape(len(ix), -1)
-    return out
+    n = len(zs)
+    groups = {}  # piece -> (rows of out, rows of zs, shifts)
+    for j, col in enumerate(cols):
+        for i, (piece, shift) in enumerate(col):
+            g = groups.get(piece)
+            if g is None:
+                groups[piece] = g = ([], [], [])
+            g[0].append(j * n + i)
+            g[1].append(i)
+            g[2].append(shift)
+    out = np.empty((len(cols) * n, zs.shape[1]), dtype=complex)
+    for piece, (rows, ix, shifts) in groups.items():
+        z = zs[ix]
+        if any(shifts):
+            z += np.array(shifts)[:, None]
+        out[rows] = eval_num(piece, z.ravel()).reshape(z.shape)
+    return out.reshape((len(cols),) + zs.shape)
 
 
 def _segments(t: TestFunction, cuts: Sequence[Fraction]) -> list:
     """The panels (s, e, fs, fe) of the bump's support between the cuts:
     the float ends fs < fe are integrated, the support ends moved in by
     ``_GUARD``; s and e are the exact cuts or support ends they stand for."""
-    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
-    inner = {float(c): c for c in cuts}
+    return _cut_support(t, float(t.a) + _GUARD, float(t.b) - _GUARD,
+                        {float(c): c for c in cuts})
+
+
+def _cut_support(t: TestFunction, lo: float, hi: float, inner: dict) -> list:
+    """``_segments`` for the guarded float support ends lo and hi and the
+    cuts as a map float -> exact cut, converted by the caller."""
     pts = ([(lo, t.a)] + sorted((f, c) for f, c in inner.items() if lo < f < hi)
            + [(hi, t.b)])
     return [(s, e, fs, fe) for (fs, s), (fe, e) in zip(pts, pts[1:]) if fe > fs]
@@ -259,13 +354,13 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
     total = 0j
     for v in _quadrature(t, panels, cfg):
         total += v
-    atoms = [a for a in F.all_atoms if lo < float(a.w) < hi]
+    atoms = [(a, w) for a in F.all_atoms if lo < (w := float(a.w)) < hi]
     by_k = {}
-    for a in atoms:
-        by_k.setdefault(a.k, []).append(float(a.w))
+    for a, w in atoms:
+        by_k.setdefault(a.k, []).append(w)
     tks = {k: iter(bump_deriv_values(t, k, ws, _GUARD))
            for k, ws in by_k.items()}
-    for a in atoms:
+    for a, _ in atoms:
         total += complex(a.coeff) * (-1) ** a.k * complex(next(tks[a.k]))
     return total
 
@@ -277,7 +372,7 @@ def action(F: GenDist, t: TestFunction, cfg: Optional[QuadratureConfig] = None
 def _cauchy(t: TestFunction, atoms: Sequence[tuple]) -> list:
     """For each atom row (w, k, r, factor), the k-th derivative at w of
     factor·t, from values on the circle of radius r about w (trapezoidal
-    Cauchy integral; spectrally accurate).  Each distinct factor and the
+    Cauchy integral; spectrally accurate).  Each distinct piece and the
     bump's analytic branch are evaluated once over all circles."""
     import numpy as np
     if not atoms:
@@ -286,7 +381,7 @@ def _cauchy(t: TestFunction, atoms: Sequence[tuple]) -> list:
     th = 2.0 * np.pi * np.arange(nodes) / nodes
     circle = np.exp(1j * th)
     zs = np.array([w + r * circle for w, _, r, _ in atoms])
-    vals = _factor_values(zs, [a[3] for a in atoms])
+    vals = _factor_values(zs, [[a[3] for a in atoms]])[0]
     vals *= bump_analytic(t, zs.ravel()).reshape(zs.shape)
     out = []
     for (_, k, r, _), v in zip(atoms, vals):
@@ -302,45 +397,53 @@ def _atom_radius(w: float, lo: float, hi: float) -> float:
     return min(0.35 * (w - lo), 0.35 * (hi - w), 0.1)
 
 
-def _eps_rows(F: GenDist, G: GenDist, sf: set, sg: Sequence[Fraction],
-              t: TestFunction, epsf: Fraction, cfg: QuadratureConfig
-              ) -> Tuple[list, list]:
-    """The panel rows of <F·G^eps, t> for ``_quadrature`` and its atom
-    terms (c, row), c = coeff·(-1)^k and row for ``_cauchy``, after the
-    exact checks: the singular supports sf of F and sg of G, shifted by
-    eps, are disjoint, zero pieces are skipped, and no integrated piece
-    has a pole."""
-    sg_shift = {v - epsf for v in sg}
-    if sf & sg_shift:
-        raise EpsilonTooLarge(f"eps={epsf} collides singular supports at "
-                              f"{sorted(sf & sg_shift)}")
-    eps_float = float(epsf)
-    lo, hi = float(t.a) + _GUARD, float(t.b) - _GUARD
-    f_at, g_at = _piece_finder(F), _piece_finder(G)
-    panels = []
-    cuts = list(F.breakpoints) + [b - epsf for b in G.breakpoints]
-    for s, e, fs, fe in _segments(t, cuts):
-        mid = (fs + fe) / 2.0
-        fp = f_at(mid)
-        gp = g_at(mid + eps_float)
-        if fp == ZERO or gp == ZERO:
-            continue
-        _refuse_pole(fp, s, e, t)
-        _refuse_pole(gp, s, e, t, epsf)
-        panels.append((fs, fe, ((fp, 0.0), (gp, eps_float))))
-    atoms = []
-    for a in F.all_atoms:
-        w = float(a.w)
-        if lo < w < hi:
-            atoms.append((a, w, (g_at(float(a.w + epsf)), eps_float)))
-    for a in G.all_atoms:
-        w = float(a.w - epsf)
-        if lo < w < hi:
-            atoms.append((a, w, (f_at(w), 0.0)))
+def _eps_rows(F: GenDist, G: GenDist, sf: Sequence[Fraction],
+              sg: Sequence[Fraction], t: TestFunction, eps_values) -> list:
+    """For each eps, the panel rows of <F·G^eps, t> for ``_quadrature`` and
+    its atom terms (c, row), c = coeff·(-1)^k and row for ``_cauchy``,
+    after the exact checks: the singular supports sf of F and sg of G,
+    shifted by eps, are disjoint, zero pieces are skipped, and no
+    integrated piece has a pole.  The bump's ends and F's breakpoints
+    and atoms are converted to float, and both piece finders built, once
+    per call; only what moves with eps, G's breakpoints and atoms, is
+    converted per eps."""
     ta, tb = float(t.a), float(t.b)
-    return panels, [(complex(a.coeff) * (-1) ** a.k,
-                     (w, a.k, _atom_radius(w, ta, tb), factor))
-                    for a, w, factor in atoms]
+    lo, hi = ta + _GUARD, tb - _GUARD
+    f_at, g_at = _piece_finder(F), _piece_finder(G)
+    f_cuts = {float(c): c for c in F.breakpoints}
+    f_atoms = [(a, complex(a.coeff) * (-1) ** a.k,
+                (w, a.k, _atom_radius(w, ta, tb)))
+               for a in F.all_atoms if lo < (w := float(a.w)) < hi]
+    g_atoms = [(a, complex(a.coeff) * (-1) ** a.k) for a in G.all_atoms]
+    sf = set(sf)
+    out = []
+    for epsf in eps_values:
+        sg_shift = {v - epsf for v in sg}
+        if sf & sg_shift:
+            raise EpsilonTooLarge(f"eps={epsf} collides singular supports "
+                                  f"at {sorted(sf & sg_shift)}")
+        eps_float = float(epsf)
+        cuts = dict(f_cuts)
+        cuts.update((float(c), c) for c in (b - epsf for b in G.breakpoints))
+        panels = []
+        for s, e, fs, fe in _cut_support(t, lo, hi, cuts):
+            mid = (fs + fe) / 2.0
+            fp = f_at(mid)
+            gp = g_at(mid + eps_float)
+            if fp == ZERO or gp == ZERO:
+                continue
+            _refuse_pole(fp, s, e, t)
+            _refuse_pole(gp, s, e, t, epsf)
+            panels.append((fs, fe, ((fp, 0.0), (gp, eps_float))))
+        atoms = [(c, row + ((g_at(float(a.w + epsf)), eps_float),))
+                 for a, c, row in f_atoms]
+        for a, c in g_atoms:
+            w = float(a.w - epsf)
+            if lo < w < hi:
+                atoms.append((c, (w, a.k, _atom_radius(w, ta, tb),
+                                  (f_at(w), 0.0))))
+        out.append((panels, atoms))
+    return out
 
 
 def _eps_actions(F: GenDist, G: GenDist, sf: Sequence[Fraction],
@@ -349,8 +452,7 @@ def _eps_actions(F: GenDist, G: GenDist, sf: Sequence[Fraction],
     """<F·G^eps, t> for each eps, given the singular supports sf and sg: the
     rows of every eps go through one ``_quadrature`` and one ``_cauchy``
     call, and each eps's terms are added back in row order, panels first."""
-    parts = [_eps_rows(F, G, set(sf), sg, t, as_fraction(e), cfg)
-             for e in eps_values]
+    parts = _eps_rows(F, G, sf, sg, t, [as_fraction(e) for e in eps_values])
     panel_vals = iter(_quadrature(t, [p for ps, _ in parts for p in ps], cfg))
     atom_vals = iter(_cauchy(t, [row for _, ats in parts for _, row in ats]))
     out = []

@@ -82,9 +82,10 @@ class TestConstantLeadShortcut:
 class TestPolynomialLeadRoots:
     """A polynomial lead with a real root in the sampled window [-10, 10]
     is flagged, though no sample node hits the root, and so is a lead
-    whose polynomial factor has one, whatever its other factors, and a
-    polynomial times a quotient of two polynomials with a root or a pole
-    there; otherwise the result is what sampling gives."""
+    whose polynomial factor has one, whatever its other factors, a lead
+    with a pole there, whatever its numerator, and a polynomial times a
+    quotient of two polynomials with a root or a pole there; otherwise the
+    result is what sampling gives."""
 
     @pytest.mark.parametrize("lead", ["x", "(x-1/3)^2", "x^3-2", "i*x",
                                       "x+10", "x-10", "(x-2)*(x^2+1)"])
@@ -111,10 +112,19 @@ class TestPolynomialLeadRoots:
         assert ode_mod._sampled_nonvanishing(e)
         assert not d.make_ode([d.ONE, e]).leading_sampled_nonzero
 
+    @pytest.mark.parametrize("lead", ["exp(x)/(x-1)",
+                                      "exp(x)*(x^2+1)/(x-1)"])
+    def test_pole_behind_any_numerator_flagged(self, lead):
+        """A pole in the window is a root of one of the lead's
+        ``pole_denominators``, whatever the numerator is."""
+        e = d.parse_smooth_expr(lead)
+        assert ode_mod._sampled_nonvanishing(e)
+        assert not d.make_ode([d.ONE, e]).leading_sampled_nonzero
+
     @pytest.mark.parametrize("lead", ["x-11", "x+21/2", "1+x^2",
                                       "(x-i)*(x+i)", "x^2+1/1000", "x+i",
                                       "1/(x+20)", "(x^2+1)/(x^2+2)",
-                                      "exp(x)/(x-1)", "(x^2+1)*(1/(x+20))"])
+                                      "exp(x)/(x-20)", "(x^2+1)*(1/(x+20))"])
     def test_no_root_in_window_agrees_with_sampling(self, lead):
         e = d.parse_smooth_expr(lead)
         assert (d.make_ode([d.ONE, e]).leading_sampled_nonzero

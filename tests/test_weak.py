@@ -386,26 +386,31 @@ class TestOnePass:
         assert fails == len(POLE_CASES) + 2 + 3
 
     def test_one_oracle_call_evaluates_each_factor_once(self, monkeypatch):
-        """The bump is evaluated once on the panels and once on the atom
-        circles, and each piece once per shift it is evaluated at."""
+        """Each piece is evaluated at most once on the panels and once on
+        the atom circles, over every shift and both factors, and the bump
+        once on each, through its closed form."""
         F, G = d.parse_dist(KNOWN_F), d.parse_dist(KNOWN_G)
         t = d.make_bump(-5, 3)
-        calls = Counter()
-        eval_num = weak.eval_num
+        calls, bumps = Counter(), Counter()
+        eval_num, closed = weak.eval_num, weak._bump_closed
 
         def counting(e, x, *args):
             calls[e, np.iscomplexobj(x)] += 1
             return eval_num(e, x, *args)
 
+        def counting_closed(c, k, u):
+            bumps[k, np.iscomplexobj(u)] += 1
+            return closed(c, k, u)
+
         monkeypatch.setattr(weak, "eval_num", counting)
+        monkeypatch.setattr(weak, "_bump_closed", counting_closed)
         d.star_oracle(F, G, t)
-        n = len(DEFAULT_CONFIG.eps_schedule)
-        pf = set(d.normalize_dist(F).pieces)
-        pg = set(d.normalize_dist(G).pieces)
-        assert calls[t.body, False] == calls[t.body, True] == 1
+        pieces = (set(d.normalize_dist(F).pieces)
+                  | set(d.normalize_dist(G).pieces))
+        assert bumps == Counter({(0, False): 1, (0, True): 1})
+        assert {on_circle for _, on_circle in calls} == {False, True}
         for (e, on_circle), count in calls.items():
-            if e != t.body:
-                assert count <= (e in pf) + n * (e in pg), (e, on_circle)
+            assert e in pieces and count == 1, (e, on_circle, count)
 
 
 # acceptance 06's known miss at the two-point step, from bench/defects.py
@@ -489,3 +494,101 @@ class TestRichardsonTable:
         hs = [0.01, 0.001, 0.0001]
         vals = [complex(2 - 3 * h + 5 * h * h, h) for h in hs]
         assert abs(weak._neville(hs, vals) - 2) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the bump's closed form
+
+AMPLITUDES = [1, Fraction(-3, 2), d.ComplexRational(2, 1)]
+
+
+def closed_form_points():
+    """Real points with 1 - |u| from 1/2 down to 1e-6 at both ends and
+    some in the middle, and points on three Cauchy circles of radius 0.1."""
+    gaps = np.geomspace(0.5, 1e-6, 40)
+    real = np.concatenate([1 - gaps, gaps - 1, np.linspace(-0.5, 0.5, 21)])
+    circle = np.concatenate([w + 0.1 * np.exp(2j * np.pi * np.arange(64) / 64)
+                             for w in (-0.6, 0.0, 0.55)])
+    return [real, circle]
+
+
+class TestBumpClosedForm:
+    """make_bump's bodies c·exp(-1/(1-u^2)) and their derivatives are
+    evaluated in closed form; any other body from its symbolic
+    derivative."""
+
+    @pytest.mark.parametrize("c", AMPLITUDES, ids=["1", "-3/2", "2+i"])
+    @pytest.mark.parametrize("k", range(5))
+    def test_agrees_with_the_symbolic_derivative(self, k, c):
+        """The symbolic route loses accuracy near the support ends (about
+        2e-12 of max |t^(k)| at k = 4 on these points), so k = 4 gets a
+        wider bound."""
+        body = d.make_bump(-1, 1, c).body
+        tol = 1e-12 if k < 4 else 5e-12
+        for u in closed_form_points():
+            tree = weak.eval_num(weak._body_deriv(body, k), u)
+            got = weak._body_values(body, k, u)
+            assert np.max(np.abs(got - tree)) <= tol * np.max(np.abs(tree))
+
+    @pytest.mark.parametrize("c", AMPLITUDES, ids=["1", "-3/2", "2+i"])
+    @pytest.mark.parametrize("k", range(5))
+    def test_within_1e_13_of_a_50_digit_reference(self, k, c):
+        mpmath = pytest.importorskip("mpmath")
+        body = d.make_bump(-1, 1, c).body
+        cc = complex(c)
+        with mpmath.workdps(50):
+            f = lambda z: cc * mpmath.exp(-1 / (1 - z * z))
+            for u in closed_form_points():
+                pts = u[::3]
+                ref = np.array([complex(mpmath.diff(f, mpmath.mpmathify(z), k))
+                                for z in pts])
+                got = weak._body_values(body, k, pts)
+                assert (np.max(np.abs(got - ref))
+                        <= 1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_pointwise_accurate_near_the_support_ends(self, k):
+        """Where 1 - |u| runs from 1/20 down to 2e-3 the values still are
+        normal floats, and each is within 2e-13 of the reference relative
+        to itself; the symbolic route, which cancels in an expanded
+        1 - u^2, is off by about 1.5e-12 there."""
+        mpmath = pytest.importorskip("mpmath")
+        gaps = np.geomspace(0.05, 2e-3, 12)
+        u = np.concatenate([1 - gaps, gaps - 1])
+        with mpmath.workdps(50):
+            f = lambda z: mpmath.exp(-1 / (1 - z * z))
+            ref = np.array([complex(mpmath.diff(f, mpmath.mpf(z), k))
+                            for z in u])
+        got = weak._body_values(T.body, k, u)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-13
+
+    def test_make_bump_bodies_take_the_closed_form(self, monkeypatch):
+        seen = []
+        eval_num = weak.eval_num
+        monkeypatch.setattr(weak, "eval_num",
+                            lambda e, x: seen.append(e) or eval_num(e, x))
+        xs = np.array([-0.9, 0.1, 0.7])
+        for c in AMPLITUDES:
+            for k in range(4):
+                bump_deriv_values(d.make_bump(-2, 3, c), k, xs)
+        assert seen == []
+
+    def test_other_bodies_take_the_symbolic_route(self, monkeypatch):
+        seen, closed = [], []
+        eval_num, bump_closed = weak.eval_num, weak._bump_closed
+        monkeypatch.setattr(weak, "eval_num",
+                            lambda e, x: seen.append(e) or eval_num(e, x))
+        monkeypatch.setattr(weak, "_bump_closed",
+                            lambda *a: closed.append(a) or bump_closed(*a))
+        tp = d.bump_derivative(T)
+        xs = np.array([-0.3, 0.2, 0.7])
+        bump_values(tp, xs)
+        bump_deriv_values(tp, 2, xs)
+        assert seen == [tp.body, weak._body_deriv(tp.body, 2)]
+        assert closed == []
+
+    def test_the_float_pole_guard_is_kept(self):
+        with pytest.raises(DomainError, match="evaluation guard"):
+            weak._body_values(T.body, 1, np.array([0.5, 1.0]))
+        with pytest.raises(DomainError, match="evaluation guard"):
+            weak.eval_num(weak._body_deriv(T.body, 1), np.array([0.5, 1.0]))
