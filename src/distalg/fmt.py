@@ -12,15 +12,20 @@ operand below the level its position needs.  Every token in which text and
 LaTeX differ is a value in one of two style tables, ``_TEXT`` and
 ``_LATEX``, which the walker hands to the rules.  Only the term joins of a
 distribution differ in code: text carries a real coefficient's sign into a
-signed join, LaTeX parenthesizes the coefficient.
+signed join, LaTeX parenthesizes the coefficient.  Rationals print from
+their integers: a ``ComplexRational``'s and a ``Rat``'s, never a
+``Fraction``'s arithmetic.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
+from .errors import ShapeError
 from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
                    Var, SmoothExpr, ONE, ZERO, _interpret, _poly_terms)
 from .scalars import CR_ONE, ComplexRational, frac_str, record
@@ -29,16 +34,17 @@ if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
     from .ode import ConfinedEquation, ConfinementReport, LinearODE
 
 
-def _frac_latex(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return sign + r"\tfrac{%d}{%d}" % (abs(x.numerator), x.denominator)
+def _frac(n: int, d: int, st: _Style) -> str:
+    """n/d in lowest terms for integers n and d > 0; an integer alone."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return st.frac % ("-" if n < 0 else "", abs(n) // g, d // g)
 
 
 def _float_rational(x: float) -> str:
     """Exact rational text of a float (floats are rationals)."""
-    return frac_str(Fraction(x))
+    return _frac(*x.as_integer_ratio(), _TEXT)
 
 
 def _decimal_latex(x: float) -> str:
@@ -61,7 +67,7 @@ class _Style:
     quot: str  # % (numerator, denominator)
     quot_prec: Tuple[int, int]  # levels the numerator and denominator need
     func: str  # % (name, argument)
-    frac: Callable[[Fraction], str]
+    frac: str  # % (sign, |p|, q) of a rational p/q that is no integer
     float_str: Callable[[float], str]  # parts of a float coefficient
     frac_level: int  # level of a positive non-integer rational
     imag: str  # follows a non-unit imaginary magnitude
@@ -79,7 +85,7 @@ class _Style:
 
 
 _TEXT = _Style(open="(", close=")", mul="*", power="%s^%d", quot="%s/%s",
-               quot_prec=(2, 3), func="%s(%s)", frac=frac_str,
+               quot_prec=(2, 3), func="%s(%s)", frac="%s%d/%d",
                float_str=_float_rational, frac_level=2, imag="*i",
                neg_imag_level=1, plus="+", minus="-", reflected="-x%s%s",
                reflected_signs=("+", "-"), juxt="*", star="(%s (*) %s)",
@@ -88,7 +94,7 @@ _TEXT = _Style(open="(", close=")", mul="*", power="%s^%d", quot="%s/%s",
 
 _LATEX = _Style(open=r"\left(", close=r"\right)", mul=r"\,",
                 power="%s^{%d}", quot=r"\frac{%s}{%s}", quot_prec=(0, 0),
-                func=r"\%s\left(%s\right)", frac=_frac_latex,
+                func=r"\%s\left(%s\right)", frac=r"%s\tfrac{%d}{%d}",
                 float_str=_decimal_latex, frac_level=4, imag=r"\,i",
                 neg_imag_level=2, plus=" + ", minus=" - ",
                 reflected="%s%s - x", reflected_signs=("", "-"), juxt="",
@@ -97,27 +103,33 @@ _LATEX = _Style(open=r"\left(", close=r"\right)", mul=r"\,",
 
 
 def _const(v: ComplexRational, st: _Style) -> tuple:
-    """(string, level) of an exact constant."""
-    re = v.re
-    if v.is_real:
-        level = 1 if re < 0 else (4 if re.denominator == 1
-                                  else st.frac_level)
-        return st.frac(re), level
-    im = v.im
-    if re == 0:
-        if im == 1:
+    """(string, level) of an exact constant, from its integers: the real
+    part a/d and the imaginary part b/d."""
+    a, b, d = v.re_num, v.im_num, v.den
+    if not b:
+        return _frac(a, d, st), 1 if a < 0 else 4 if d == 1 else st.frac_level
+    if not a:
+        if b == d:
             return "i", 4
-        if im == -1:
+        if b == -d:
             return "-i", 1
-        return st.frac(im) + st.imag, st.neg_imag_level if im < 0 else 2
-    op = st.plus if im > 0 else st.minus
-    mag = abs(im)
-    istr = "i" if mag == 1 else st.frac(mag) + st.imag
-    return st.frac(re) + op + istr, 1
+        return _frac(b, d, st) + st.imag, st.neg_imag_level if b < 0 else 2
+    op = st.plus if b > 0 else st.minus
+    istr = "i" if abs(b) == d else _frac(abs(b), d, st) + st.imag
+    return _frac(a, d, st) + op + istr, 1
+
+
+def _render(e: SmoothExpr, st: _Style) -> tuple:
+    """(string, level) of e; ShapeError when e is too deep to walk."""
+    try:
+        return _interpret(e, _RENDER, st)
+    except RecursionError:
+        raise ShapeError("expression too deep to render within the recursion"
+                         f" limit of {sys.getrecursionlimit()}") from None
 
 
 def _group(e: SmoothExpr, prec: int, st: _Style) -> str:
-    return _paren(*_interpret(e, _RENDER, st), prec, st)
+    return _paren(*_render(e, st), prec, st)
 
 
 def _paren(s: str, level: int, prec: int, st: _Style) -> str:
@@ -196,10 +208,10 @@ _PLAIN = ("(", ")")
 
 def _shift(w: Fraction, reflect: bool, st: _Style) -> str:
     """The argument x-w, or w-x when reflect."""
-    n = w.numerator  # the sign tests on an int are cheaper
+    n = w.numerator
     if n == 0:
         return "-x" if reflect else "x"
-    mag = st.frac(-w if n < 0 else w)
+    mag = _frac(abs(n), w.denominator, st)
     if reflect:
         return st.reflected % (st.reflected_signs[n < 0], mag)
     return "x" + (st.plus if n < 0 else st.minus) + mag
@@ -253,8 +265,7 @@ def _piece_terms(F: GenDist, st: _Style) -> List[str]:
         elif piece == ONE:
             out.append(hs)
         else:
-            out.append(_factor(*_interpret(piece, _RENDER, st), st) + st.mul
-                       + hs)
+            out.append(_factor(*_render(piece, st), st) + st.mul + hs)
     return out
 
 
@@ -281,10 +292,9 @@ def format_dist_text(F: GenDist) -> str:
         if not isinstance(a, DeltaAtom):
             pre = st.open + _float_coeff(complex(a.coeff), st)[0] + st.close
         elif a.coeff.is_real:
-            re = a.coeff.re
-            sign = -1 if re < 0 else 1
-            mag = abs(re)
-            pre = None if mag == 1 else st.frac(mag)
+            n, d = a.coeff.re_num, a.coeff.den
+            sign = -1 if n < 0 else 1
+            pre = None if abs(n) == d else _frac(abs(n), d, st)
         else:
             pre = _factor(*_const(a.coeff, st), st)
         body = _delta(a.w, a.k, st)
@@ -311,8 +321,10 @@ def dist_to_jsonable(F: GenDist) -> dict:
     out = {
         "breakpoints": [frac_str(b) for b in F.breakpoints],
         "pieces": [format_expr(p) for p in F.pieces],
-        "atoms": [{"w": frac_str(a.w), "k": a.k, "re": frac_str(a.coeff.re),
-                   "im": frac_str(a.coeff.im)} for a in F.atoms],
+        "atoms": [{"w": frac_str(a.w), "k": a.k,
+                   "re": _frac(a.coeff.re_num, a.coeff.den, _TEXT),
+                   "im": _frac(a.coeff.im_num, a.coeff.den, _TEXT)}
+                  for a in F.atoms],
     }
     if F.inexact_atoms:
         out["inexact_atoms"] = [{"w": frac_str(a.w), "k": a.k,

@@ -8,7 +8,10 @@ delta factors, or a delta against a piecewise factor -- is rejected with a
 SemanticsError.
 
 Smooth text and distribution text share one grammar (rationals are ``p/q``
-or decimal digits, parsed exactly):
+or decimal digits, parsed exactly).  The tokens are the strings of one
+regex scan, the empty end match last; a token's position is computed only
+for an error.  A literal p or p/q that opens a term, with no '^' after it,
+is read as one ``Const`` from its integers:
 
     sum     := ('+'|'-')? term (('+'|'-') term)*
     term    := signed (('*'|'/') signed)*     -- '/' needs a smooth divisor
@@ -55,51 +58,39 @@ from .dist import (Atom, DeltaAtom, GenDist, InexactAtom, PiecewiseSmooth,
                    _assemble, _merge_atoms, _scaled_atoms, add, scale,
                    smooth_mul, smooth_times_atom)
 from .errors import ParseError, SemanticsError
-from .expr import (SmoothExpr, Verdict, X, ZERO, ONE, const, cos_of,
+from .expr import (Const, SmoothExpr, Verdict, X, ZERO, ONE, cos_of,
                    exact_verdict, exp_of, neg, power_of, product_of,
                    quotient_of, sin_of, sum_of)
-from .scalars import ComplexRational, Rat, _rat, as_fraction
+from .scalars import (CR_ONE, ComplexRational, Rat, _rat, as_fraction,
+                      cr_of_ints)
 from .star import star
 
-# One match per token: its leading whitespace, then exactly one of a
-# number, a name, an operator or any other (bad) character.
-_TOKEN_RE = re.compile(r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z_]+)"
-                       r"|([-+*/^()\[\],;])|(\S))")
-
-# A token is a (kind, text, position) triple; kind is num, id, op or end.
-_Tok = Tuple[str, str, int]
-
-
-def _tokenize(text: str) -> List[_Tok]:
-    """The tokens of text.  Every character but whitespace starts a match,
-    so the matches tile the text up to trailing whitespace, and a token's
-    position is the running sum of the lengths before it."""
-    out = []
-    pos = 0
-    for space, num, name, op, bad in _TOKEN_RE.findall(text):
-        pos += len(space)
-        if num:
-            out.append(("num", num, pos))
-            pos += len(num)
-        elif name:
-            out.append(("id", name, pos))
-            pos += len(name)
-        elif op:
-            out.append(("op", op, pos))
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {bad!r}", pos)
-    out.append(("end", "", len(text)))
-    return out
+# A token is one operator character, a number or a name, and the empty
+# match at the end of the text is the last one.  Whitespace separates
+# tokens; a character that starts no token is a bad one.
+_TOKEN = r"[-+*/^()\[\],;]|\d+(?:\.\d+)?|[A-Za-z_]+"
+_TOKEN_RE = re.compile(_TOKEN + r"|\Z")
+_GOOD_RE = re.compile(r"(?:\s|%s)*" % _TOKEN)  # up to the first bad one
+# No number starts with one of these, and every string holds "", the end.
+_NOT_NUM = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+            "_-+*/^()[],;")
+_SIGNS = ("+", "-")
 
 
-def _number(text: str) -> Union[int, Fraction]:
-    """The exact value of a numeric literal: an int unless it has a point."""
-    return Fraction(text) if "." in text else int(text)
+def _tokenize(text: str) -> List[str]:
+    """The tokens of text.  The scan skips a bad character, so then the
+    tokens miss a non-space character, and the first bad one raises."""
+    toks = _TOKEN_RE.findall(text)
+    if "".join(toks) != "".join(text.split()):
+        end = _GOOD_RE.match(text).end()
+        raise ParseError(f"unexpected character {text[end]!r}", end)
+    return toks
 
 
 def _ratio(text: str) -> Tuple[int, int]:
     """A numeric literal as an integer over a power of ten, not reduced."""
+    if "." not in text:
+        return int(text), 1
     whole, _, frac = text.partition(".")
     return int(whole + frac), 10 ** len(frac)
 
@@ -154,38 +145,45 @@ _MAX_DEPTH = 100
 
 _FUNCTIONS = {"exp": exp_of, "sin": sin_of, "cos": cos_of}
 _MINUS_ONE = ComplexRational.of(-1)
+_I = Const(cr_of_ints(0, 1, 1))
 
 
 def _as_dist(v: _Value) -> GenDist:
     """The assembled distribution of a value; the light shapes are
-    canonical already, so they are built without reassembly."""
-    if isinstance(v, GenDist):
+    canonical already, so they are built without a check or reassembly."""
+    cls = v.__class__
+    if cls is GenDist:
         return v
-    if isinstance(v, _Atoms):
-        return GenDist(PiecewiseSmooth((v.w,), (ZERO, ZERO)), v.atoms)
-    if not isinstance(v, _Piece):
-        return GenDist(PiecewiseSmooth((), (v,)), ())
-    breaks, pieces = (), (v.g,)
-    if v.lo is not None:
-        breaks, pieces = (v.lo,), (ZERO, v.g)
-    if v.hi is not None:
-        breaks, pieces = breaks + (v.hi,), pieces + (ZERO,)
-    return GenDist(PiecewiseSmooth(breaks, pieces), ())
+    if cls is _Atoms:
+        breaks, pieces, atoms = (v.w,), (ZERO, ZERO), v.atoms
+    elif cls is _Piece:
+        breaks, pieces, atoms = (), (v.g,), ()
+        if v.lo is not None:
+            breaks, pieces = (v.lo,), (ZERO, v.g)
+        if v.hi is not None:
+            breaks, pieces = breaks + (v.hi,), pieces + (ZERO,)
+    else:
+        breaks, pieces, atoms = (), (v,), ()
+    return GenDist._unchecked(PiecewiseSmooth._unchecked(breaks, pieces),
+                              atoms)
 
 
 def _negate(v: _Value) -> _Value:
-    if isinstance(v, _Piece):
+    cls = v.__class__
+    if cls is Const:  # as neg, which multiplies by the Const -1
+        return Const(-v.value)
+    if cls is _Piece:
         return _piece(neg(v.g), v.lo, v.hi)
-    if isinstance(v, _Atoms):
+    if cls is _Atoms:
         return _atoms(v.w, _scaled_atoms(_MINUS_ONE, v.atoms))
-    return scale(-1, v) if isinstance(v, GenDist) else neg(v)
+    return scale(-1, v) if cls is GenDist else neg(v)
 
 
 def _times(g: SmoothExpr, v: _Value) -> _Value:
     """The smooth g times the distribution v, as ``smooth_mul``."""
-    if isinstance(v, _Piece):
+    if v.__class__ is _Piece:
         return _piece(product_of(g, v.g), v.lo, v.hi)
-    if isinstance(v, _Atoms):
+    if v.__class__ is _Atoms:
         return _atoms(v.w, [b for a in v.atoms
                             for b in smooth_times_atom(g, a)])
     return smooth_mul(g, v)
@@ -195,54 +193,35 @@ def _bound(a: Optional[Fraction], b: Optional[Fraction], pick):
     return b if a is None else a if b is None else pick(a, b)
 
 
-def _pointwise_mul(A: _Value, B: _Value, pos: int) -> _Value:
-    if any(isinstance(v, _Atoms) or isinstance(v, GenDist) and v.all_atoms
-           for v in (A, B)):
-        raise SemanticsError(
-            "a delta factor can only be multiplied by smooth factors in "
-            "construction syntax; use the mul command for the algebra "
-            f"product (at position {pos})")
-    if isinstance(A, _Piece) and isinstance(B, _Piece):
-        # star's aligned pieces: zero but on the intersection of the two
-        return _piece(product_of(A.g, B.g), _bound(A.lo, B.lo, max),
-                      _bound(A.hi, B.hi, min))
-    return star(_as_dist(A), _as_dist(B))
-
-
 class _Parser:
+    """The descent over the token strings; i indexes the next one."""
+
     def __init__(self, text: str, dist_names: bool):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
         # whether H and delta are names; never inside a function argument
         self.dist_names = dist_names
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def pos(self, i: int) -> int:
+        """The position of token i, from a second scan; only errors ask."""
+        return [m.start() for m in _TOKEN_RE.finditer(self.text)][i]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def expect(self, ch: str) -> int:
+        """The index of the token ch at the cursor, which steps past it."""
+        i = self.i
+        if self.toks[i] != ch:
+            raise ParseError(f"expected {ch!r}", self.pos(i))
+        self.i = i + 1
+        return i
 
-    def expect_op(self, ch: str) -> _Tok:
-        kind, text, pos = self.peek()
-        if kind != "op" or text != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-        return self.next()
-
-    def at_op(self, *chs: str) -> bool:
-        # only an op token's text is one of these characters
-        return self.toks[self.i][1] in chs
-
-    def at_x(self) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "id" and text == "x"
-
-    def nested(self, parse, pos: int):
-        """Run one nested parse one level deeper; errors past _MAX_DEPTH."""
+    def nested(self, parse, i: int):
+        """parse() one level deeper, opened by token i; errors past
+        _MAX_DEPTH."""
         if self.depth == _MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels",
+                             self.pos(i))
         self.depth += 1
         out = parse()
         self.depth -= 1
@@ -251,152 +230,191 @@ class _Parser:
     # -- numbers ----------------------------------------------------------
 
     def uint(self) -> int:
-        kind, text, pos = self.peek()
-        if kind != "num" or "." in text:
-            raise ParseError("expected a nonnegative integer", pos)
-        self.next()
-        return int(text)
+        t = self.toks[self.i]
+        if t[:1] in _NOT_NUM or "." in t:
+            raise ParseError("expected a nonnegative integer",
+                             self.pos(self.i))
+        self.i += 1
+        return int(t)
 
     def rational(self) -> Tuple[int, int]:
         """A literal p or p/q as integers (n, d) with n/d its value and
         d > 0, not reduced."""
-        kind, text, pos = self.peek()
-        if kind != "num":
-            raise ParseError("expected a number", pos)
-        self.next()
-        n, d = _ratio(text)
-        if self.at_op("/") and self.toks[self.i + 1][0] == "num":
-            self.next()
-            qn, qd = _ratio(self.next()[1])
+        toks, i = self.toks, self.i
+        if toks[i][:1] in _NOT_NUM:
+            raise ParseError("expected a number", self.pos(i))
+        n, d = _ratio(toks[i])
+        if toks[i + 1] == "/" and toks[i + 2][:1] not in _NOT_NUM:
+            qn, qd = _ratio(toks[i + 2])
             if qn == 0:
-                raise ParseError("zero denominator", pos)
-            n, d = n * qd, d * qn
+                raise ParseError("zero denominator", self.pos(i))
+            n, d, i = n * qd, d * qn, i + 2
+        self.i = i + 1
         return n, d
+
+    def literal(self) -> Optional[Const]:
+        """A term's first factor as one Const when it is a literal p, or
+        p/q with q nonzero, and no '^' follows it; None otherwise."""
+        toks, i = self.toks, self.i
+        if toks[i][:1] in _NOT_NUM or toks[i + 1] == "^":
+            return None
+        n, d = _ratio(toks[i])
+        if (toks[i + 1] == "/" and toks[i + 2][:1] not in _NOT_NUM
+                and toks[i + 3] != "^"):
+            qn, qd = _ratio(toks[i + 2])
+            if qn:  # a zero q is left to the division and its error
+                n, d, i = n * qd, d * qn, i + 2
+        self.i = i + 1
+        return Const(cr_of_ints(n, 0, d))
 
     # -- the grammar ------------------------------------------------------
 
     def sign(self, parse) -> _Value:
         """A '+' or '-' followed by parse(), one level deeper."""
-        _, text, pos = self.next()
-        v = self.nested(parse, pos)
-        return _negate(v) if text == "-" else v
+        i = self.i
+        self.i = i + 1
+        v = self.nested(parse, i)
+        return _negate(v) if self.toks[i] == "-" else v
 
     def sum(self) -> _Value:
-        terms = [self.sign(self.term) if self.at_op("+", "-")
-                 else self.term()]
-        while self.at_op("+", "-"):
-            op = self.next()[1]
+        toks = self.toks
+        v = self.sign(self.term) if toks[self.i] in _SIGNS else self.term()
+        if toks[self.i] not in _SIGNS:
+            # a lone term is canonical already; add would renormalize it
+            return v
+        terms = [v]
+        while toks[self.i] in _SIGNS:
+            op = toks[self.i]
+            self.i += 1
             v = self.term()
             terms.append(_negate(v) if op == "-" else v)
-        if len(terms) == 1:
-            # a lone term is canonical already; add would renormalize it
-            return terms[0]
-        if not any(isinstance(v, _DIST) for v in terms):
+        if not any(v.__class__ in _DIST for v in terms):
             return sum_of(*terms)
         return add(*map(_as_dist, terms))
 
     def term(self) -> _Value:
-        v = self.signed()
-        while self.at_op("*", "/"):
-            _, op, pos = self.next()
+        v = self.literal() or self.signed()
+        toks = self.toks
+        while toks[self.i] in ("*", "/"):
+            at = self.i
+            self.i += 1
             rhs = self.signed()
-            smooth = not isinstance(v, _DIST)
-            if op == "/":
-                if isinstance(rhs, _DIST):
-                    raise SemanticsError(
-                        f"divisor must be smooth (at position {pos})")
+            smooth = v.__class__ not in _DIST
+            if toks[at] == "/":
+                if rhs.__class__ in _DIST:
+                    raise SemanticsError("divisor must be smooth (at "
+                                         f"position {self.pos(at)})")
                 # smooth/smooth is one quotient, so an exact division keeps
                 # its polynomial normal form
                 try:
                     q = quotient_of(v if smooth else ONE, rhs)
                 except ZeroDivisionError:
-                    raise ParseError("division by zero", pos)
+                    raise ParseError("division by zero", self.pos(at))
                 v = q if smooth else _times(q, v)
-            elif not isinstance(rhs, _DIST):
+            elif rhs.__class__ not in _DIST:
                 v = product_of(v, rhs) if smooth else _times(rhs, v)
             elif smooth:
                 v = _times(v, rhs)
             else:
-                v = _pointwise_mul(v, rhs, pos)
+                v = self.pointwise(v, rhs, at)
         return v
 
+    def pointwise(self, A: _Value, B: _Value, at: int) -> _Value:
+        if any(v.__class__ is _Atoms or v.__class__ is GenDist and v.all_atoms
+               for v in (A, B)):
+            raise SemanticsError(
+                "a delta factor can only be multiplied by smooth factors in "
+                "construction syntax; use the mul command for the algebra "
+                f"product (at position {self.pos(at)})")
+        if A.__class__ is _Piece and B.__class__ is _Piece:
+            # star's aligned pieces: zero but on the intersection of the two
+            return _piece(product_of(A.g, B.g), _bound(A.lo, B.lo, max),
+                          _bound(A.hi, B.hi, min))
+        return star(_as_dist(A), _as_dist(B))
+
     def signed(self) -> _Value:
-        if self.at_op("+", "-"):
+        toks = self.toks
+        if toks[self.i] in _SIGNS:
             return self.sign(self.signed)
         v = self.primary()
-        while self.at_op("^"):
-            if isinstance(v, _DIST):
-                raise ParseError("'^' needs a smooth base", self.peek()[2])
-            self.next()
+        while toks[self.i] == "^":
+            if v.__class__ in _DIST:
+                raise ParseError("'^' needs a smooth base", self.pos(self.i))
+            self.i += 1
             v = power_of(v, self.uint())
         return v
 
     def primary(self) -> _Value:
-        kind, text, pos = self.next()
-        if kind == "num":
-            return const(_number(text))
-        if kind == "id":
-            if text == "x":
-                return X
-            if text == "i":
-                return const(ComplexRational(Fraction(0), Fraction(1)))
-            if text in _FUNCTIONS:
-                outer, self.dist_names = self.dist_names, False
-                arg = self.nested(self.sum, self.expect_op("(")[2])
-                self.dist_names = outer
-                self.expect_op(")")
-                return _FUNCTIONS[text](arg)
-            if self.dist_names and text in ("H", "delta"):
-                return self.step_or_delta(text)
-            raise ParseError(f"{text!r} is not a smooth function here", pos)
-        if kind == "op" and text == "(":
-            v = self.nested(self.sum, pos)
-            self.expect_op(")")
-            if isinstance(v, _Piece) and v.lo is None and v.hi is None:
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        if t[:1] not in _NOT_NUM:
+            n, d = _ratio(t)
+            return Const(cr_of_ints(n, 0, d))
+        if t == "x":
+            return X
+        if t == "i":
+            return _I
+        if t in _FUNCTIONS:
+            outer, self.dist_names = self.dist_names, False
+            arg = self.nested(self.sum, self.expect("("))
+            self.dist_names = outer
+            self.expect(")")
+            return _FUNCTIONS[t](arg)
+        if self.dist_names and t in ("H", "delta"):
+            return self.step_or_delta(t)
+        if t == "(":
+            v = self.nested(self.sum, i)
+            self.expect(")")
+            if v.__class__ is _Piece and v.lo is None and v.hi is None:
                 return v.g
-            if (isinstance(v, GenDist) and not v.breakpoints
+            if (v.__class__ is GenDist and not v.breakpoints
                     and not v.all_atoms):
                 return v.pieces[0]
             return v
-        raise ParseError("expected a smooth operand", pos)
+        raise ParseError(f"{t!r} is not a smooth function here"
+                         if t.isidentifier() else "expected a smooth operand",
+                         self.pos(i))
 
     def step_or_delta(self, name: str) -> _Value:
         k = 0
-        if name == "delta" and self.at_op("["):
-            self.next()
+        if name == "delta" and self.toks[self.i] == "[":
+            self.i += 1
             k = self.uint()
-            self.expect_op("]")
-        self.expect_op("(")
+            self.expect("]")
+        self.expect("(")
         w, reflected = self.linarg()
-        self.expect_op(")")
+        self.expect(")")
         if name == "delta":
-            c = ComplexRational.of((-1) ** k if reflected else 1)
+            c = _MINUS_ONE if reflected and k % 2 else CR_ONE
             return _Atoms(w, (DeltaAtom(w, k, c),))
         return _Piece(ONE, None, w) if reflected else _Piece(ONE, w, None)
 
     def linarg(self) -> Tuple[Rat, bool]:
         """Linear argument of H or delta: returns (w, reflected) meaning
         x - w, or w - x when reflected."""
-        if self.peek()[0] == "num":
+        toks = self.toks
+        if toks[self.i][:1] not in _NOT_NUM:
             n, d = self.rational()
-            self.expect_op("-")
-            if not self.at_x():
+            self.expect("-")
+            if toks[self.i] != "x":
                 raise ParseError("expected x after the constant",
-                                 self.peek()[2])
-            self.next()
+                                 self.pos(self.i))
+            self.i += 1
             return _location(n, d), True
-        reflected = False
-        if self.at_op("+", "-"):
-            reflected = self.next()[1] == "-"
-        if not self.at_x():
-            raise ParseError("expected x in linear argument", self.peek()[2])
-        self.next()
+        i = self.i
+        reflected = toks[i] == "-"
+        if toks[i] in _SIGNS:
+            i += 1
+        if toks[i] != "x":
+            raise ParseError("expected x in linear argument", self.pos(i))
+        self.i = i + 1
         n, d = 0, 1
-        if self.at_op("+", "-"):
-            plus = self.next()[1] == "+"
+        if toks[i + 1] in _SIGNS:
+            self.i = i + 2
             n, d = self.rational()
             # unreflected: x + q  ->  w = -q ; reflected: -x + q  ->  w = q
-            if plus != reflected:
+            if (toks[i + 1] == "+") != reflected:
                 n = -n
         return _location(n, d), reflected
 
@@ -404,9 +422,9 @@ class _Parser:
 def _parse(text: str, dist_names: bool) -> _Value:
     p = _Parser(text, dist_names)
     v = p.sum()
-    kind, text, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {text!r}", pos)
+    if p.toks[p.i]:
+        raise ParseError(f"unexpected trailing input {p.toks[p.i]!r}",
+                         p.pos(p.i))
     return v
 
 

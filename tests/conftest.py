@@ -11,14 +11,26 @@ The Hypothesis strategies at the end draw the laws' operands on huge
 an ``int``, a ``Fraction`` or a ``Rat``.
 """
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 import distalg as d
 from distalg.dist import _assemble
 from distalg.scalars import Rat
+
+
+def bench_gen():
+    """The benchmark's input generators, ``bench/gen.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
 
 LOCS = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
 

@@ -3,6 +3,7 @@
 Each case pins both notations of one object, so a change to either
 renderer, or to a token the two share, shows up as a one-line diff."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import distalg as d
 from distalg.dist import DeltaAtom, InexactAtom, _assemble
 from distalg.expr import Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, X
+
+from conftest import bench_gen
 
 
 def c(re, im=0):
@@ -211,3 +214,54 @@ CONFINED = [  # (confined equation, text, LaTeX)
 def test_confined_equation(ceq, text, latex):
     assert d.format_confined_text(ceq) == text
     assert d.format_confined_latex(ceq) == latex
+
+
+# -- deep trees and exact rationals --------------------------------------------
+
+
+def _sin_chain(depth):
+    e = X
+    for _ in range(depth):
+        e = Sin(e)
+    return e
+
+
+@pytest.mark.parametrize("render", [
+    d.format_expr, d.format_expr_latex,
+    *(lambda e, mode=mode: d.format_dist(
+        d.GenDist._unchecked(d.PiecewiseSmooth._unchecked((), (e,)), ()),
+        mode) for mode in ("text", "latex", "json"))],
+    ids=["format_expr", "format_expr_latex", "text", "latex", "json"])
+def test_a_tree_too_deep_to_render_is_a_shape_error(render):
+    """A hand-built 3,000-deep chain ends in a typed error that names the
+    recursion limit, not in a RecursionError."""
+    with pytest.raises(d.ShapeError, match="recursion limit"):
+        render(_sin_chain(3000))
+
+
+def test_textio_distributions_format_without_fractions(monkeypatch):
+    """The long sums and wide products of the textio benchmark, seeds 0-9,
+    print in every mode from the integers of their rationals."""
+    gen = bench_gen()
+    dists = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        dists.append(gen.build_dist(d, gen.long_sum(rng, 100)))
+        F, G = (gen.build_dist(d, gen.wide_dist(rng)) for _ in range(2))
+        dists.append(d.star(F, G))
+    dists = [F for F in dists if not F.inexact_atoms]
+    want = [[d.format_dist(F, m) for m in ("text", "latex", "json")]
+            for F in dists]
+    built = []
+    new = Q.__new__
+
+    def counted(cls, *args, **kw):
+        built.append(args)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Q, "__new__", counted)
+    got = [[d.format_dist(F, m) for m in ("text", "latex", "json")]
+           for F in dists]
+    monkeypatch.undo()
+    assert built == []
+    assert got == want

@@ -1,24 +1,25 @@
 """The distribution parser's term route: the same values as folding the
 text through the public operations, the same errors, and one assembly per
-sum; tokens as the match-object tokenizer read them, and locations read
-without Fractions."""
+sum; tokens as the match-object tokenizer read them, locations read
+without Fractions, values and errors as the reference parser
+(``parser_reference``) gives them, and a bound on the calls per token."""
 
 import importlib
-import importlib.util
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import distalg as d
 from distalg import dist as dist_mod, parser as parser_mod
 from distalg.errors import DistAlgError, ParseError, SemanticsError
 
-from conftest import random_corpus
+import parser_reference as ref
+from conftest import bench_gen, random_corpus
 
 # the module; the package's attribute `star` is the function
 star_mod = importlib.import_module("distalg.star")
@@ -299,16 +300,8 @@ def test_bad_input_error_and_position(text, error, message, position):
 # -- one assembly per sum ----------------------------------------------------
 
 
-def _bench_gen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def _bench_texts():
-    gen = _bench_gen()
+    gen = bench_gen()
     rng = random.Random(20)
     long_sum = gen.build_dist(d, gen.long_sum(rng, 100))
     F, G = (gen.build_dist(d, gen.wide_dist(rng)) for _ in range(2))
@@ -360,7 +353,7 @@ def _token_corpus():
     """Acceptance 12's texts, the textio benchmark's families and a few
     spaced, decimal and reflected forms."""
     texts = [d.format_dist(F) for F in random_corpus(23, 200)]
-    gen = _bench_gen()
+    gen = bench_gen()
     rng = random.Random(21)
     for n in (10, 50, 100):
         texts.append(d.format_dist(gen.build_dist(d, gen.long_sum(rng, n))))
@@ -372,23 +365,35 @@ def _token_corpus():
     return texts
 
 
-def _outcome(tokenize, text):
+def _outcome(tokens, text):
+    """The (text, position) pairs of the tokens, or the error's type and
+    message."""
     try:
-        return tokenize(text)
+        return tokens(text)
     except ParseError as e:
         return type(e), str(e)
 
 
+def _tokens(text):
+    """Token texts, each with the position that an error at it reports."""
+    p = parser_mod._Parser(text, True)
+    return list(zip(p.toks, map(p.pos, range(len(p.toks)))))
+
+
+def _reference_tokens(text):
+    return [(tok, pos) for _, tok, pos in _reference_tokenize(text)]
+
+
 def test_tokens_match_the_reference_tokenizer():
     for text in _token_corpus():
-        assert parser_mod._tokenize(text) == _reference_tokenize(text)
+        assert _tokens(text) == _reference_tokens(text)
 
 
 @pytest.mark.parametrize("text", ["x $ 1", "H(x-1)#", "  @", "H(x-1.)",
-                                  "delta(x) + é", "1,2;3"])
+                                  "delta(x) + é", "1,2;3", "1.5.2", "x²",
+                                  "\u0663.5\u00a0+ 1"])
 def test_bad_character_matches_the_reference_tokenizer(text):
-    assert (_outcome(parser_mod._tokenize, text)
-            == _outcome(_reference_tokenize, text))
+    assert _outcome(_tokens, text) == _outcome(_reference_tokens, text)
 
 
 def test_locations_are_read_without_fractions(monkeypatch):
@@ -414,3 +419,94 @@ def test_locations_are_read_without_fractions(monkeypatch):
         "H(x+97/8)*H(-x-5/2) + H(x+5/2)*H(-x-3/4) + H(x-1/3)*H(-x+1/2) "
         "+ 2*H(x-1/2)*H(-x+5/2) + H(x-5/2)*H(-x+7/2) + H(x-7/2) "
         "+ delta[2](x+5/2) + delta(x-1/4) + delta[1](x-7/2)")
+
+
+# -- the reference parser ------------------------------------------------------
+#
+# ``parser_reference`` is the parser as it read (kind, text, position) token
+# triples and one factor at a time; ``distalg.parser`` must give the same
+# values, and the same errors at the same positions.
+
+LITERALS = ["2/3^2", "-71/6*x", "(-71/6)", "1.5/0.25", "3/0*x", "2/0^2",
+            "-2^2", "--3/4", "x*-1/2", "1/2/3", "i/2", "2/i", "-i*3/4",
+            "0.125*H(x-0.5)", "-1/2*delta[1](3/4-x)", "7/7 + 0/5", "1/2.5",
+            "2^3/4", "-(1/2)^2*x", "1/2x", "4/2*H(x)/3", "- 5", "+5/10"]
+_ALPHABET = "()-+*/^[]x10.2 $éiH٣"
+
+
+def _outcome_of(parse, text):
+    """repr and value of parse(text), or the error's type, message and
+    position."""
+    try:
+        v = parse(text)
+        return repr(v), v
+    except Exception as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+def _assert_as_reference(text):
+    for name in ("parse_dist", "parse_smooth_expr"):
+        got = _outcome_of(getattr(parser_mod, name), text)
+        assert got == _outcome_of(getattr(ref, name), text), (name, text)
+
+
+@st.composite
+def _texts(draw):
+    kind = draw(st.sampled_from(["grammar", "bench", "literal"]))
+    if kind == "grammar":
+        return sum_text(draw(sums()))
+    if kind == "literal":
+        return draw(st.sampled_from(LITERALS))
+    gen, rng = bench_gen(), random.Random(draw(st.integers(0, 9)))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([10, 100]))
+        return d.format_dist(gen.build_dist(d, gen.long_sum(rng, n)))
+    F, G = (gen.build_dist(d, gen.wide_dist(rng)) for _ in range(2))
+    return d.format_dist(d.star(F, G))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_texts())
+def test_parse_matches_the_reference_parser(text):
+    _assert_as_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(), st.sampled_from(["insert", "delete", "replace"]),
+       st.integers(0, 10 ** 6), st.sampled_from(_ALPHABET))
+def test_an_edited_text_fails_as_in_the_reference_parser(text, edit, at, ch):
+    """One character inserted, deleted or replaced: the same value, or the
+    same error type, message and position.  An exponent of three or more
+    digits is left out: the power would take too long to compute."""
+    at %= len(text) + (edit == "insert")
+    rest = text[at:] if edit == "insert" else text[at + 1:]
+    edited = text[:at] + ("" if edit == "delete" else ch) + rest
+    assume(not re.search(r"\^\s*\d{3}", edited))
+    _assert_as_reference(edited)
+
+
+def test_literals_match_the_reference_parser():
+    for text in LITERALS:
+        _assert_as_reference(text)
+
+
+def test_a_long_sum_parses_in_at_most_8_calls_per_token():
+    """Python and C calls counted by sys.setprofile while the text of a
+    100-term benchmark sum is parsed, over its tokens."""
+    gen = bench_gen()
+    text = d.format_dist(gen.build_dist(d, gen.long_sum(random.Random(0),
+                                                        100)))
+    tokens = len(_reference_tokenize(text)) - 1  # the end is no token
+    d.parse_dist(text)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        d.parse_dist(text)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 8 * tokens, calls / tokens
