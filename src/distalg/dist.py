@@ -38,10 +38,11 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError, UnsupportedPiece
-from .expr import (_NODE_TYPES, Const, SmoothExpr, Verdict, ZERO, const,
-                   diff_expr, eval_exact, eval_expr, exact_verdict,
-                   expr_equal, leaf_kernel, poly_antiderivative, product_of,
-                   shift_expr, sum_of, worst_verdict)
+from .expr import (_NODE_TYPES, Const, Kernel, SmoothExpr, Verdict, ZERO,
+                   _horner, const, diff_expr, eval_exact, eval_expr,
+                   exact_verdict, expr_equal, leaf_kernel,
+                   poly_antiderivative, product_of, shift_expr, sum_of,
+                   worst_verdict)
 from .scalars import (CR_ZERO, ComplexRational, ScalarLike, as_fraction,
                       cr_of_ints, record)
 
@@ -294,33 +295,34 @@ def sub(F: GenDist, G: GenDist) -> GenDist:
 # atom expansion
 
 
-def _taylor_shift(g: SmoothExpr, w: Fraction, k: int
-                  ) -> Optional[List[Tuple[int, int, int]]]:
-    """g^(j)(w)/j! for j = 0..min(k, deg g) as unreduced integers
-    (re, im, den); None unless g is a polynomial leaf (Const, X or Poly).
-
-    For g = sum_i c_i x^i / den over n numerators and w = p/q, g^(j)(w)/j!
-    is coefficient j of b(z + p) over den q^(n-1-j), where b(z) = sum_i
-    c_i q^(n-1-i) z^i; Horner's scheme shifts b by p in integers.  A
-    quotient, even one that divides exactly, is a tree and stays off this
-    route, so ``eval_exact`` still refuses its pole."""
-    kern = leaf_kernel(g)
-    if kern is None:
-        return None
+def _taylor_values(kern: Kernel, w: Fraction, k: int
+                   ) -> List[Tuple[int, int, int]]:
+    """g^(j)(w)/j! for j = 0..min(k, deg g), g the polynomial kern, as
+    unreduced integers (re, im, den): g(w) by ``_horner`` when k = 0, else
+    the remainders of repeated synthetic division by x - w = x - p/q, in
+    place on the Gaussian integers br + bi*i.  The first division is
+    Horner's scheme, whose running values are the quotient times powers of
+    q, so each later one shifts by p alone, over one power of q less."""
+    p, q = w.numerator, w.denominator
+    if k == 0:
+        return [_horner(kern, p, 0, q)]
     den, re, im = kern
-    n, p, q = max(len(re), len(im), 1), w.numerator, w.denominator
-    m = min(k + 1, n)
-
-    def shifted(cs: Tuple[int, ...]) -> List[int]:
-        b = [c * q ** (n - 1 - i) for i, c in enumerate(cs)]
-        b += [0] * (n - len(b))
-        for j in range(m if cs else 0):
-            for i in range(n - 2, j - 1, -1):
-                b[i] += p * b[i + 1]
-        return b
-
-    re, im = shifted(re), shifted(im)
-    return [(re[j], im[j], den * q ** (n - 1 - j)) for j in range(m)]
+    n = max(len(re), len(im), 1)
+    br, bi = list(re) + [0] * (n - len(re)), list(im) + [0] * (n - len(im))
+    pw = 1
+    for i in range(n - 2, -1, -1):
+        pw *= q
+        br[i] = br[i + 1] * p + br[i] * pw
+        bi[i] = bi[i + 1] * p + bi[i] * pw
+    s = den * pw
+    out = [(br[0], bi[0], s)]
+    for j in range(1, min(k + 1, n)):
+        for i in range(n - 2, j - 1, -1):
+            br[i] += p * br[i + 1]
+            bi[i] += p * bi[i + 1]
+        s //= q
+        out.append((br[j], bi[j], s))
+    return out
 
 
 def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
@@ -334,10 +336,10 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     An exact atom times a polynomial leaf stays in integers: a constant
     multiplies the coefficient, and otherwise coefficient j is one reduction
     of the atom coefficient's integers times C(k,j)·j!·(-1)^j times the
-    numerators of ``_taylor_shift`` over its denominator.  A tree, or an
-    inexact atom, differentiates with ``diff_expr`` and evaluates each
-    derivative with ``eval_exact``, falling back to floats where that has
-    no exact value.
+    Taylor value g^(j)(w)/j! from ``_taylor_values``.  A tree, even a
+    quotient that divides exactly, or an inexact atom, differentiates with
+    ``diff_expr`` and evaluates each derivative with ``eval_exact``,
+    falling back to floats where that has no exact value.
     """
     g = as_expr(g)
     w, k, c = a.w, a.k, a.coeff
@@ -345,11 +347,11 @@ def smooth_times_atom(g: SmoothExpr, a: Atom) -> List[Atom]:
     if g.__class__ is Const and exact:
         return ([] if c.is_zero or g.value.is_zero
                 else [DeltaAtom(w, k, c * g.value)])
-    shift = _taylor_shift(g, w, k) if exact else None
+    kern = leaf_kernel(g) if exact else None
     out: List[Atom] = []
-    if shift is not None:
+    if kern is not None:
         f = 1  # C(k,j)·j!·(-1)^j
-        for j, (r, i, s) in enumerate(shift):
+        for j, (r, i, s) in enumerate(_taylor_values(kern, w, k)):
             cr, ci = c.re_num * r - c.im_num * i, c.re_num * i + c.im_num * r
             if cr or ci:
                 out.append(DeltaAtom(w, k - j, cr_of_ints(f * cr, f * ci,
@@ -494,11 +496,15 @@ def _atom_sums(F: GenDist) -> dict:
 
 
 def equal_dist(F: GenDist, G: GenDist) -> Verdict:
-    """Compare on the union of the breakpoints: atoms by their summed
-    coefficient per (location, order), exactly, and pieces by expr_equal on
-    each interval; the worst verdict wins.  Inexact atoms can at best leave
-    the verdict Unknown.  Nothing is normalized first: on a hand-built
-    value the sums stand in for merging."""
+    """Equal from structure when F == G with exact atoms only: equal exact
+    results are the same canonical record.  Otherwise compare on the union
+    of the breakpoints: atoms by their summed coefficient per (location,
+    order), exactly, and pieces by expr_equal on each interval; the worst
+    verdict wins.  Inexact atoms can at best leave the verdict Unknown.
+    Nothing is normalized first: on a hand-built value the sums stand in
+    for merging."""
+    if F == G and all(a.__class__ is DeltaAtom for a in F.all_atoms):
+        return Verdict.EQUAL
     Fa, Ga = align(F, G)
     verdict = Verdict.EQUAL
     fs, gs = _atom_sums(Fa), _atom_sums(Ga)

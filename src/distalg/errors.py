@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import sys
+
 
 class DistAlgError(Exception):
     """Base class for all errors raised by distalg."""
@@ -34,6 +36,17 @@ class DegenerateLeadingCoefficient(DistAlgError):
 class SemanticsError(DistAlgError):
     """Input is syntactically valid but has no literal constructive meaning
     (e.g. a pointwise product of two delta factors)."""
+
+
+class DigitLimitError(DistAlgError):
+    """An integer to print has more digits than the interpreter converts to
+    text (``sys.get_int_max_str_digits()``), a limit the package leaves as
+    it is."""
+
+    def __init__(self):
+        super().__init__(f"an integer has more digits than the interpreter's "
+                         f"{sys.get_int_max_str_digits()}-digit limit for "
+                         f"printing")
 
 
 class ParseError(DistAlgError):

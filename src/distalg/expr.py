@@ -37,7 +37,8 @@ gcd, lowest terms and the Sturm root count that the weak actions and
 ``make_ode`` ask through ``vanishes_between`` run on kernels too, and one
 Horner in Gaussian integers (``_horner``) gives every exact value: in
 ``eval_exact``, at a float point where float Horner's error bound is too
-wide (``_poly_num``), and in the root count.  Coefficients leave kernels
+wide (``_poly_num``), in the root count, and for an order-0 atom in
+``dist.smooth_times_atom``.  Coefficients leave kernels
 only to print, substitute and size terms, and in ``poly_normal_form``.
 
 One walker.  ``_interpret`` is the only function that knows each node
@@ -71,7 +72,7 @@ from functools import reduce
 from math import cos, gcd, isfinite, lcm, pi, prod
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError
+from .errors import DigitLimitError, DomainError
 from .scalars import (CR_ONE, CR_ZERO, ComplexRational, ScalarLike,
                       as_fraction, cr_of_ints, record)
 
@@ -233,7 +234,10 @@ def _ser_poly(e: Poly, _) -> str:
 
 
 def _ser_const(v: ComplexRational) -> str:
-    return f"C[{v}]"
+    try:
+        return f"C[{v}]"
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def _ser_call(tag: str, *args: str) -> str:
@@ -321,12 +325,12 @@ def _split(t: SmoothExpr) -> Tuple[Kernel, SmoothExpr]:
 def product_of(*factors: SmoothExpr) -> SmoothExpr:
     """Product with flattening, constant folding and power grouping.
     Constants multiply as scalars and the other polynomial leaves as
-    kernels; any other factor sends the whole product to
+    kernels, read straight from the factors; any other factor flattens
+    them (``_flat``), and a product that is still not all leaves goes to
     ``_tree_product``."""
-    flat = _flat(factors, Product)
     coeff = None  # the product of the constants
     k = None  # the product of the kernels of X and Poly factors
-    for f in flat:
+    for f in factors:
         cls = f.__class__
         if cls is Const:
             if f.value.is_zero:
@@ -335,6 +339,9 @@ def product_of(*factors: SmoothExpr) -> SmoothExpr:
         elif cls is Poly or cls is Var:
             k = f.k if k is None else _poly_mul(k, f.k)
         else:
+            flat = _flat(factors, Product)
+            if all(isinstance(g, _LEAVES) for g in flat):
+                return product_of(*flat)  # powers of leaves built by hand
             return _tree_product(flat)
     if k is None:
         return ONE if coeff is None else Const(coeff)

@@ -25,7 +25,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .dist import DeltaAtom, GenDist, _piece_interval
-from .errors import ShapeError
+from .errors import DigitLimitError, ShapeError
 from .expr import (Const, Cos, Exp, Poly, Power, Product, Quotient, Sin, Sum,
                    Var, SmoothExpr, ONE, ZERO, _interpret, _poly_terms)
 from .scalars import CR_ONE, ComplexRational, frac_str, record
@@ -35,11 +35,15 @@ if TYPE_CHECKING:  # the ODE formatters' types; ode loads only when used
 
 
 def _frac(n: int, d: int, st: _Style) -> str:
-    """n/d in lowest terms for integers n and d > 0; an integer alone."""
+    """n/d in lowest terms for integers n and d > 0; an integer alone.
+    DigitLimitError when a part is too long for the interpreter to print."""
     g = gcd(n, d)
-    if g == d:
-        return str(n // g)
-    return st.frac % ("-" if n < 0 else "", abs(n) // g, d // g)
+    try:
+        if g == d:
+            return str(n // g)
+        return st.frac % ("-" if n < 0 else "", abs(n) // g, d // g)
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def _float_rational(x: float) -> str:

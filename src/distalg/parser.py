@@ -50,6 +50,7 @@ pointwise product.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -85,14 +86,6 @@ def _tokenize(text: str) -> List[str]:
         end = _GOOD_RE.match(text).end()
         raise ParseError(f"unexpected character {text[end]!r}", end)
     return toks
-
-
-def _ratio(text: str) -> Tuple[int, int]:
-    """A numeric literal as an integer over a power of ten, not reduced."""
-    if "." not in text:
-        return int(text), 1
-    whole, _, frac = text.partition(".")
-    return int(whole + frac), 10 ** len(frac)
 
 
 def _location(n: int, d: int) -> Rat:
@@ -230,12 +223,26 @@ class _Parser:
     # -- numbers ----------------------------------------------------------
 
     def uint(self) -> int:
-        t = self.toks[self.i]
+        i = self.i
+        t = self.toks[i]
         if t[:1] in _NOT_NUM or "." in t:
-            raise ParseError("expected a nonnegative integer",
-                             self.pos(self.i))
-        self.i += 1
-        return int(t)
+            raise ParseError("expected a nonnegative integer", self.pos(i))
+        self.i = i + 1
+        return self.ratio(i)[0]
+
+    def ratio(self, i: int) -> Tuple[int, int]:
+        """Numeric token i as an integer over a power of ten, not reduced;
+        ParseError when it is past the interpreter's digit limit."""
+        text = self.toks[i]
+        try:
+            if "." not in text:
+                return int(text), 1
+            whole, _, frac = text.partition(".")
+            return int(whole + frac), 10 ** len(frac)
+        except ValueError:
+            raise ParseError(f"number longer than the interpreter's "
+                             f"{sys.get_int_max_str_digits()}-digit limit",
+                             self.pos(i)) from None
 
     def rational(self) -> Tuple[int, int]:
         """A literal p or p/q as integers (n, d) with n/d its value and
@@ -243,9 +250,9 @@ class _Parser:
         toks, i = self.toks, self.i
         if toks[i][:1] in _NOT_NUM:
             raise ParseError("expected a number", self.pos(i))
-        n, d = _ratio(toks[i])
+        n, d = self.ratio(i)
         if toks[i + 1] == "/" and toks[i + 2][:1] not in _NOT_NUM:
-            qn, qd = _ratio(toks[i + 2])
+            qn, qd = self.ratio(i + 2)
             if qn == 0:
                 raise ParseError("zero denominator", self.pos(i))
             n, d, i = n * qd, d * qn, i + 2
@@ -258,10 +265,10 @@ class _Parser:
         toks, i = self.toks, self.i
         if toks[i][:1] in _NOT_NUM or toks[i + 1] == "^":
             return None
-        n, d = _ratio(toks[i])
+        n, d = self.ratio(i)
         if (toks[i + 1] == "/" and toks[i + 2][:1] not in _NOT_NUM
                 and toks[i + 3] != "^"):
-            qn, qd = _ratio(toks[i + 2])
+            qn, qd = self.ratio(i + 2)
             if qn:  # a zero q is left to the division and its error
                 n, d, i = n * qd, d * qn, i + 2
         self.i = i + 1
@@ -349,7 +356,7 @@ class _Parser:
         t = self.toks[i]
         self.i = i + 1
         if t[:1] not in _NOT_NUM:
-            n, d = _ratio(t)
+            n, d = self.ratio(i)
             return Const(cr_of_ints(n, 0, d))
         if t == "x":
             return X

@@ -19,6 +19,7 @@ from distalg.errors import DomainError, ShapeError, UnsupportedPiece
 from distalg.scalars import cr_of_ints
 
 import atom_reference
+import dist_reference
 from conftest import (law_dists, random_corpus, random_dist, random_poly,
                       wide_location)
 
@@ -227,10 +228,10 @@ def _outcome(g, a):
 
 
 def _tree_route(g, a):
-    """smooth_times_atom with the Taylor shift switched off, so every value
-    comes from diff_expr and eval_exact."""
+    """smooth_times_atom with the Taylor values switched off, so every
+    value comes from diff_expr and eval_exact."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dist_mod, "_taylor_shift", lambda *args: None)
+        mp.setattr(dist_mod, "leaf_kernel", lambda g: None)
         return _outcome(g, a)
 
 
@@ -272,8 +273,9 @@ def exact_walk(monkeypatch):
 
 
 class TestTaylorRoute:
-    """Plain polynomial pieces read g^(j)(w) from one Taylor shift; every
-    other piece walks derivative trees.  Both must give the same atoms."""
+    """Plain polynomial pieces read g^(j)(w) from their kernel's Taylor
+    values; every other piece walks derivative trees.  Both must give the
+    same atoms."""
 
     @settings(max_examples=200, deadline=None)
     @given(_pieces, _locs, st.integers(0, 6),
@@ -281,7 +283,7 @@ class TestTaylorRoute:
     def test_exact_atoms_agree(self, g, w, k, c):
         a = d.DeltaAtom(w, k, d.ComplexRational(*c))
         fast, tree = _outcome(g, a), _tree_route(g, a)
-        assert dist_mod._taylor_shift(g, w, k) is not None
+        assert dist_mod.leaf_kernel(g) is not None
         assert fast == tree and repr(fast) == repr(tree)
 
     @settings(max_examples=100, deadline=None)
@@ -302,7 +304,7 @@ class TestTaylorRoute:
             g = _poly_of(cs)
             vals = [math.factorial(j) * CR(Fraction(r, s), Fraction(i, s))
                     for j, (r, i, s) in enumerate(
-                        dist_mod._taylor_shift(g, w, k))]
+                        dist_mod._taylor_values(g.k, w, k))]
             vals += [CR(0)] * (k + 1 - len(vals))
             assert vals == [d.eval_exact(d.diff_n(g, j), w)
                             for j in range(k + 1)]
@@ -313,7 +315,7 @@ class TestTaylorRoute:
     def test_exactly_dividing_quotient_keeps_its_pole(self):
         q = d.quotient_of(d.expr_from_poly([-1, 0, 1]),
                           d.expr_from_poly([-1, 1]))
-        assert dist_mod._taylor_shift(q, Fraction(1), 1) is None
+        assert dist_mod.leaf_kernel(q) is None
         with pytest.raises(DomainError):
             d.smooth_times_atom(q, d.DeltaAtom(Fraction(1), 1, CR(1)))
         # away from the pole it expands like x + 1
@@ -323,7 +325,7 @@ class TestTaylorRoute:
 
     def test_exp_piece_takes_the_tree_route(self):
         g = d.product_of(d.X, d.exp_of(d.X))
-        assert dist_mod._taylor_shift(g, Fraction(0), 2) is None
+        assert dist_mod.leaf_kernel(g) is None
 
     def test_polynomial_jumps_walk_no_tree(self, monkeypatch):
         met = exact_walk(monkeypatch)
@@ -730,6 +732,107 @@ class TestCanonicalByConstruction:
                 assert abs(o1 - o2) <= 1e-9 * (1 + abs(o1))
             else:
                 assert o1 == o2
+
+
+# ---------------------------------------------------------------------------
+# equal_dist answers Equal from structure; dist_reference compares in full
+
+
+_TREE_TEXTS = ["exp(x)*H(x) + sin(x)*H(-x) + 2*delta(x-1)",
+               "x^2/(x+3)*H(x-1) + cos(x)", "x*H(x-1) + cos(x)",
+               "(sin(x)^2 + cos(x)^2)*H(x)", "H(x)", "exp(-x)*delta[1](x)",
+               "1/(x^2+1)*H(x) - 1/(x^2+1)*H(x-2)"]
+
+
+def _triples(n):
+    """The first n triples of streams 11-13, acceptance 02's for n = 500."""
+    return list(zip(*(random_corpus(seed, n) for seed in (11, 12, 13))))
+
+
+def _law_pairs(triples):
+    """The associativity and bracket pairs of an acceptance-02 op on each
+    triple, which must be Equal."""
+    out = []
+    for F, G, J in triples:
+        out.append((d.star(d.star(F, G), J), d.star(F, d.star(G, J))))
+        out.append((d.bracket(F, G), d.scale(-1, d.bracket(G, F))))
+    return out
+
+
+class TestStructuralEqual:
+    def _check(self, pairs):
+        got = [d.equal_dist(A, B) for A, B in pairs]
+        assert got == [dist_reference.equal_dist(A, B) for A, B in pairs]
+        return got
+
+    def test_values_against_themselves_and_their_copies(self):
+        rng = random.Random(44)
+        corpus = random_corpus(44, 40)
+        pairs = [(F, F) for F in corpus]
+        pairs += [(F, d.parse_dist(d.format_dist(F))) for F in corpus]
+        for V, N in _non_canonical(rng, 12):
+            pairs += [(V, V), (V, N), (N, V)]
+        assert set(self._check(pairs)) == {Verdict.EQUAL}
+
+    def test_law_pairs_and_unequal_pairs(self):
+        fs, gs = random_corpus(11, 100), random_corpus(12, 100)
+        pairs = _law_pairs(_triples(100))
+        pairs += [(F, G) for F, G in zip(fs, gs)]
+        pairs += [(d.star(F, G), d.star(G, F)) for F, G in zip(fs, gs)]
+        got = self._check(pairs)
+        assert set(got[:200]) == {Verdict.EQUAL}
+        assert Verdict.UNEQUAL in got[200:]
+
+    def test_pieces_with_exp_sin_and_quotients(self):
+        ts = [d.parse_dist(t) for t in _TREE_TEXTS]
+        ts += [d.star(F, G) for F, G in zip(ts, ts[1:])]
+        pairs = [(A, B) for A in ts for B in ts]
+        pairs += [(A, d.parse_dist(d.format_dist(A))) for A in ts]
+        got = self._check(pairs)
+        assert {Verdict.EQUAL, Verdict.UNEQUAL, Verdict.UNKNOWN} <= set(got)
+
+    def test_an_inexact_atom_keeps_its_value_unknown(self):
+        D = d.differentiate(d.parse_dist("exp(x)*H(x-1)"))
+        assert D.inexact_atoms
+        assert self._check([(D, D)]) == [Verdict.UNKNOWN]
+
+
+def test_law_checks_read_the_canonical_form(monkeypatch):
+    """On acceptance 02's triples: star's piece products, the bracket and
+    its negation never enter _flat; each order-0 exact atom on x or a Poly
+    makes one _horner call, and on a constant none; and the two Equal
+    checks of each op call neither align nor expr_equal."""
+    triples = _triples(500)
+    flat, horner, per_atom = [], [], []
+
+    def counted(log, f):
+        def wrapper(*args):
+            log.append(args)
+            return f(*args)
+        return wrapper
+
+    def expand(g, a, expand=dist_mod.smooth_times_atom):
+        before = len(horner)
+        out = expand(g, a)
+        if a.k == 0 and isinstance(a, d.DeltaAtom):
+            per_atom.append((g.__class__, len(horner) - before))
+        return out
+
+    monkeypatch.setattr(expr_mod, "_flat", counted(flat, expr_mod._flat))
+    monkeypatch.setattr(dist_mod, "_horner",
+                        counted(horner, dist_mod._horner))
+    monkeypatch.setattr(sys.modules["distalg.star"], "smooth_times_atom",
+                        expand)
+    pairs = _law_pairs(triples)
+    assert flat == []
+    assert {cls for cls, _ in per_atom} == LEAVES
+    assert all(n == (cls is not d.Const) for cls, n in per_atom)
+    compared = []
+    for name in ("align", "expr_equal"):
+        monkeypatch.setattr(dist_mod, name,
+                            counted(compared, getattr(dist_mod, name)))
+    assert all(d.equal_dist(A, B) is Verdict.EQUAL for A, B in pairs)
+    assert compared == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 Each case pins both notations of one object, so a change to either
 renderer, or to a token the two share, shows up as a one-line diff."""
 
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
 import distalg as d
+from distalg.cli import main as cli_main
 from distalg.dist import DeltaAtom, InexactAtom, _assemble
+from distalg.errors import DigitLimitError
 from distalg.expr import Const, Cos, Exp, Power, Product, Quotient, Sin, Sum, X
 
 from conftest import bench_gen
@@ -237,6 +242,23 @@ def test_a_tree_too_deep_to_render_is_a_shape_error(render):
     recursion limit, not in a RecursionError."""
     with pytest.raises(d.ShapeError, match="recursion limit"):
         render(_sin_chain(3000))
+
+
+@pytest.mark.parametrize("mode", ["text", "latex", "json"])
+def test_a_constant_too_long_to_print_is_a_typed_error(mode):
+    """3/7^20000 parses, and printing its 16,900-digit denominator ends in
+    a DigitLimitError that names the interpreter's limit, which stays as
+    it was; the CLI exits 2 without a traceback."""
+    limit = sys.get_int_max_str_digits()
+    F = d.parse_dist("3/7^20000")
+    with pytest.raises(DigitLimitError, match=f"{limit}-digit limit"):
+        d.format_dist(F, mode)
+    assert sys.get_int_max_str_digits() == limit
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["fmt", "3/7^20000", "--mode", mode])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and "digit limit" in err.getvalue()
 
 
 def test_textio_distributions_format_without_fractions(monkeypatch):

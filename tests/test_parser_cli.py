@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import distalg as d
 from distalg import Verdict
 from distalg.cli import main as cli_main
-from distalg.errors import ParseError, SemanticsError
+from distalg.errors import DigitLimitError, ParseError, SemanticsError
 from conftest import random_corpus
 
 
@@ -160,6 +160,40 @@ class TestNestingDepth:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "nesting" in err
         assert "Traceback" not in err
+
+
+_LONG = "1" * 5000  # past the interpreter's default 4,300-digit limit
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("parse, text, position", [
+        (d.parse_dist, _LONG + "*H(x)", 0),
+        (d.parse_dist, "H(x-" + _LONG + ")", 4),
+        (d.parse_dist, "2/" + _LONG + "*delta(x)", 2),
+        (d.parse_smooth_expr, "x^" + _LONG, 2),
+        (d.parse_smooth_expr, "1." + _LONG, 0),
+    ], ids=["literal", "location", "denominator", "exponent", "decimal"])
+    def test_a_literal_past_the_limit_is_a_parse_error(self, parse, text,
+                                                       position):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match=f"{limit}-digit limit") as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_cli_reports_a_long_literal_as_syntax_error(self):
+        code, out, err = run("fmt", _LONG + "*H(x)")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "digit limit" in err
+
+    def test_ordering_by_a_constant_too_long_to_print_is_a_typed_error(self):
+        """Terms are ordered by their printed form, so a sum whose terms
+        differ in such a constant ends in DigitLimitError, CLI exit 2."""
+        text = "exp(3/7^20000*x) + sin(x)"
+        with pytest.raises(DigitLimitError, match="digit limit"):
+            d.parse_smooth_expr(text)
+        code, out, err = run("fmt", text)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestRational:
